@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the tier-1 gate (ROADMAP.md).
 
-.PHONY: build test check bench cachebench fleetbench ecobench difftest enginetest fuzz enginefuzz soak fleetsoak tracesoak restartsoak ecosoak
+.PHONY: build test check difftest enginetest fuzz enginefuzz soak fleetsoak tracesoak restartsoak ecosoak
 
 build:
 	go build ./...
@@ -11,31 +11,21 @@ test:
 check:
 	sh scripts/check.sh
 
-# Benchmark/regression harness: runs the suite, captures an obs metrics
-# snapshot from a real solve, and writes BENCH_<date>.json (+ benchstat
-# text). Not part of the tier-1 gate. BENCH=/BENCHTIME= override defaults.
-bench:
-	sh scripts/bench.sh
-
-# Cache-focused benchmark recording: the hit-vs-solve pair (the tentpole
-# acceptance is a ≥10× gap) at publication benchtime, written as a dated
-# BENCH_<date>[-n].json alongside the full recordings.
-cachebench:
-	BENCH='BenchmarkSolveCached|BenchmarkSolveUncached' BENCHTIME=2s sh scripts/bench.sh -suffix
-
 # Differential/determinism gate on the parallel dynamic program and the
 # batch endpoint: serial-vs-parallel bit identity over the seeded corpus,
 # order/concurrency independence of /solve/batch, pool-leak accounting.
-# The tier-1 gate runs the short version; this is the full corpus.
+# The tier-1 gate (scripts/check.sh) runs these tests once in its full
+# race pass; this target re-runs just them, uncached.
 difftest:
 	go test -race -count=1 -run 'TestDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves' ./internal/core ./internal/server
 
-# Cross-engine equivalence gate: the Li–Shi O(bn²) fast-merge engine
-# against the classic O(b²n²) DP — the full 200-net stratified
-# differential, the metamorphic properties, the exhaustive oracle, the
-# checked-in fuzz corpus replay, and the merge-level frontier property
-# tests the fast merge's soundness proof rests on. The tier-1 gate
-# (scripts/check.sh) runs the short sample; this is the full corpus.
+# Cross-engine equivalence gate: every core.EngineTable row (the default
+# configuration, serial and forced-parallel) against the reference row
+# (classic O(b²n²) cross-product merge, serial walk) — the full 200-net
+# stratified differential, the metamorphic properties, the exhaustive
+# oracle, the checked-in fuzz corpus replay, and the merge-level frontier
+# property tests the Li–Shi walk's soundness proof rests on. The tier-1
+# gate runs the same tests in its full race pass; this re-runs just them.
 enginetest:
 	GOFLAGS=-count=1 go test -race ./internal/core/enginetest
 	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty' ./internal/core
@@ -43,23 +33,23 @@ enginetest:
 fuzz:
 	go test -fuzz=FuzzRead -fuzztime=30s ./internal/netfmt
 
-# Engine-equivalence fuzzing: random trees × random sub-libraries, the
-# classic DP vs the Li–Shi engine, bit-identical objectives required.
+# Engine-equivalence fuzzing: random trees × random sub-libraries, every
+# exact EngineTable row vs the reference, bit-identical objectives required.
 enginefuzz:
 	go test -fuzz=FuzzEngineEquivalence -fuzztime=60s ./internal/core/enginetest
 
 # Fault-injection soak: repeatedly hammers the bufferd server stack —
 # admission control, drain lifecycle, seeded chaos injector — under the
 # race detector, asserting exact shed/degrade accounting each pass. The
-# tier-1 gate (scripts/check.sh) runs a single short pass of the same
-# test; this target is the long version for hunting rare interleavings.
+# tier-1 gate (scripts/check.sh) runs the same tests once; this target is
+# the long version for hunting rare interleavings.
 soak:
 	go test -race -count=5 -run 'TestSoakUnderChaos|TestGracefulDrain|TestForcedDrain' -v ./internal/server
 
 # Fleet chaos soak: a 3-replica in-process fleet behind the router, under
 # request-level faults (slow/cancel/panic/malformed) plus replica-level
 # partitions and a kill, with exact attempt/outcome/fault ledgers. The
-# tier-1 gate runs one short pass; this is the long version.
+# tier-1 gate runs it once; this is the long version.
 fleetsoak:
 	go test -race -count=5 -run 'TestFleetSoakUnderChaos' -v ./internal/fleet
 
@@ -69,7 +59,7 @@ fleetsoak:
 # every injected fault, admission shed, and hedge must map to exactly one
 # recorded span, with exact collector books (started == finished ==
 # resident + dropped, zero flight-recorder evictions). The tier-1 gate
-# runs one short pass; this is the long version.
+# runs it once; this is the long version.
 tracesoak:
 	go test -race -count=5 -run 'TestTraceAcrossFleet|TestTraceSoak' -v ./internal/fleet
 
@@ -77,31 +67,17 @@ tracesoak:
 # saved, corrupted, and torn between boots — with exact snapshot
 # (loaded + rejected == restarts) and peer-fill (attempts == hits +
 # misses + timeouts) ledgers, and every post-restart response
-# byte-identical to a never-restarted control. The tier-1 gate runs one
-# short pass; this is the long version.
+# byte-identical to a never-restarted control. The tier-1 gate runs it
+# once; this is the long version.
 restartsoak:
 	go test -race -count=5 -run 'TestRestartSoakUnderChaos' -v ./internal/fleet
 
 # ECO (incremental re-solve) chaos soak: /solve/delta sessions hammered
 # with concurrent edit streams under seeded faults and forced session
 # eviction, with exact reuse/request/session-book ledgers, plus the
-# core-level edit-stream differential (delta answers bit-identical to
-# from-scratch solves across engines, objectives, and serial/parallel).
-# The tier-1 gate runs one short pass; this is the long version.
+# core-level edit-stream differential (delta answers bit-identical to the
+# reference solve across merge paths, objectives, and serial/parallel).
+# The tier-1 gate runs them once; this is the long version.
 ecosoak:
 	go test -race -count=5 -run 'TestEcoSoakUnderChaos' -v ./internal/server
 	go test -race -count=2 -run 'TestDelta|TestNewSessionValidation' -v ./internal/core
-
-# Fleet benchmark recording: cmd/loadgen drives hash-vs-random routing
-# arms through an in-process fleet and the report (p50/p99, hedge rate,
-# cache-hit rates) is merged into a dated BENCH_<date>[-n].json.
-fleetbench:
-	FLEET=1 sh scripts/bench.sh -suffix
-
-# ECO benchmark recording: the full-vs-delta re-solve pair from
-# BenchmarkDeltaResolve (the tentpole acceptance is a ≥10× gap on a
-# single-leaf edit) plus the loadgen -eco arm (/solve/delta sessions,
-# delta latency quantiles, memo reuse rate), written as a dated
-# BENCH_<date>[-n].json with eco_* derived metrics.
-ecobench:
-	BENCH='BenchmarkDeltaResolve' BENCHTIME=2s ECO=1 sh scripts/bench.sh -suffix

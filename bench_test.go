@@ -11,7 +11,6 @@ package buffopt_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"buffopt/internal/buffers"
@@ -156,7 +155,9 @@ func BenchmarkBuffOptMinBuffers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuffOptMinBuffers(tr, lib, p, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +169,9 @@ func BenchmarkBuffOpt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuffOpt(tr, lib, p, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Params: p, Objective: core.MaxSlackNoise,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +183,9 @@ func BenchmarkDelayOpt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DelayOpt(tr, lib, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Objective: core.MaxSlack,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,10 +194,13 @@ func BenchmarkDelayOpt(b *testing.B) {
 // BenchmarkDelayOptK4 is DelayOpt(4), the Table III workhorse.
 func BenchmarkDelayOptK4(b *testing.B) {
 	tr, lib, _ := benchNet(b)
+	k := 4
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DelayOptK(tr, lib, 4, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Objective: core.MaxSlack, MaxBuffers: &k,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,98 +237,6 @@ func BenchmarkSolveCached(b *testing.B) {
 		}
 		if !res.Cached {
 			b.Fatal("prewarmed solve missed the cache")
-		}
-	}
-}
-
-// BenchmarkBuffOptWorkers sweeps the DP's worker-pool width on one large
-// net: workers-1 is the serial walk, the others force the branch-merge
-// pool (bit-identical answers; see the differential suite). On multicore
-// hosts the wide rows show the speedup; on one CPU they price the
-// scheduling overhead.
-func BenchmarkBuffOptWorkers(b *testing.B) {
-	tr, lib, p := benchNet(b)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(tr, lib, p, core.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTableIIWorkers prices the whole Table II pipeline at each
-// worker width — the end-to-end number the batching speedup note in
-// EXPERIMENTS.md quotes.
-func BenchmarkTableIIWorkers(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := benchSuite(b)
-				s.Config.DPWorkers = w
-				b.StartTimer()
-				if t := s.RunTableII(); t.MetricAfter != 0 {
-					b.Fatalf("violations remain: %+v", t)
-				}
-			}
-		})
-	}
-}
-
-// sweepLibrary builds a b-type non-inverting library spanning the default
-// library's drive range geometrically: stronger types trade lower output
-// resistance for higher input capacitance, so no type dominates another
-// and the DP genuinely carries candidates from every type — the merge
-// work scales with b instead of collapsing to one survivor.
-func sweepLibrary(n int, noiseMargin float64) *buffers.Library {
-	l := &buffers.Library{}
-	for i := 0; i < n; i++ {
-		f := 1.0
-		if n > 1 {
-			f = float64(i) / float64(n-1)
-		}
-		// Drive ratio 1..15, the span of the default library (100 Ω to
-		// 1.5 kΩ); stronger buffers pay more Cin and intrinsic delay.
-		w := math.Pow(15, f)
-		l.Buffers = append(l.Buffers, buffers.Buffer{
-			Name:        fmt.Sprintf("SWP_X%d", i),
-			R:           1500 / w,
-			Cin:         8e-15 * w,
-			T:           40e-12 * (1 + 0.5*f),
-			NoiseMargin: noiseMargin,
-		})
-	}
-	return l
-}
-
-// BenchmarkLibrarySweep prices the classic O(b²n²) cross-product merge
-// against the Li–Shi O(bn²) frontier walk as the library grows: the
-// Table II workload net under the delay objective (the fast merge's home
-// turf), with b buffer types from 1 to 32. The b=11 row uses the Section V
-// library itself. The classic engine's per-merge work grows quadratically
-// in the per-type candidate population while Li–Shi's grows linearly, so
-// the rows bracket the crossover BENCH and EXPERIMENTS.md quote.
-func BenchmarkLibrarySweep(b *testing.B) {
-	tr, def, _ := benchNet(b)
-	for _, n := range []int{1, 2, 4, 8, 11, 16, 32} {
-		lib := sweepLibrary(n, 0.8)
-		if n == len(def.Buffers) {
-			lib = def // the Section V library, inverters included
-		}
-		for _, engine := range []string{core.EngineVG, core.EngineLiShi} {
-			b.Run(fmt.Sprintf("types-%d/%s", n, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.DelayOpt(tr, lib, core.Options{Engine: engine}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }
@@ -481,7 +397,9 @@ func BenchmarkAblationPruning(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOpt(tr, lib, p, core.Options{SafePruning: mode.safe}); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: tr, Library: lib, Params: p, Objective: core.MaxSlackNoise,
+				}, core.Options{SafePruning: mode.safe}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -503,7 +421,9 @@ func BenchmarkAblationSizing(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(tr, lib, p, mode.opts); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise,
+				}, mode.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -586,7 +506,9 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 		b.Run(seglen.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(seg, s.Library, s.Tech.Noise, core.Options{}); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: seg, Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+				}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	buffopt -net path/to/net.txt [-alg solve|buffopt|minbuf|delayopt|delayoptk|alg1|alg2]
-//	        [-engine vg|lishi|auto]
 //	        [-k N] [-seglen meters] [-lambda 0.7] [-rise 0.25e-9] [-vdd 1.8]
 //	        [-safe] [-verify] [-report] [-write out.txt]
 //	        [-timeout 30s] [-max-cands N]
@@ -50,7 +49,6 @@ import (
 // config carries the parsed command line.
 type config struct {
 	netPath, alg      string
-	engine            string
 	k                 int
 	segLen            float64
 	lambda, rise, vdd float64
@@ -71,7 +69,6 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.netPath, "net", "", "net file in netfmt format (required)")
 	flag.StringVar(&cfg.alg, "alg", "solve", "algorithm: solve, buffopt, minbuf, delayopt, delayoptk, alg1, alg2")
-	flag.StringVar(&cfg.engine, "engine", "", "DP merge engine: vg, lishi, or auto (default vg; answers are bit-identical)")
 	flag.IntVar(&cfg.k, "k", 4, "buffer bound for delayoptk")
 	flag.Float64Var(&cfg.segLen, "seglen", 0.5e-3, "wire segmenting length in meters (0 disables)")
 	flag.Float64Var(&cfg.lambda, "lambda", 0.7, "coupling-to-total-capacitance ratio λ")
@@ -149,11 +146,7 @@ func run(ctx context.Context, cfg config) error {
 	outPath, spefPath := cfg.outPath, cfg.spefPath
 	params := noise.Params{CouplingRatio: cfg.lambda, Slope: cfg.vdd / cfg.rise}
 	lib := buffers.DefaultLibrary(cfg.margin)
-	engine, err := core.ParseEngine(cfg.engine)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{SafePruning: cfg.safe, Budget: cfg.budget(ctx), Engine: engine}
+	opts := core.Options{SafePruning: cfg.safe, Budget: cfg.budget(ctx)}
 
 	work := tr.Clone()
 	if segLen > 0 {
@@ -192,25 +185,31 @@ func run(ctx context.Context, cfg config) error {
 		}
 		sol, slack, haveSlack = r.Solution, r.Slack, true
 	case "buffopt":
-		r, err := core.BuffOpt(work, lib, params, opts)
+		r, err := core.Optimize(ctx, core.Problem{
+			Tree: work, Library: lib, Params: params, Objective: core.MaxSlackNoise,
+		}, opts)
 		if err != nil {
 			return err
 		}
 		sol, slack, haveSlack = r.Solution, r.Slack, true
 	case "minbuf":
-		r, err := core.BuffOptMinBuffers(work, lib, params, opts)
+		r, err := core.Optimize(ctx, core.Problem{
+			Tree: work, Library: lib, Params: params, Objective: core.MinBuffersNoise,
+		}, opts)
 		if err != nil {
 			return err
 		}
 		sol, slack, haveSlack = r.Solution, r.Slack, true
 	case "delayopt":
-		r, err := core.DelayOpt(work, lib, opts)
+		r, err := core.Optimize(ctx, core.Problem{Tree: work, Library: lib, Objective: core.MaxSlack}, opts)
 		if err != nil {
 			return err
 		}
 		sol, slack, haveSlack = r.Solution, r.Slack, true
 	case "delayoptk":
-		r, err := core.DelayOptK(work, lib, k, opts)
+		r, err := core.Optimize(ctx, core.Problem{
+			Tree: work, Library: lib, Objective: core.MaxSlack, MaxBuffers: &k,
+		}, opts)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,7 @@
 //
 //	designopt -in nets/ [-out buffered/] [-seglen 0.5e-3] [-lambda 0.7]
 //	          [-rise 0.25e-9] [-vdd 1.8] [-bufnm 0.8] [-workers N] [-sizing]
-//	          [-engine vg|lishi|auto] [-timeout 5s] [-max-cands N]
+//	          [-timeout 5s] [-max-cands N]
 //
 // Each net is solved through core.Solve's degradation ladder: -timeout
 // bounds each individual net (not the whole design), -max-cands caps the
@@ -48,7 +48,6 @@ type config struct {
 	lambda, rise, vdd float64
 	margin            float64
 	workers           int
-	engine            string
 	sizing, verbose   bool
 	timeout           time.Duration // per net; 0 disables
 	maxCands          int
@@ -70,7 +69,6 @@ func main() {
 	flag.Float64Var(&cfg.margin, "bufnm", 0.8, "buffer noise margin, V")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel workers")
 	flag.BoolVar(&cfg.sizing, "sizing", false, "enable simultaneous wire sizing (widths 1, 2, 4)")
-	flag.StringVar(&cfg.engine, "engine", "", "DP merge engine: vg, lishi, or auto (default vg; answers are bit-identical)")
 	flag.BoolVar(&cfg.verbose, "v", false, "print one summary line per net")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock budget per net (0 disables)")
 	flag.IntVar(&cfg.maxCands, "max-cands", 0, "cap on DP candidate-list size per net (0 disables)")
@@ -135,11 +133,7 @@ func run(ctx context.Context, cfg config) error {
 
 	params := noise.Params{CouplingRatio: cfg.lambda, Slope: cfg.vdd / cfg.rise}
 	lib := buffers.DefaultLibrary(cfg.margin)
-	engine, err := core.ParseEngine(cfg.engine)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{Engine: engine}
+	var opts core.Options
 	if cfg.sizing {
 		opts.Sizing = &core.Sizing{Widths: []float64{1, 2, 4}}
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,12 +70,16 @@ func main() {
 	}
 	printState("\nunbuffered bus", tr, nil, params)
 
-	d, err := core.DelayOpt(seg, lib, core.Options{})
+	d, err := core.Optimize(context.Background(), core.Problem{
+		Tree: seg, Library: lib, Objective: core.MaxSlack,
+	}, core.Options{})
 	check(err)
 	fmt.Printf("\nDelayOpt: %d buffers (pure delay optimum)\n", d.NumBuffers())
 	printState("  after DelayOpt", d.Tree, d.Buffers, params)
 
-	b, err := core.BuffOpt(seg, lib, params, core.Options{})
+	b, err := core.Optimize(context.Background(), core.Problem{
+		Tree: seg, Library: lib, Params: params, Objective: core.MaxSlackNoise,
+	}, core.Options{})
 	check(err)
 	fmt.Printf("\nBuffOpt: %d buffers (delay optimum subject to noise)\n", b.NumBuffers())
 	printState("  after BuffOpt", b.Tree, b.Buffers, params)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,7 +49,9 @@ func main() {
 		if _, err := work.InsertBelow(work.Root()); err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.BuffOptMinBuffers(work, suite.Library, params, core.Options{})
+		res, err := core.Optimize(context.Background(), core.Problem{
+			Tree: work, Library: suite.Library, Params: params, Objective: core.MinBuffersNoise,
+		}, core.Options{})
 		check(err)
 		outcomes[i] = outcome{res: res, wasBad: wasBad}
 		totalBuffers += res.NumBuffers()

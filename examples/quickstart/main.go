@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,9 @@ func main() {
 	}
 
 	// BuffOpt: fewest buffers such that noise and timing are both met.
-	res, err := core.BuffOptMinBuffers(work, lib, params, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: work, Library: lib, Params: params, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	check(err)
 	fmt.Printf("\nBuffOpt inserted %d buffer(s); optimizer slack %.1f ps\n",
 		res.NumBuffers(), res.Slack*1e12)

@@ -1,6 +1,7 @@
 package buffopt_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -44,7 +45,9 @@ func TestSampleNetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := buffers.DefaultLibrary(0.8)
-	res, err := core.BuffOptMinBuffers(work, lib, params, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: work, Library: lib, Params: params, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,31 +28,17 @@ type Options struct {
 	// guard.ErrBudgetExceeded; the input tree is never modified either
 	// way.
 	Budget *guard.Budget
-	// Workers bounds the goroutines the bottom-up dynamic program may use
-	// to solve independent subtrees concurrently at branch-merge points.
-	// 0 (the default) picks GOMAXPROCS automatically, staying serial on
-	// trees too small to amortize the scheduling; 1 forces the serial
-	// walk; N > 1 forces an N-worker pool even on small trees (the
-	// differential test suite exercises the parallel path this way).
-	// Results are bit-identical across all settings — the parallel
-	// schedule changes when nodes are computed, never what they compute.
-	Workers int
 	// Cache, when non-nil, memoizes whole-net Solve results by canonical
 	// problem hash: repeated identical requests return a deep copy of the
 	// first answer, and concurrent identical requests coalesce onto one
 	// ladder run. Only Solve consults it (the cache key covers Solve's
-	// degradation behavior); the single-engine entry points ignore it.
-	// Excluded from the cache key itself, like Workers.
+	// degradation behavior); Optimize and Delta ignore it.
 	Cache *SolveCache
-	// Engine selects the dynamic-program organization: EngineAuto (the
-	// default, also chosen by ""), EngineVG, or EngineLiShi. Engines
-	// are bit-identical on objective values by construction — the
-	// enginetest suite is the gate — so Engine is excluded from every
-	// cache key, like Workers: a cached result answers a request from any
-	// engine. Unknown names are rejected with guard.ErrInvalidInput by
-	// Optimize and Solve.
-	Engine string
 
+	// dp forces the dynamic program's merge path and worker pool, which
+	// are otherwise chosen from the problem (see dpOverride). Unexported:
+	// only this package's reference rows and differentials set it.
+	dp dpOverride
 	// memo, when non-nil, threads a session's subtree memo table into the
 	// dynamic program (see Delta). Unexported: only the session layer may
 	// install it, because correctness depends on the hashes slice staying
@@ -94,14 +80,9 @@ func (s *Sizing) Validate() error {
 	return nil
 }
 
-// vgo builds the engine options shared by every public entry point. The
-// engine name is assumed validated (Optimize and Solve call ParseEngine
-// first); an unvalidated empty string still resolves to the auto default.
+// vgo builds the dynamic-program options shared by every entry point.
 func (o Options) vgo() vgOptions {
-	v := vgOptions{safePruning: o.SafePruning, budget: o.Budget, workers: o.Workers, engine: o.Engine, memo: o.memo}
-	if v.engine == "" {
-		v.engine = EngineAuto
-	}
+	v := vgOptions{safePruning: o.SafePruning, budget: o.Budget, dp: o.dp, memo: o.memo}
 	if o.Sizing != nil {
 		v.widths = o.Sizing.Widths
 		v.fringe = o.Sizing.Fringe
@@ -131,20 +112,11 @@ type Result struct {
 	Cost int
 }
 
-// BuffOpt solves Problem 2: maximize the slack at the source subject to
-// every noise constraint (Algorithm 3, Section IV; optimal for a single
-// buffer type per Theorem 5). It returns ErrNoiseUnfixable (wrapped) when
-// no buffer assignment satisfies the noise constraints.
-//
-// Equivalent to Optimize with Objective MaxSlackNoise.
-//
-// Deprecated: use Optimize with Objective MaxSlackNoise (or a Session for
-// incremental re-solves). Kept for source compatibility; the equivalence
-// is pinned by tests and will not drift.
-func BuffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise}, opts)
-}
-
+// buffOpt solves Problem 2 (Optimize with MaxSlackNoise): maximize the
+// slack at the source subject to every noise constraint (Algorithm 3,
+// Section IV; optimal for a single buffer type per Theorem 5). It returns
+// ErrNoiseUnfixable (wrapped) when no buffer assignment satisfies the
+// noise constraints.
 func buffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
 	vo := opts.vgo()
 	vo.noise = true
@@ -160,34 +132,15 @@ func buffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options)
 	return finishVG(t, best, vo)
 }
 
-// BuffOptMinBuffers solves Problem 3: insert the minimum total buffer
-// weight (the Lillis power function — the buffer count when all weights
-// are 1, or area/power with explicit Buffer.Weight values) such that both
-// the noise constraints and the timing constraints (slack ≥ 0) hold,
-// maximizing slack as a secondary objective. This is the configuration of
-// the BuffOpt tool used in the Section V experiments, built on the Lillis
-// buffer-count-indexed candidate lists.
-//
+// buffOptMinBuffers solves Problem 3 (Optimize with MinBuffersNoise), the
+// Section V BuffOpt tool built on the Lillis buffer-count-indexed lists.
 // Buffer counts are explored by iterative deepening (caps 2, 4, 8, …): a
 // feasible solution found under cap m is count-minimal outright, because
 // every smaller count was also explored, and most nets resolve at the
-// first cap. This keeps BuffOpt's candidate lists shorter than
-// DelayOpt(k)'s — the run-time effect Section V reports (noise pruning
-// plus small caps mean fewer candidates to analyze).
-//
-// When no buffer count achieves non-negative slack, the noise-feasible
-// solution with maximum slack is returned (best effort): noise constraints
-// are hard, timing is maximized.
-//
-// Equivalent to Optimize with Objective MinBuffersNoise.
-//
-// Deprecated: use Optimize with Objective MinBuffersNoise (or a Session
-// for incremental re-solves). Kept for source compatibility; the
-// equivalence is pinned by tests and will not drift.
-func BuffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
-}
-
+// first cap — which keeps BuffOpt's candidate lists shorter than
+// DelayOpt(k)'s, the run-time effect Section V reports. When no count
+// achieves non-negative slack, the noise-feasible solution with maximum
+// slack is returned: noise constraints are hard, timing is maximized.
 func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
 	const hardCap = 64
 	var lastErr error
@@ -241,19 +194,9 @@ func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opt
 	return nil, fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
 }
 
-// DelayOpt is the Section V baseline: Van Ginneken's algorithm with the
-// Lillis extensions but no noise constraints — Algorithm 3 without the
-// boldface modifications. It maximizes the slack at the source.
-//
-// Equivalent to Optimize with Objective MaxSlack.
-//
-// Deprecated: use Optimize with Objective MaxSlack (or a Session for
-// incremental re-solves). Kept for source compatibility; the equivalence
-// is pinned by tests and will not drift.
-func DelayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Objective: MaxSlack}, opts)
-}
-
+// delayOpt is the Section V baseline (Optimize with MaxSlack): Van
+// Ginneken's algorithm with the Lillis extensions but no noise
+// constraints — Algorithm 3 without the boldface modifications.
 func delayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, error) {
 	vo := opts.vgo()
 	cands, err := runVG(t, lib, vo)
@@ -267,19 +210,9 @@ func delayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, erro
 	return finishVG(t, best, vo)
 }
 
-// DelayOptK is DelayOpt(k) of Section V: the best slack achievable with at
-// most k buffers, via buffer-count-indexed candidate lists.
-//
-// Equivalent to Optimize with Objective MaxSlack and MaxBuffers k.
-//
-// Deprecated: use Optimize with Objective MaxSlack and MaxBuffers (or a
-// Session for incremental re-solves). Kept for source compatibility; the
-// equivalence is pinned by tests and will not drift.
-func DelayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Objective: MaxSlack, MaxBuffers: &k}, opts)
-}
-
-// delayOptK assumes k ≥ 0 (Problem.Validate rejected negatives).
+// delayOptK is DelayOpt(k) of Section V: the best slack achievable with
+// at most k buffers, via buffer-count-indexed candidate lists. It assumes
+// k ≥ 0 (Problem.Validate rejected negatives).
 func delayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Result, error) {
 	vo := opts.vgo()
 	vo.countIndexed = true
@@ -295,20 +228,9 @@ func delayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Resu
 	return finishVG(t, best, vo)
 }
 
-// BuffOptK returns the noise-feasible solution with the best slack using
-// at most k buffers. Used by ablation studies; the Section V tool is
-// BuffOptMinBuffers.
-//
-// Equivalent to Optimize with Objective MaxSlackNoise and MaxBuffers k.
-//
-// Deprecated: use Optimize with Objective MaxSlackNoise and MaxBuffers
-// (or a Session for incremental re-solves). Kept for source
-// compatibility; the equivalence is pinned by tests and will not drift.
-func BuffOptK(t *rctree.Tree, lib *buffers.Library, p noise.Params, k int, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}, opts)
-}
-
-// buffOptK assumes k ≥ 0 (Problem.Validate rejected negatives).
+// buffOptK returns the noise-feasible solution with the best slack using at
+// most k buffers (Optimize with MaxSlackNoise and MaxBuffers). It assumes
+// k ≥ 0 (Problem.Validate rejected negatives).
 func buffOptK(t *rctree.Tree, lib *buffers.Library, p noise.Params, k int, opts Options) (*Result, error) {
 	vo := opts.vgo()
 	vo.noise = true
@@ -362,7 +284,6 @@ func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
 	for v, wd := range widths {
 		node := work.Node(v)
 		w := node.Wire
-		oldC := w.C
 		w.R, w.C = vo.wireVariant(w, wd)
 		if vo.noise && vo.params.Slope > 0 && w.C > 0 {
 			// Freeze the coupling current at its minimum-width (sidewall)
@@ -373,7 +294,6 @@ func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
 				Ratio: iw / (vo.params.Slope * w.C),
 				Slope: vo.params.Slope,
 			}}
-			_ = oldC
 		}
 		node.Wire = w
 	}

@@ -16,8 +16,9 @@ import (
 // re-solve engine: over seeded edit streams — sink cap/RAT tweaks, wire
 // resizes, subtree grafts, subtree prunes — it asserts that Delta's
 // answer is bit-identical to a from-scratch Optimize on the session's
-// post-edit tree, for both engines, all three objective profiles, serial
-// and parallel. Memoization is allowed to change how much work a
+// post-edit tree solved by the reference configuration (classic merge,
+// serial walk), for both merge paths, all three objective profiles,
+// serial and parallel. Memoization is allowed to change how much work a
 // re-solve does, never what it answers.
 
 // graftDonor builds a small, valid, binary two-sink subtree to graft.
@@ -94,8 +95,10 @@ func randomEdit(t *rctree.Tree, rng *rand.Rand) (Edit, bool) {
 	}
 }
 
-// deltaProfiles are the (objective, engine, workers) grid the streams run
-// under: both engines, all three objectives, serial and parallel.
+// deltaProfiles are the (objective, merge, workers) grid the streams run
+// under: all three objectives, both merge paths — "vg" forces the classic
+// cross product, "lishi" leaves the frontier walk on wherever it is exact
+// — and the serial walk and a forced 4-worker pool.
 func deltaProfiles() []struct {
 	name string
 	obj  Objective
@@ -107,12 +110,13 @@ func deltaProfiles() []struct {
 		opts Options
 	}
 	var out []prof
-	for _, eng := range []string{EngineVG, EngineLiShi} {
+	for _, merge := range []string{"vg", "lishi"} {
 		for _, workers := range []int{1, 4} {
+			opts := Options{dp: dpOverride{classicMerge: merge == "vg", workers: workers}}
 			out = append(out,
-				prof{fmt.Sprintf("max-slack/%s/w%d", eng, workers), MaxSlack, Options{Engine: eng, Workers: workers}},
-				prof{fmt.Sprintf("max-slack-noise/%s/w%d", eng, workers), MaxSlackNoise, Options{Engine: eng, Workers: workers}},
-				prof{fmt.Sprintf("min-buffers-noise/%s/w%d", eng, workers), MinBuffersNoise, Options{Engine: eng, Workers: workers}},
+				prof{fmt.Sprintf("max-slack/%s/w%d", merge, workers), MaxSlack, opts},
+				prof{fmt.Sprintf("max-slack-noise/%s/w%d", merge, workers), MaxSlackNoise, opts},
+				prof{fmt.Sprintf("min-buffers-noise/%s/w%d", merge, workers), MinBuffersNoise, opts},
 			)
 		}
 	}
@@ -145,7 +149,8 @@ func resultsEqual(got *Result, want *Result) error {
 
 // TestDeltaDifferential is the exactness gate: seeded edit streams over
 // corpus nets, every Delta answer bit-compared against Optimize on a
-// clone of the session's post-edit tree.
+// clone of the session's post-edit tree under the reference
+// configuration.
 func TestDeltaDifferential(t *testing.T) {
 	t.Parallel()
 	n := 8
@@ -181,7 +186,7 @@ func TestDeltaDifferential(t *testing.T) {
 					}
 					ref := p
 					ref.Tree = s.Tree()
-					want, err := Optimize(context.Background(), ref, prof.opts)
+					want, err := Optimize(context.Background(), ref, Options{dp: referenceDP})
 					if err != nil {
 						t.Fatalf("net %d step %d: reference Optimize: %v", ni, step, err)
 					}
@@ -378,9 +383,6 @@ func TestNewSessionValidation(t *testing.T) {
 	s, err := NewSession(Problem{Tree: nets[0], Library: lib, Params: params}, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Delta(context.Background(), s, nil, Options{Engine: "warp"}); !errors.Is(err, guard.ErrInvalidInput) {
-		t.Errorf("unknown engine: %v, want invalid-input", err)
 	}
 	// The session's private clone isolates it from caller mutation.
 	nets[0].Node(nets[0].Sinks()[0]).Cap = 1e-3

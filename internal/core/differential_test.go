@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -138,7 +139,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 		old := obs.Default()
 		obs.SetDefault(obs.NewRegistry())
 		defer obs.SetDefault(old)
-		opts.workers = workers
+		opts.dp.workers = workers
 		cands, err := runVG(tr, lib, opts)
 		if err != nil {
 			t.Fatalf("runVG(workers=%d): %v", workers, err)
@@ -203,7 +204,9 @@ func TestDifferentialPublicAPI(t *testing.T) {
 	for i, tr := range nets {
 		var base *Result
 		for _, w := range workerSet {
-			res, err := BuffOptMinBuffers(tr, lib, p, Options{Workers: w})
+			res, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise,
+			}, Options{dp: dpOverride{workers: w}})
 			if err != nil {
 				t.Fatalf("net %d workers %d: %v", i, w, err)
 			}
@@ -241,7 +244,9 @@ func TestDeterminismRepeatedRuns(t *testing.T) {
 		var want []byte
 		for rep := 0; rep < 3; rep++ {
 			for _, w := range []int{1, 4} {
-				res, err := BuffOptMinBuffers(tr, lib, p, Options{Workers: w})
+				res, err := Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise,
+				}, Options{dp: dpOverride{workers: w}})
 				if err != nil {
 					t.Fatalf("net %d rep %d workers %d: %v", i, rep, w, err)
 				}
@@ -314,7 +319,9 @@ func TestDifferentialExhaustiveSpotCheck(t *testing.T) {
 		if len(feasibleNodes(tr)) > 9 {
 			continue
 		}
-		res, err := BuffOpt(tr, lib, p, Options{Workers: 4})
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+		}, Options{dp: dpOverride{workers: 4}})
 		want, _, ok, oerr := ExhaustiveMaxSlackNoise(tr, lib, p, true)
 		if oerr != nil {
 			t.Fatal(oerr)

@@ -1,95 +1,69 @@
 package core
 
-import (
-	"context"
-	"fmt"
+import "context"
 
-	"buffopt/internal/guard"
-)
+// The dynamic program picks its merge path and its parallelism from the
+// problem; no public option overrides either. Branch merges use the
+// Li–Shi frontier walk (lishi.go) wherever it is exact — delay-only runs
+// without safe pruning, at any library size — and the classic cross
+// product everywhere else. The bottom-up walk goes parallel on trees of
+// at least minParallelNodes nodes when GOMAXPROCS > 1. Every choice is
+// bit-identical on objective values by construction; the enginetest suite
+// (internal/core/enginetest) is the gate on that contract.
 
-// The dynamic program runs under one of several engines. All engines
-// solve the same problems and are bit-identical on objective values by
-// construction — the engine changes how candidate lists are organized
-// and merged, never which optimum is found. The enginetest suite
-// (internal/core/enginetest) is the gate on that contract: every engine
-// registered in EngineTable is differenced against serial VG over the
-// stratified corpus, checked against the exhaustive oracle on small
-// nets, and run through the metamorphic property catalog.
-const (
-	// EngineVG is the classic Van Ginneken-style dynamic program
-	// (Algorithm 3 with the Lillis extensions): full cross-product branch
-	// merges followed by dominance pruning. O(b²n²) over a b-type
-	// library.
-	EngineVG = "vg"
-	// EngineLiShi is the Li–Shi fast multi-type organization (PAPERS.md,
-	// arXiv:0710.4691): candidate lists kept in the canonical sorted
-	// order, branch merges computed directly on the per-group Pareto
-	// frontiers by a two-pointer walk — O(L1+L2) instead of the O(L1·L2)
-	// cross product — cutting the DP to O(bn²). The sorted-frontier
-	// argument is a statement about the delay DP; noise-constrained and
-	// safe-pruning runs fall back to the classic merge node by node (see
-	// lishi.go), so the engine is bit-identical to VG in every
-	// configuration.
-	EngineLiShi = "lishi"
-	// EngineAuto picks per run: Li–Shi when the configuration can use the
-	// fast merge and the library has more than one type (where the b²→b
-	// reduction pays), classic VG otherwise.
-	EngineAuto = "auto"
-)
-
-// ParseEngine validates and normalizes an engine name: the empty string
-// selects EngineAuto (the default), which resolves per run to Li–Shi
-// where the fast merge applies and classic VG everywhere else — the
-// BENCH-backed choice (see DESIGN §16: Li–Shi wins from 2 buffer types
-// up, and auto is bit-identical to both by the enginetest gate). Unknown
-// names wrap guard.ErrInvalidInput, so CLIs exit with the invalid-input
-// code and bufferd answers 400 — never a panic or a silent fallback.
-func ParseEngine(s string) (string, error) {
-	switch s {
-	case "":
-		return EngineAuto, nil
-	case EngineVG, EngineLiShi, EngineAuto:
-		return s, nil
-	}
-	return "", fmt.Errorf("core: unknown engine %q (want %q, %q, or %q): %w",
-		s, EngineVG, EngineLiShi, EngineAuto, guard.ErrInvalidInput)
+// dpOverride forces the dynamic program's otherwise automatic choices.
+// Unexported, like Options.memo: only this package sets it — EngineTable's
+// rows and the in-package differentials — so the fallback merge and the
+// forced worker pool stay reachable as the baselines the gates compare
+// against, and nowhere else.
+type dpOverride struct {
+	// classicMerge runs the cross-product merge at every branch node: the
+	// reference the frontier walk is differenced against.
+	classicMerge bool
+	// workers forces the walk's pool size: 0 = automatic, 1 = serial,
+	// N > 1 = exactly N workers even on small trees.
+	workers int
 }
+
+// referenceDP is the reference configuration every differential compares
+// against: the classic cross-product merge on the serial walk.
+var referenceDP = dpOverride{classicMerge: true, workers: 1}
 
 // EngineSpec is one row of the engine registry: a named way of solving a
 // Problem, with its contract class. The enginetest suite iterates this
-// table, so a new engine is gated the moment it is registered.
+// table, so a new row is gated the moment it is registered.
 type EngineSpec struct {
-	// Name identifies the engine in test output and telemetry.
+	// Name identifies the row in test output.
 	Name string
-	// Exact engines must produce bit-identical objective values (slack
-	// bits, cost) to serial VG on every problem, and must match the
-	// exhaustive oracle on small nets. Heuristic engines (greedy) are
-	// held only to validity and never-better-than-exact.
+	// Exact rows must produce bit-identical objective values (slack bits,
+	// cost) to the reference row on every problem, and must match the
+	// exhaustive oracle on small nets. Heuristic rows (greedy) are held
+	// only to validity and never-better-than-exact.
 	Exact bool
-	// Noise reports whether the engine supports noise-constrained
-	// objectives; delay-only engines are skipped on those problems.
+	// Noise reports whether the row supports noise-constrained
+	// objectives; delay-only rows are skipped on those problems.
 	Noise bool
-	// Run solves one problem. Exact engines route through Optimize with
-	// the engine selected; heuristics adapt their own entry points.
+	// Run solves one problem. Exact rows route through Optimize;
+	// heuristics adapt their own entry points.
 	Run func(ctx context.Context, p Problem, opts Options) (*Result, error)
 }
 
-// EngineTable returns the registered engines. Serial VG is first: it is
-// the reference the differential assertions compare everything else to.
+// EngineTable returns the registered rows. The reference — the classic
+// cross-product merge on the serial walk — is first: it is the baseline
+// the differential assertions compare everything else to. "default" is
+// what every caller gets (zero overrides); "default-parallel" forces a
+// 4-worker pool so small trees take the parallel walk too.
 func EngineTable() []EngineSpec {
-	viaOptimize := func(engine string, workers int) func(context.Context, Problem, Options) (*Result, error) {
+	viaOptimize := func(dp dpOverride) func(context.Context, Problem, Options) (*Result, error) {
 		return func(ctx context.Context, p Problem, opts Options) (*Result, error) {
-			opts.Engine = engine
-			opts.Workers = workers
+			opts.dp = dp
 			return Optimize(ctx, p, opts)
 		}
 	}
 	return []EngineSpec{
-		{Name: "vg", Exact: true, Noise: true, Run: viaOptimize(EngineVG, 1)},
-		{Name: "vg-parallel", Exact: true, Noise: true, Run: viaOptimize(EngineVG, 4)},
-		{Name: "lishi", Exact: true, Noise: true, Run: viaOptimize(EngineLiShi, 1)},
-		{Name: "lishi-parallel", Exact: true, Noise: true, Run: viaOptimize(EngineLiShi, 4)},
-		{Name: "auto", Exact: true, Noise: true, Run: viaOptimize(EngineAuto, 0)},
+		{Name: "reference", Exact: true, Noise: true, Run: viaOptimize(referenceDP)},
+		{Name: "default", Exact: true, Noise: true, Run: viaOptimize(dpOverride{})},
+		{Name: "default-parallel", Exact: true, Noise: true, Run: viaOptimize(dpOverride{workers: 4})},
 		{Name: "greedy", Exact: false, Noise: true, Run: runGreedyEngine},
 	}
 }

@@ -5,7 +5,8 @@ import (
 )
 
 // TestEngineDifferential is the tentpole gate: over the 200-net
-// stratified corpus, every registered engine is run against serial VG.
+// stratified corpus, every registered row is run against the reference
+// (classic merge, serial walk).
 // Each net runs the delay objective — the Li–Shi fast merge's home turf —
 // plus one profile from the round-robin ring, so the count-indexed,
 // noise, safe-pruning, sizing, and min-buffer fallback paths are all

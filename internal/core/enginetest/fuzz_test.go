@@ -2,7 +2,6 @@ package enginetest
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -15,9 +14,9 @@ import (
 // FuzzEngineEquivalence drives the cross-engine contract from arbitrary
 // coordinates: a seeded random tree, a random sub-library of the
 // Section V repertoire (mask-selected, so all-inverter and single-type
-// corners appear), and an optional count bound. The classic DP and the
-// Li–Shi engine must fail together or succeed together with bit-identical
-// objective values. The checked-in corpus under
+// corners appear), and an optional count bound. Every exact row of
+// core.EngineTable must fail together with the reference (classic merge,
+// serial walk) or succeed together with bit-identical objective values. The checked-in corpus under
 // testdata/fuzz/FuzzEngineEquivalence seeds the interesting corners;
 // `go test -fuzz=FuzzEngineEquivalence ./internal/core/enginetest` digs
 // for new ones.
@@ -53,23 +52,18 @@ func FuzzEngineEquivalence(f *testing.F) {
 			k := int(kRaw) % 10
 			prob.MaxBuffers = &k
 		}
-		run := func(engine string) (*core.Result, error) {
-			return core.Optimize(context.Background(), prob, core.Options{Engine: engine, Workers: 1})
-		}
-		vg, vgErr := run(core.EngineVG)
-		ls, lsErr := run(core.EngineLiShi)
-		if (vgErr == nil) != (lsErr == nil) {
-			t.Fatalf("engines disagree on feasibility: vg err = %v, lishi err = %v", vgErr, lsErr)
-		}
-		if vgErr != nil {
-			return
-		}
-		if math.Float64bits(vg.Slack) != math.Float64bits(ls.Slack) {
-			t.Fatalf("slack diverged: vg %g (%016x), lishi %g (%016x)",
-				vg.Slack, math.Float64bits(vg.Slack), ls.Slack, math.Float64bits(ls.Slack))
-		}
-		if vg.Cost != ls.Cost {
-			t.Fatalf("cost diverged: vg %d, lishi %d", vg.Cost, ls.Cost)
+		ref, refErr := exactRows[0].Run(context.Background(), prob, core.Options{})
+		for _, row := range exactRows[1:] {
+			got, err := row.Run(context.Background(), prob, core.Options{})
+			if (refErr == nil) != (err == nil) {
+				t.Fatalf("%s disagrees on feasibility: reference err = %v, %s err = %v", row.Name, refErr, row.Name, err)
+			}
+			if refErr != nil {
+				continue
+			}
+			if cmpErr := sameObjective(ref, got); cmpErr != nil {
+				t.Fatalf("%s diverged from the reference: %v", row.Name, cmpErr)
+			}
 		}
 	})
 }

@@ -1,12 +1,12 @@
-// Package enginetest gates the engine registry: every engine in
+// Package enginetest gates the engine registry: every row of
 // core.EngineTable is held to its contract class on a shared corpus.
-// Exact engines (the classic DP, Li–Shi, their parallel variants, and
-// auto) must produce bit-identical objective values — slack compared as
-// raw float bits, cost exactly — to serial VG on every problem, plus
-// independently re-verified placements; heuristic engines are held to
-// validity and never-better-than-exact. The suite is what makes the
-// "engines are interchangeable, cache keys exclude Engine" contract in
-// core.Options safe to rely on.
+// Exact rows (the default configuration, serial and forced-parallel) must
+// produce bit-identical objective values — slack compared as raw float
+// bits, cost exactly — to the reference row (classic cross-product merge,
+// serial walk) on every problem, plus independently re-verified
+// placements; heuristic rows are held to validity and
+// never-better-than-exact. The suite is what makes it safe for the
+// dynamic program to pick its merge path and parallelism by itself.
 //
 // The corpus is stratified by net size (sink-count cap per stratum) so
 // the fast-merge path sees both the shallow lists of small nets and the
@@ -156,8 +156,8 @@ func checkValid(t *testing.T, res *core.Result, pr profile, p noise.Params) {
 	}
 }
 
-// sameObjective asserts bit-identical objective values between an engine
-// and the serial-VG baseline: slack as raw float bits, cost exactly.
+// sameObjective asserts bit-identical objective values between a row and
+// the reference baseline: slack as raw float bits, cost exactly.
 func sameObjective(base, got *core.Result) error {
 	if bb, gb := math.Float64bits(base.Slack), math.Float64bits(got.Slack); bb != gb {
 		return fmt.Errorf("slack bits %016x vs baseline %016x (%g vs %g)",
@@ -169,8 +169,8 @@ func sameObjective(base, got *core.Result) error {
 	return nil
 }
 
-// runEngines runs one problem under every registered engine and applies
-// the per-class assertions against the serial-VG baseline (row 0 of the
+// runEngines runs one problem under every registered row and applies the
+// per-class assertions against the reference baseline (row 0 of the
 // table). Failure classes must agree too: if the baseline cannot solve
 // the net (noise unfixable), every exact engine must fail the same way.
 func runEngines(t *testing.T, prob core.Problem, pr profile, p noise.Params) {

@@ -13,13 +13,13 @@ import (
 
 // Metamorphic properties: relations between a problem and a transformed
 // version of it that the exact engines must respect regardless of the
-// input. Each property runs under every exact engine name, and the
-// engines are additionally cross-checked against each other on the
+// input. Each property runs under every exact row of core.EngineTable,
+// and the rows are additionally cross-checked against each other on the
 // transformed problems — so a transform that tickles only the fast-merge
 // path still gets a classic-DP witness.
 
 // metamorphicCorpus is a small mid-size stratum: big enough to have real
-// branch structure, small enough that six properties × three engines
+// branch structure, small enough that six properties × three exact rows
 // stay fast.
 func metamorphicCorpus(t testing.TB) ([]*rctree.Tree, *buffers.Library, noise.Params) {
 	n := 24
@@ -29,31 +29,40 @@ func metamorphicCorpus(t testing.TB) ([]*rctree.Tree, *buffers.Library, noise.Pa
 	return buildStratum(t, stratum{name: "meta", seed: 301, nets: n, maxSinks: 12}, n)
 }
 
-// exactEngines are the engine names the properties quantify over.
-var exactEngines = []string{core.EngineVG, core.EngineLiShi, core.EngineAuto}
+// exactRows are the table rows the properties quantify over, the
+// reference first.
+var exactRows = func() []core.EngineSpec {
+	var rows []core.EngineSpec
+	for _, spec := range core.EngineTable() {
+		if spec.Exact {
+			rows = append(rows, spec)
+		}
+	}
+	return rows
+}()
 
-// optimize runs one delay-objective problem under an engine name.
-func optimize(t *testing.T, tr *rctree.Tree, lib *buffers.Library, engine string, k int) *core.Result {
+// optimize runs one delay-objective problem under a table row.
+func optimize(t *testing.T, tr *rctree.Tree, lib *buffers.Library, row core.EngineSpec, k int) *core.Result {
 	t.Helper()
 	prob := core.Problem{Tree: tr, Library: lib, Objective: core.MaxSlack}
 	if k >= 0 {
 		prob.MaxBuffers = &k
 	}
-	res, err := core.Optimize(context.Background(), prob, core.Options{Engine: engine})
+	res, err := row.Run(context.Background(), prob, core.Options{})
 	if err != nil {
-		t.Fatalf("engine %s: %v", engine, err)
+		t.Fatalf("engine %s: %v", row.Name, err)
 	}
 	return res
 }
 
-// crossCheck asserts all exact engines agree bit for bit on a problem and
-// returns the common result.
+// crossCheck asserts all exact rows agree bit for bit on a problem and
+// returns the reference's result.
 func crossCheck(t *testing.T, tr *rctree.Tree, lib *buffers.Library, k int) *core.Result {
 	t.Helper()
-	base := optimize(t, tr, lib, exactEngines[0], k)
-	for _, e := range exactEngines[1:] {
-		if err := sameObjective(base, optimize(t, tr, lib, e, k)); err != nil {
-			t.Fatalf("engine %s diverges: %v", e, err)
+	base := optimize(t, tr, lib, exactRows[0], k)
+	for _, row := range exactRows[1:] {
+		if err := sameObjective(base, optimize(t, tr, lib, row, k)); err != nil {
+			t.Fatalf("engine %s diverges: %v", row.Name, err)
 		}
 	}
 	return base
@@ -122,9 +131,9 @@ func TestMetamorphicSiblingReorder(t *testing.T) {
 	for i, tr := range nets {
 		base := crossCheck(t, tr, lib, -1)
 		flipped, _ := rebuild(t, tr, true)
-		for _, e := range exactEngines {
-			if err := sameObjective(base, optimize(t, flipped, lib, e, -1)); err != nil {
-				t.Fatalf("net %d, engine %s: sibling reorder changed the optimum: %v", i, e, err)
+		for _, row := range exactRows {
+			if err := sameObjective(base, optimize(t, flipped, lib, row, -1)); err != nil {
+				t.Fatalf("net %d, engine %s: sibling reorder changed the optimum: %v", i, row.Name, err)
 			}
 		}
 	}
@@ -139,19 +148,19 @@ func TestMetamorphicRenumbering(t *testing.T) {
 	for i, tr := range nets {
 		base := crossCheck(t, tr, lib, -1)
 		renum, idmap := rebuild(t, tr, false)
-		for _, e := range exactEngines {
-			res := optimize(t, renum, lib, e, -1)
+		for _, row := range exactRows {
+			res := optimize(t, renum, lib, row, -1)
 			if err := sameObjective(base, res); err != nil {
-				t.Fatalf("net %d, engine %s: renumbering changed the optimum: %v", i, e, err)
+				t.Fatalf("net %d, engine %s: renumbering changed the optimum: %v", i, row.Name, err)
 			}
 			if len(res.Buffers) != len(base.Buffers) {
 				t.Fatalf("net %d, engine %s: placement sizes differ: %d vs %d",
-					i, e, len(res.Buffers), len(base.Buffers))
+					i, row.Name, len(res.Buffers), len(base.Buffers))
 			}
 			for v, b := range base.Buffers {
 				if got, ok := res.Buffers[idmap[v]]; !ok || got.Name != b.Name {
 					t.Fatalf("net %d, engine %s: node %d (now %d) had %q, renumbered run has %q",
-						i, e, v, idmap[v], b.Name, got.Name)
+						i, row.Name, v, idmap[v], b.Name, got.Name)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"buffopt/internal/buffers"
@@ -29,9 +30,9 @@ func ExampleAlgorithm1() {
 	// Output: 4 buffers, clean=true
 }
 
-// ExampleBuffOptMinBuffers runs the Section V tool configuration: fewest
-// buffers meeting both the noise and the timing constraints.
-func ExampleBuffOptMinBuffers() {
+// ExampleOptimize_minBuffersNoise runs the Section V tool configuration:
+// fewest buffers meeting both the noise and the timing constraints.
+func ExampleOptimize_minBuffersNoise() {
 	params := noise.Params{CouplingRatio: 1, Slope: 1}
 	lib := &buffers.Library{Buffers: []buffers.Buffer{
 		{Name: "B", Cin: 0.05, R: 1, T: 0.5, NoiseMargin: 4},
@@ -43,7 +44,9 @@ func ExampleBuffOptMinBuffers() {
 	// Preprocess: create candidate buffer sites.
 	segment.ByCount(tr, 3)
 
-	res, err := core.BuffOptMinBuffers(tr, lib, params, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: tr, Library: lib, Params: params, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	if err != nil {
 		panic(err)
 	}

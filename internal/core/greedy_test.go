@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -26,7 +27,9 @@ func TestGreedyNeverBeatsDP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		d, err := DelayOpt(tr, lib, Options{})
+		d, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Objective: MaxSlack,
+		}, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -59,7 +62,9 @@ func TestGreedyNoiseMode(t *testing.T) {
 	if !noise.Analyze(g.Tree, g.Buffers, unitParams).Clean() {
 		t.Fatalf("greedy result not clean")
 	}
-	b, err := BuffOpt(tr, lib, unitParams, Options{})
+	b, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,9 @@ func TestGreedyCanGetStuck(t *testing.T) {
 			t.Fatalf("trial %d: unexpected greedy error: %v", trial, gerr)
 		}
 		stuck++
-		if _, berr := BuffOpt(tr, lib, unitParams, Options{SafePruning: true}); berr == nil {
+		if _, berr := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+		}, Options{SafePruning: true}); berr == nil {
 			dpFixed++
 		}
 	}

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"buffopt/internal/buffers"
-)
-
 // This file implements the Li–Shi fast multi-type branch merge
 // (PAPERS.md, arXiv:0710.4691): the one super-linear step of the classic
 // dynamic program — the O(L1·L2) cross product at every branch node — is
@@ -61,26 +57,10 @@ import (
 //   - safe pruning: the frontier is 4-D; a 2-D walk would discard
 //     candidates safe pruning promises to keep.
 //
-// Both fall back inside computeNode, so every engine name is exact in
-// every configuration; "lishi" simply stops being faster off its home
-// turf. The enginetest differential suite is the gate on all of this.
-
-// resolveEngine maps the public engine name to the concrete engine a run
-// uses. EngineAuto chooses Li–Shi whenever the configuration can use the
-// fast merge and the library has more than one type — with a single type
-// the cross product is already the b = 1 case and the walk's bookkeeping
-// buys nothing.
-func resolveEngine(opts vgOptions, lib *buffers.Library) string {
-	switch opts.engine {
-	case EngineLiShi:
-		return EngineLiShi
-	case EngineAuto:
-		if !opts.noise && !opts.safePruning && len(lib.Buffers) > 1 {
-			return EngineLiShi
-		}
-	}
-	return EngineVG
-}
+// Everywhere else the walk runs, at any library size: it beats the cross
+// product even at b = 1 (BENCH_2026-08-08-1). The classic merge stays as
+// the fallback for the two configurations above and as the reference the
+// enginetest differential suite compares the walk against.
 
 // candGroup is one (parity[, cost]) run of a canonically ordered
 // candidate list, with the indices of its 2-D Pareto frontier in load

@@ -66,9 +66,9 @@ func subtreeMemoSize(e *subtreeMemo) int64 {
 
 // memoRun is one solve's view of a session memo: the table, the current
 // subtree hashes (indexed by NodeID, kept incremental by the session),
-// the options-slice key suffix (set by runVG once the engine is
-// resolved), and the run's ledger. Counters are atomic because the
-// parallel walk stores from worker goroutines; lookups == reused +
+// the options-slice key suffix (set by runVG), and the run's ledger.
+// Counters are atomic because the parallel walk stores from worker
+// goroutines; lookups == reused +
 // resolved holds exactly on every successful run — the gate visits a
 // node (one lookup), and every visited node is either loaded (reused) or
 // computed and stored (resolved).
@@ -97,8 +97,7 @@ func (m *memoRun) flush(sp *obs.SpanHandle) {
 }
 
 // key is the memo key for node v: the subtree's content hash plus the
-// options slice. The engine name as such is excluded — only the one
-// engine-visible behavior bit (fastMergeOK) enters via the suffix.
+// options slice.
 func (m *memoRun) key(v rctree.NodeID) string {
 	return hex.EncodeToString(m.hashes[v][:]) + "/" + m.suffix
 }
@@ -106,9 +105,11 @@ func (m *memoRun) key(v rctree.NodeID) string {
 // memoKeySuffix hashes the solve-relevant option slice and the buffer
 // library: everything besides the subtree content that determines a
 // node's candidate list. Budget caps are excluded (they can only abort a
-// run, never change a successful list), as are Workers (bit-identical by
-// the differential gate). maxBuffers is included because the iterative
-// deepening ladder genuinely changes list contents per cap.
+// run, never change a successful list), as are the merge path and the
+// worker count (either merge, serial or parallel, yields bit-identical
+// post-prune lists by the differential gates, and the path is a function
+// of noise and safePruning, both keyed). maxBuffers is included because
+// the iterative deepening ladder genuinely changes list contents per cap.
 func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -141,7 +142,6 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 		f64(w)
 	}
 	f64(o.fringe)
-	bol(o.fastMergeOK())
 	u64(uint64(len(lib.Buffers)))
 	for _, b := range lib.Buffers {
 		str(b.Name)

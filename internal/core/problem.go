@@ -64,10 +64,11 @@ func ParseObjective(s string) (Objective, error) {
 }
 
 // Problem is one complete optimization request: everything that
-// determines the answer, and nothing that doesn't. It subsumes the five
-// historical entry points (BuffOpt, BuffOptK, DelayOpt, DelayOptK,
-// BuffOptMinBuffers), which are now thin wrappers over Optimize, and its
-// CanonicalHash is the content-addressed cache key.
+// determines the answer, and nothing that doesn't. Its objective plus the
+// optional count bound cover the paper's five tool configurations
+// (BuffOpt, BuffOpt(k), DelayOpt, DelayOpt(k) and the Section V
+// minimum-buffer BuffOpt), and its CanonicalHash is the content-addressed
+// cache key.
 type Problem struct {
 	// Tree is the routing tree to buffer. Optimize never modifies it.
 	Tree *rctree.Tree
@@ -88,7 +89,7 @@ type Problem struct {
 // guard.ErrInvalidInput, so servers map them to 400, not 500. Electrical
 // validation (tree parasitics, noise params) stays at the Solve/netfmt
 // boundary; here only the shape of the request is checked, preserving the
-// historical entry points' behavior exactly.
+// solver's long-standing behavior exactly.
 func (p Problem) Validate() error {
 	if p.Tree == nil {
 		return fmt.Errorf("core: Problem.Tree is nil: %w", guard.ErrInvalidInput)
@@ -114,16 +115,15 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Optimize solves one Problem. It is the single front door the historical
-// entry points now share: the objective plus the optional count bound
-// select the engine configuration, and the result is bit-identical to the
-// corresponding legacy call.
+// Optimize solves one Problem. It is the single front door to the
+// dynamic program: the objective plus the optional count bound select the
+// configuration, and the DP picks its merge path and parallelism from the
+// problem.
 //
 // ctx carries cancellation. When opts.Budget is nil (or bound to a
 // different context), a budget wired to ctx is installed so cancellation
-// reaches the inner loops; when opts.Budget already carries ctx — as in
-// every legacy wrapper call — it is used as-is, preserving the caller's
-// usage high-water marks.
+// reaches the inner loops; when opts.Budget already carries ctx, it is
+// used as-is, preserving the caller's usage high-water marks.
 //
 // Validation failures wrap guard.ErrInvalidInput. For graceful
 // degradation under deadline pressure, use Solve, which runs the
@@ -133,19 +133,13 @@ func Optimize(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := ParseEngine(opts.Engine)
-	if err != nil {
-		return nil, err
-	}
-	opts.Engine = engine
 	// The budget is reconciled against the caller's original ctx (not the
-	// span's child context) so legacy wrappers keep their exact Budget
-	// object and its usage marks; the trace still reaches the inner loops
-	// because the budget's context carries the caller's span chain.
+	// span's child context) so callers keep their exact Budget object and
+	// its usage marks; the trace still reaches the inner loops because the
+	// budget's context carries the caller's span chain.
 	opts.Budget = budgetFor(ctx, opts.Budget)
 	_, sp := obs.Span(ctx, "optimize")
 	sp.SetAttr("objective", p.Objective.String())
-	sp.SetAttr("engine", engine)
 	defer sp.End()
 	switch p.Objective {
 	case MaxSlack:
@@ -165,10 +159,9 @@ func Optimize(ctx context.Context, p Problem, opts Options) (*Result, error) {
 
 // budgetFor reconciles the caller's context with the caller's budget.
 // When the budget already carries ctx — including the nil-budget,
-// background-context pairing every legacy wrapper produces — it is
-// returned unchanged, so legacy call paths keep their exact Budget
-// object (and its usage marks). Otherwise a fresh budget bound to ctx is
-// built, copying the resource caps.
+// background-context pairing — it is returned unchanged, so callers keep
+// their exact Budget object (and its usage marks). Otherwise a fresh
+// budget bound to ctx is built, copying the resource caps.
 func budgetFor(ctx context.Context, b *guard.Budget) *guard.Budget {
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,9 +197,9 @@ const hashVersion = "buffopt.problem.v1"
 //
 // Excluded, deliberately: node names, IDs, and X/Y coordinates (reports
 // only — two nets differing only in labels are the same problem);
-// Options.Workers and all deadlines (results are bit-identical across
-// them); and Options' output-affecting knobs, which the cache layers on
-// top (see SolveCacheKey). Sibling order is preserved, not sorted: the
+// all deadlines (results are bit-identical across them); and Options'
+// output-affecting knobs, which the cache layers on top (see
+// SolveCacheKey). Sibling order is preserved, not sorted: the
 // branch-merge order can steer tie-breaking among equal-slack candidates,
 // so reordered children are a different problem even though renumbered
 // nodes are not.

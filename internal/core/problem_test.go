@@ -11,12 +11,13 @@ import (
 	"buffopt/internal/rctree"
 )
 
-// TestOptimizeMatchesLegacyEntryPoints is the api_redesign equivalence
-// gate: for every legacy entry point, calling Optimize with the
+// TestOptimizeMatchesLegacyEntryPoints is the dispatch gate: for each of
+// the paper's five tool configurations (BuffOpt, BuffOpt(k), DelayOpt,
+// DelayOpt(k), the minimum-buffer BuffOpt), calling Optimize with the
 // corresponding Problem produces bit-identical results (slack bits, cost,
-// placements, widths) across the differential corpus. The wrappers
-// delegate to Optimize, so this pins the objective/bound dispatch — a
-// wrong branch in Optimize cannot hide behind "both sides changed".
+// placements, widths) to calling the implementation directly, across the
+// differential corpus — a wrong objective/bound branch in Optimize
+// cannot hide.
 func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 	n := 16
 	if testing.Short() {
@@ -29,15 +30,15 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 		name    string
 		problem func(tr *rctree.Tree) Problem
 		opts    Options
-		legacy  func(tr *rctree.Tree, opts Options) (*Result, error)
+		direct  func(tr *rctree.Tree, opts Options) (*Result, error)
 	}{
 		{
 			name: "BuffOpt",
 			problem: func(tr *rctree.Tree) Problem {
 				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
 			},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return BuffOpt(tr, lib, p, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return buffOpt(tr, lib, p, opts)
 			},
 		},
 		{
@@ -45,8 +46,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 			problem: func(tr *rctree.Tree) Problem {
 				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}
 			},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return BuffOptK(tr, lib, p, k, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return buffOptK(tr, lib, p, k, opts)
 			},
 		},
 		{
@@ -54,8 +55,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 			problem: func(tr *rctree.Tree) Problem {
 				return Problem{Tree: tr, Library: lib, Objective: MaxSlack}
 			},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return DelayOpt(tr, lib, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return delayOpt(tr, lib, opts)
 			},
 		},
 		{
@@ -63,8 +64,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 			problem: func(tr *rctree.Tree) Problem {
 				return Problem{Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &k}
 			},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return DelayOptK(tr, lib, k, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return delayOptK(tr, lib, k, opts)
 			},
 		},
 		{
@@ -72,8 +73,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 			problem: func(tr *rctree.Tree) Problem {
 				return Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}
 			},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return BuffOptMinBuffers(tr, lib, p, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return buffOptMinBuffers(tr, lib, p, opts)
 			},
 		},
 		{
@@ -82,8 +83,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
 			},
 			opts: Options{SafePruning: true},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return BuffOpt(tr, lib, p, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return buffOpt(tr, lib, p, opts)
 			},
 		},
 		{
@@ -92,8 +93,8 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
 			},
 			opts: Options{Sizing: &Sizing{Widths: []float64{1, 2, 4}}},
-			legacy: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return BuffOpt(tr, lib, p, opts)
+			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
+				return buffOpt(tr, lib, p, opts)
 			},
 		},
 	}
@@ -105,17 +106,17 @@ func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
 				profNets = profNets[:6]
 			}
 			for i, tr := range profNets {
-				want, wantErr := tc.legacy(tr, tc.opts)
+				want, wantErr := tc.direct(tr, tc.opts)
 				got, gotErr := Optimize(context.Background(), tc.problem(tr), tc.opts)
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("net %d: legacy err %v, Optimize err %v", i, wantErr, gotErr)
+					t.Fatalf("net %d: direct err %v, Optimize err %v", i, wantErr, gotErr)
 				}
 				if wantErr != nil {
 					continue
 				}
 				wb, gb := resultJSON(t, want), resultJSON(t, got)
 				if string(wb) != string(gb) {
-					t.Fatalf("net %d: results differ:\nlegacy   %s\noptimize %s", i, wb, gb)
+					t.Fatalf("net %d: results differ:\ndirect   %s\noptimize %s", i, wb, gb)
 				}
 			}
 		})
@@ -132,10 +133,22 @@ func TestEntryPointValidationTaxonomy(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"DelayOptK negative k", func() error { _, err := DelayOptK(tr, lib, -1, Options{}); return err }},
-		{"BuffOptK negative k", func() error { _, err := BuffOptK(tr, lib, p, -1, Options{}); return err }},
+		{"DelayOptK negative k", func() error {
+			_, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &bad,
+			}, Options{})
+			return err
+		}},
+		{"BuffOptK negative k", func() error {
+			_, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &bad,
+			}, Options{})
+			return err
+		}},
 		{"Optimize negative bound", func() error {
-			_, err := Optimize(context.Background(), Problem{Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &bad}, Options{})
+			_, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &bad,
+			}, Options{})
 			return err
 		}},
 		{"nil tree", func() error {
@@ -151,12 +164,16 @@ func TestEntryPointValidationTaxonomy(t *testing.T) {
 			return err
 		}},
 		{"unknown objective", func() error {
-			_, err := Optimize(context.Background(), Problem{Tree: tr, Library: lib, Objective: Objective(99)}, Options{})
+			_, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Objective: Objective(99),
+			}, Options{})
 			return err
 		}},
 		{"MinBuffersNoise with bound", func() error {
 			k := 4
-			_, err := Optimize(context.Background(), Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise, MaxBuffers: &k}, Options{})
+			_, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise, MaxBuffers: &k,
+			}, Options{})
 			return err
 		}},
 	}

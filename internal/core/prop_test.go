@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -34,7 +35,9 @@ func TestBuffOptMatchesExhaustiveRandom(t *testing.T) {
 		if len(feasibleNodes(tr)) > 9 {
 			continue // keep the oracle cheap
 		}
-		res, err := BuffOpt(tr, lib, p, Options{})
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+		}, Options{})
 		want, _, ok, oerr := ExhaustiveMaxSlackNoise(tr, lib, p, true)
 		if oerr != nil {
 			t.Fatal(oerr)
@@ -79,7 +82,9 @@ func TestDelayOptMatchesExhaustiveRandom(t *testing.T) {
 		if len(feasibleNodes(tr))*len(lib.Buffers) > 14 {
 			continue
 		}
-		res, err := DelayOpt(tr, lib, Options{})
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Objective: MaxSlack,
+		}, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -164,11 +169,32 @@ func TestDPSlackAlwaysMatchesAnalyzer(t *testing.T) {
 		})
 		lib := testutil.RandomLibrary(rng, 8)
 		for _, run := range []func() (*Result, error){
-			func() (*Result, error) { return DelayOpt(tr, lib, Options{}) },
-			func() (*Result, error) { return DelayOptK(tr, lib, 2, Options{}) },
-			func() (*Result, error) { return BuffOpt(tr, lib, p, Options{}) },
-			func() (*Result, error) { return BuffOptMinBuffers(tr, lib, p, Options{}) },
-			func() (*Result, error) { return BuffOpt(tr, lib, p, Options{SafePruning: true}) },
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Objective: MaxSlack,
+				}, Options{})
+			},
+			func() (*Result, error) {
+				k := 2
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &k,
+				}, Options{})
+			},
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+				}, Options{})
+			},
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise,
+				}, Options{})
+			},
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+				}, Options{SafePruning: true})
+			},
 		} {
 			res, err := run()
 			if err != nil {
@@ -199,7 +225,9 @@ func TestBuffOptSolutionsAlwaysClean(t *testing.T) {
 		})
 		lib := testutil.RandomLibrary(rng, 2+6*rng.Float64())
 		for _, safe := range []bool{false, true} {
-			res, err := BuffOpt(tr, lib, p, Options{SafePruning: safe})
+			res, err := Optimize(context.Background(), Problem{
+				Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+			}, Options{SafePruning: safe})
 			if err != nil {
 				continue
 			}
@@ -220,8 +248,12 @@ func TestSafePruningNeverWorse(t *testing.T) {
 			MaxInternal: 6, MaxSinks: 4, MarginLo: 2, MarginHi: 9, BufferSites: true,
 		})
 		lib := testutil.RandomLibrary(rng, 5)
-		paper, errPaper := BuffOpt(tr, lib, p, Options{})
-		safe, errSafe := BuffOpt(tr, lib, p, Options{SafePruning: true})
+		paper, errPaper := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+		}, Options{})
+		safe, errSafe := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+		}, Options{SafePruning: true})
 		if errSafe != nil {
 			if errPaper == nil {
 				t.Fatalf("trial %d: safe pruning failed where paper pruning succeeded", trial)

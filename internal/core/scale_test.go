@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -52,7 +53,9 @@ func TestBuffOptManySegments(t *testing.T) {
 		{Name: "B", Cin: 0.05, R: 1, T: 0.3, NoiseMargin: 5},
 		{Name: "S", Cin: 0.02, R: 2, T: 0.2, NoiseMargin: 5},
 	}}
-	res, err := BuffOptMinBuffers(tr, lib, unitParams, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MinBuffersNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,9 @@ func BenchmarkBuffOptScaling(b *testing.B) {
 		}
 		b.Run(sizeName(segs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuffOptMinBuffers(tr, lib, unitParams, Options{}); err != nil {
+				if _, err := Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: unitParams, Objective: MinBuffersNoise,
+				}, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

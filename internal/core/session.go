@@ -21,9 +21,9 @@ import (
 // The session owns a private clone of the problem tree — callers can
 // never reach in and desynchronize the incremental subtree hashes from
 // the topology. The objective, library, and noise parameters are pinned
-// at creation; the per-call Options (engine, workers, budget, safe
-// pruning, sizing) may vary freely between Delta calls, because they are
-// part of the memo key where they matter.
+// at creation; the per-call Options (budget, safe pruning, sizing) may
+// vary freely between Delta calls, because they are part of the memo key
+// where they matter.
 type Session struct {
 	mu     sync.Mutex
 	p      Problem
@@ -286,11 +286,6 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 	if s == nil {
 		return nil, invalid(errors.New("core: Delta on a nil session"))
 	}
-	engine, err := ParseEngine(opts.Engine)
-	if err != nil {
-		return nil, err
-	}
-	opts.Engine = engine
 	if err := opts.Sizing.Validate(); err != nil {
 		return nil, err
 	}
@@ -298,6 +293,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	var err error
 	if len(edits) > 0 {
 		// Copy-on-edit keeps the batch atomic: all edits land or none do.
 		t := s.p.Tree.Clone()
@@ -319,7 +315,6 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 	opts.Budget = budgetFor(ctx, opts.Budget)
 	_, sp := obs.Span(ctx, "delta")
 	sp.SetAttr("objective", s.p.Objective.String())
-	sp.SetAttr("engine", engine)
 	defer sp.End()
 
 	p := s.p

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,11 +21,15 @@ func sizingOpts(widths ...float64) Options {
 // to no sizing at all.
 func TestSizingTrivialWidthMatchesNoSizing(t *testing.T) {
 	tr := noisySegmentedY(t, 3)
-	plain, err := DelayOpt(tr, lib3(), Options{})
+	plain, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trivial, err := DelayOpt(tr, lib3(), sizingOpts(1))
+	trivial, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack,
+	}, sizingOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +51,15 @@ func TestSizingNeverHurts(t *testing.T) {
 			MaxInternal: 6, MaxSinks: 4, BufferSites: true,
 		})
 		lib := testutil.RandomLibrary(rng, 8)
-		plain, err := DelayOpt(tr, lib, Options{})
+		plain, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Objective: MaxSlack,
+		}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sized, err := DelayOpt(tr, lib, sizingOpts(1, 2, 4))
+		sized, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Objective: MaxSlack,
+		}, sizingOpts(1, 2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +82,21 @@ func TestSizingSlackMatchesAnalyzer(t *testing.T) {
 		})
 		lib := testutil.RandomLibrary(rng, 8)
 		for _, run := range []func() (*Result, error){
-			func() (*Result, error) { return DelayOpt(tr, lib, sizingOpts(1, 2, 3)) },
-			func() (*Result, error) { return BuffOpt(tr, lib, p, sizingOpts(1, 2, 3)) },
-			func() (*Result, error) { return BuffOptMinBuffers(tr, lib, p, sizingOpts(1, 2, 3)) },
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Objective: MaxSlack,
+				}, sizingOpts(1, 2, 3))
+			},
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+				}, sizingOpts(1, 2, 3))
+			},
+			func() (*Result, error) {
+				return Optimize(context.Background(), Problem{
+					Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise,
+				}, sizingOpts(1, 2, 3))
+			},
 		} {
 			res, err := run()
 			if err != nil {
@@ -108,7 +129,9 @@ func TestSizingNoiseConsistency(t *testing.T) {
 			WireScale: 1.5, BufferSites: true,
 		})
 		lib := testutil.RandomLibrary(rng, 4)
-		res, err := BuffOpt(tr, lib, p, sizingOpts(1, 2, 4))
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise,
+		}, sizingOpts(1, 2, 4))
 		if err != nil {
 			continue
 		}
@@ -146,11 +169,15 @@ func TestSizingReducesBufferNeed(t *testing.T) {
 		}
 		return tr
 	}
-	plain, err := BuffOptMinBuffers(build(), lib, p, Options{})
+	plain, err := Optimize(context.Background(), Problem{
+		Tree: build(), Library: lib, Params: p, Objective: MinBuffersNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sized, err := BuffOptMinBuffers(build(), lib, p, sizingOpts(1, 3, 6))
+	sized, err := Optimize(context.Background(), Problem{
+		Tree: build(), Library: lib, Params: p, Objective: MinBuffersNoise,
+	}, sizingOpts(1, 3, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,11 +190,6 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 	if err := opts.Sizing.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := ParseEngine(opts.Engine)
-	if err != nil {
-		return nil, err
-	}
-	opts.Engine = engine
 
 	if opts.Cache == nil {
 		return solveLadder(ctx, t, lib, p, opts)
@@ -202,8 +197,8 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 	// Cached mode: the ladder runs as the fill of a coalescing cache
 	// lookup. The key covers everything that steers the output —
 	// canonical problem hash, output-affecting options, resource caps
-	// (budget classes cache separately) — and excludes deadlines and
-	// Workers, which never change the bytes of a stored result: only
+	// (budget classes cache separately) — and excludes deadlines, which
+	// never change the bytes of a stored result: only
 	// deterministically-degraded or exact results are stored (see
 	// cacheable). Concurrent identical requests share one ladder run.
 	key := SolveCacheKey(Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
@@ -240,12 +235,17 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 		{TierExact, 0, func(b *guard.Budget) (*Result, error) {
 			o := exactOpts
 			o.Budget = b
-			return BuffOptMinBuffers(t, lib, p, o)
+			return Optimize(b.Context(), Problem{
+				Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise,
+			}, o)
 		}},
 		{TierCappedDP, cappedDPCandidates, func(b *guard.Budget) (*Result, error) {
 			o := cappedOpts
 			o.Budget = b
-			return BuffOptK(t, lib, p, cappedDPBuffers, o)
+			k := cappedDPBuffers
+			return Optimize(b.Context(), Problem{
+				Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k,
+			}, o)
 		}},
 		{TierGreedy, 0, func(b *guard.Budget) (*Result, error) {
 			return GreedyIterative(t, lib, GreedyOptions{

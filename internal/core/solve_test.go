@@ -200,7 +200,9 @@ func TestCancellationMidRun(t *testing.T) {
 	b := guard.New(ctx)
 
 	start := time.Now()
-	_, err := BuffOpt(tr, lib, unitParams, Options{SafePruning: true, Budget: b})
+	_, err := Optimize(b.Context(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{SafePruning: true, Budget: b})
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, guard.ErrCanceled) {
@@ -253,7 +255,9 @@ func TestBudgetTreeNodeCap(t *testing.T) {
 	tr := fanoutTree(t, 2, 100)
 	b := guard.New(context.Background())
 	b.MaxTreeNodes = 10
-	if _, err := BuffOpt(tr, singleBufferLib(), unitParams, Options{Budget: b}); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := Optimize(b.Context(), Problem{
+		Tree: tr, Library: singleBufferLib(), Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{Budget: b}); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }

@@ -134,9 +134,8 @@ func Cacheable(r *SolveResult) bool {
 // Solve's output. Resource caps are included — a budget-starved ladder
 // deterministically lands on a different (degraded) answer than an
 // uncapped one, so each budget class caches under its own key and a
-// starved answer never masks an exact one. Deadlines and Workers are
-// excluded: deadline-shaped results are refused by Cacheable, and
-// results are bit-identical across worker counts.
+// starved answer never masks an exact one. Deadlines are excluded:
+// deadline-shaped results are refused by Cacheable.
 func SolveCacheKey(tree treeHasher, opts Options) string {
 	return optionsKey("solve", tree, opts, true)
 }

@@ -119,7 +119,7 @@ func TestConcurrentParallelSolves(t *testing.T) {
 				// small trees (and on single-CPU hosts, where auto mode
 				// would stay serial). Noise-unfixable nets may fail; what
 				// the gate cares about is the cleanup below.
-				res, err := Solve(context.Background(), tr, lib, unitParams, Options{Workers: 4})
+				res, err := Solve(context.Background(), tr, lib, unitParams, Options{dp: dpOverride{workers: 4}})
 				if err == nil && (res.Result == nil || res.Tree == nil) {
 					t.Error("success with no solution")
 				}

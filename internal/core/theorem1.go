@@ -5,7 +5,7 @@
 //     single-sink trees, driven by the Theorem 1 closed form.
 //   - Algorithm 2 (Algorithm2): optimal quadratic-time noise avoidance for
 //     multi-sink trees via bottom-up candidate propagation.
-//   - Algorithm 3 (BuffOpt): Van Ginneken's slack-optimal dynamic program
+//   - Algorithm 3 (Optimize): Van Ginneken's slack-optimal dynamic program
 //     extended with noise constraints, plus the Lillis buffer-count
 //     extension used to solve Problem 3 (fewest buffers meeting both noise
 //     and timing), and the DelayOpt baseline of Section V.
@@ -15,13 +15,10 @@
 // tree plus a node → buffer assignment that the elmore and noise analyzers
 // accept directly.
 //
-// The preferred entry points are Optimize (one objective, one call),
-// Solve (the degradation ladder), and NewSession/Delta (incremental
-// re-solves over an edit stream, reusing untouched subtrees). The named
-// wrappers BuffOpt, BuffOptK, BuffOptMinBuffers, DelayOpt, and DelayOptK
-// are deprecated aliases for Optimize with the corresponding Objective;
-// they remain for source compatibility and their equivalence is pinned
-// by tests.
+// The entry points to the Algorithm 3 family are Optimize (one objective,
+// one call), Solve (the degradation ladder), and NewSession/Delta
+// (incremental re-solves over an edit stream, reusing untouched
+// subtrees).
 package core
 
 import (

@@ -121,11 +121,9 @@ type vgOptions struct {
 	// budget bounds the run; nil means unlimited. Checked at every node
 	// of the bottom-up walk and inside the merge and prune loops.
 	budget *guard.Budget
-	// workers bounds the goroutines the bottom-up walk may use:
-	// 0 = automatic (GOMAXPROCS, with a tree-size floor), 1 = serial,
-	// N > 1 = exactly N, parallel even on small trees (the differential
-	// suite forces the parallel path this way).
-	workers int
+	// dp forces the merge path or the walk's pool size; the zero value
+	// lets the run choose both (see dpOverride).
+	dp dpOverride
 	// stats, when non-nil, accumulates candidate counts for the run.
 	// runVG installs its own (per worker in parallel runs); the field
 	// exists so the helpers below see it without signature churn.
@@ -133,10 +131,6 @@ type vgOptions struct {
 	// arena recycles candidate-list backing arrays for the run; installed
 	// by runVG alongside stats.
 	arena *candArena
-	// engine selects the candidate-list organization; runVG resolves the
-	// public name ("auto" included) to EngineVG or EngineLiShi before the
-	// walk starts, so computeNode only ever sees the two concrete names.
-	engine string
 	// memo, when non-nil, turns the run into a memoized (ECO) re-solve:
 	// the top-down gate (memoGate) loads finished candidate lists for
 	// every subtree whose entry is current, and only the remaining
@@ -153,26 +147,26 @@ type vgOptions struct {
 // frontier discards (a dominated candidate can be the only
 // noise-feasible driver for some buffer type), and with safe pruning the
 // frontier itself is 4-D — in both configurations the fast merge would
-// change results, so those runs use the classic cross product node by
-// node and stay bit-identical that way.
+// change results, so those runs use the classic cross product and stay
+// bit-identical that way. Everywhere else the walk is exact and runs.
 func (o vgOptions) fastMergeOK() bool {
-	return o.engine == EngineLiShi && !o.noise && !o.safePruning
+	return !o.noise && !o.safePruning && !o.dp.classicMerge
 }
 
 // minParallelNodes gates automatic parallelism: below this tree size the
 // per-node scheduling overhead outweighs the DP work, so workers == 0
-// stays serial. An explicit workers > 1 bypasses the gate.
+// stays serial. A forced workers > 1 bypasses the gate.
 const minParallelNodes = 128
 
-// maxVGWorkers caps an explicit worker request; beyond the hardware's
+// maxVGWorkers caps the pool, automatic or forced; beyond the hardware's
 // parallelism extra goroutines only add scheduling churn.
 const maxVGWorkers = 64
 
 // workerCount resolves the effective parallelism for a tree of n nodes.
 func (o vgOptions) workerCount(n int) int {
-	w := o.workers
+	w := o.dp.workers
 	switch {
-	case w < 0 || w == 1:
+	case w == 1:
 		return 1
 	case w == 0:
 		if n < minParallelNodes {
@@ -207,7 +201,7 @@ func (o vgOptions) wireVariant(w rctree.Wire, wd float64) (r, c float64) {
 // inverted polarity) have been discarded. The result is pruned and sorted
 // by ascending buffer count.
 //
-// The walk runs serially or on a bounded worker pool (opts.workers; see
+// The walk runs serially or on a bounded worker pool (workerCount; see
 // runVGParallel) — the two paths execute the identical per-node
 // computation (computeNode) on the identical inputs, so their outputs are
 // bit-identical; the differential suite in differential_test.go enforces
@@ -239,8 +233,13 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 		return nil, err
 	}
 
-	opts.engine = resolveEngine(opts, lib)
-	obs.Inc("vg.run.engine." + opts.engine)
+	// The run's merge path in telemetry: "lishi" for the frontier walk,
+	// "vg" for the classic cross product.
+	merge := "vg"
+	if opts.fastMergeOK() {
+		merge = "lishi"
+	}
+	obs.Inc("vg.run.engine." + merge)
 
 	var st vgStats
 	opts.stats = &st
@@ -249,7 +248,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	// request's trace (server → tier → here), so per-net DP time is
 	// visible inside cross-process traces.
 	_, vgSpan := obs.Span(opts.budget.Context(), "vg.run")
-	vgSpan.SetAttr("engine", opts.engine)
+	vgSpan.SetAttr("engine", merge)
 	defer vgSpan.End()
 
 	ar := &candArena{}

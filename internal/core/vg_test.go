@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -33,7 +34,9 @@ func noisySegmentedY(t *testing.T, pieces int) *rctree.Tree {
 
 func TestBuffOptProducesCleanOptimalTree(t *testing.T) {
 	tr := noisySegmentedY(t, 3)
-	res, err := BuffOpt(tr, lib3(), unitParams, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,9 @@ func TestBuffOptMatchesExhaustiveSingleBuffer(t *testing.T) {
 	lib := &buffers.Library{Buffers: []buffers.Buffer{
 		{Name: "B", Cin: 0.05, R: 1, T: 0.5, NoiseMargin: 4},
 	}}
-	res, err := BuffOpt(tr, lib, unitParams, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,9 @@ func TestBuffOptMatchesExhaustiveSingleBuffer(t *testing.T) {
 
 func TestBuffOptSafePruningMatchesExhaustiveMultiBuffer(t *testing.T) {
 	tr := noisySegmentedY(t, 2)
-	res, err := BuffOpt(tr, lib3(), unitParams, Options{SafePruning: true})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{SafePruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +99,9 @@ func TestBuffOptSafePruningMatchesExhaustiveMultiBuffer(t *testing.T) {
 	// Paper pruning should be within a hair on this instance too (the
 	// paper reports < 2% from optimal); require it not to crash and to
 	// stay clean.
-	paper, err := BuffOpt(tr, lib3(), unitParams, Options{})
+	paper, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,9 @@ func TestBuffOptSafePruningMatchesExhaustiveMultiBuffer(t *testing.T) {
 
 func TestDelayOptMatchesExhaustive(t *testing.T) {
 	tr := noisySegmentedY(t, 2)
-	res, err := DelayOpt(tr, lib3(), Options{SafePruning: false})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack,
+	}, Options{SafePruning: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +138,9 @@ func TestDelayOptKMonotone(t *testing.T) {
 	tr := noisySegmentedY(t, 3)
 	prev := math.Inf(-1)
 	for k := 0; k <= 5; k++ {
-		res, err := DelayOptK(tr, lib3(), k, Options{})
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib3(), Objective: MaxSlack, MaxBuffers: &k,
+		}, Options{})
 		if err != nil {
 			t.Fatalf("DelayOptK(%d): %v", k, err)
 		}
@@ -140,11 +153,16 @@ func TestDelayOptKMonotone(t *testing.T) {
 		prev = res.Slack
 	}
 	// Unlimited DelayOpt must match a large k.
-	unl, err := DelayOpt(tr, lib3(), Options{})
+	unl, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := DelayOptK(tr, lib3(), 50, Options{})
+	fifty, zero := 50, 0
+	big, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack, MaxBuffers: &fifty,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +170,9 @@ func TestDelayOptKMonotone(t *testing.T) {
 		t.Errorf("DelayOpt %v != DelayOptK(50) %v", unl.Slack, big.Slack)
 	}
 	// k = 0 must equal the unbuffered tree's slack.
-	k0, err := DelayOptK(tr, lib3(), 0, Options{})
+	k0, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Objective: MaxSlack, MaxBuffers: &zero,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +193,9 @@ func TestBuffOptMinBuffersPicksFewest(t *testing.T) {
 	lib := &buffers.Library{Buffers: []buffers.Buffer{
 		{Name: "B", Cin: 0.05, R: 1, T: 0.5, NoiseMargin: 4},
 	}}
-	res, err := BuffOptMinBuffers(tr, lib, unitParams, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MinBuffersNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +223,9 @@ func TestBuffOptUnfixableNoise(t *testing.T) {
 	lib := &buffers.Library{Buffers: []buffers.Buffer{
 		{Name: "Z", Cin: 0.05, R: 1, T: 0.5, NoiseMargin: 0},
 	}}
-	_, err := BuffOpt(tr, lib, unitParams, Options{})
+	_, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if !errors.Is(err, ErrNoiseUnfixable) {
 		t.Errorf("err = %v, want ErrNoiseUnfixable", err)
 	}
@@ -223,7 +247,9 @@ func TestTheorem2DelayOptLeavesViolations(t *testing.T) {
 		{Name: "slow", Cin: 0.2, R: 1, T: 50, NoiseMargin: 4},
 	}}
 
-	dres, err := DelayOpt(tr, lib, Options{})
+	dres, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Objective: MaxSlack,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +260,9 @@ func TestTheorem2DelayOptLeavesViolations(t *testing.T) {
 		t.Fatalf("construction failed: unbuffered line is noise clean")
 	}
 
-	bres, err := BuffOpt(tr, lib, unitParams, Options{})
+	bres, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +284,9 @@ func TestInvertingBuffersRespectPolarity(t *testing.T) {
 	lib := &buffers.Library{Buffers: []buffers.Buffer{
 		{Name: "INV", Cin: 0.05, R: 1, T: 0.3, NoiseMargin: 4, Inverting: true},
 	}}
-	res, err := BuffOpt(tr, lib, unitParams, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +304,16 @@ func TestInvertingBuffersRespectPolarity(t *testing.T) {
 func TestBuffOptKRespectsBound(t *testing.T) {
 	tr := noisySegmentedY(t, 3)
 	lib := lib3()
-	full, err := BuffOpt(tr, lib, unitParams, Options{})
+	full, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BuffOptK(tr, lib, unitParams, full.NumBuffers(), Options{})
+	k := full.NumBuffers()
+	res, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise, MaxBuffers: &k,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +324,10 @@ func TestBuffOptKRespectsBound(t *testing.T) {
 		t.Errorf("BuffOptK at the optimum's count got slack %v < %v", res.Slack, full.Slack)
 	}
 	// Too-tight bounds can make noise unfixable.
-	if _, err := BuffOptK(tr, lib, unitParams, 0, Options{}); err == nil {
+	zero := 0
+	if _, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib, Params: unitParams, Objective: MaxSlackNoise, MaxBuffers: &zero,
+	}, Options{}); err == nil {
 		t.Errorf("BuffOptK(0) succeeded on a net that needs buffers")
 	}
 }
@@ -301,13 +339,18 @@ func TestRunVGRejectsBadInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := BuffOpt(tr, lib3(), unitParams, Options{}); err == nil {
+	if _, err := Optimize(context.Background(), Problem{
+		Tree: tr, Library: lib3(), Params: unitParams, Objective: MaxSlackNoise,
+	}, Options{}); err == nil {
 		t.Errorf("ternary tree accepted")
 	}
-	if _, err := DelayOptK(noisySegmentedY(t, 2), lib3(), -1, Options{}); err == nil {
+	neg := -1
+	if _, err := Optimize(context.Background(), Problem{
+		Tree: noisySegmentedY(t, 2), Library: lib3(), Objective: MaxSlack, MaxBuffers: &neg,
+	}, Options{}); err == nil {
 		t.Errorf("negative k accepted")
 	}
-	if _, err := DelayOpt(noisySegmentedY(t, 2), &buffers.Library{}, Options{}); err == nil {
+	if _, err := Optimize(context.Background(), Problem{Tree: noisySegmentedY(t, 2), Library: &buffers.Library{}, Objective: MaxSlack}, Options{}); err == nil {
 		t.Errorf("empty library accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,7 +78,9 @@ func TestMinWeightMatchesExhaustive(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		res, rerr := BuffOptMinBuffers(tr, lib, p, Options{SafePruning: true})
+		res, rerr := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise,
+		}, Options{SafePruning: true})
 		if bestWeight == math.MaxInt {
 			continue // nothing feasible; BuffOptMinBuffers falls back to max slack
 		}
@@ -114,7 +117,9 @@ func TestWeightsSteerSelection(t *testing.T) {
 	}
 
 	weighted := weightedLib()
-	res, err := BuffOptMinBuffers(build(), weighted, p, Options{})
+	res, err := Optimize(context.Background(), Problem{
+		Tree: build(), Library: weighted, Params: p, Objective: MinBuffersNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,9 @@ func TestWeightsSteerSelection(t *testing.T) {
 			// Using BIG is only acceptable if no all-SMALL solution of
 			// lower weight exists; verify it does.
 			small := &buffers.Library{Buffers: []buffers.Buffer{weighted.Buffers[1]}}
-			if alt, err := BuffOptMinBuffers(build(), small, p, Options{}); err == nil &&
+			if alt, err := Optimize(context.Background(), Problem{
+				Tree: build(), Library: small, Params: p, Objective: MinBuffersNoise,
+			}, Options{}); err == nil &&
 				alt.Slack >= 0 && alt.Cost < res.Cost {
 				t.Errorf("picked BIG (weight %d) though SMALL-only costs %d", res.Cost, alt.Cost)
 			}
@@ -135,7 +142,9 @@ func TestWeightsSteerSelection(t *testing.T) {
 		{Name: "BIG", Cin: 0.15, R: 0.5, T: 0.2, NoiseMargin: 5},
 		{Name: "SMALL", Cin: 0.05, R: 1.2, T: 0.4, NoiseMargin: 5},
 	}}
-	eq, err := BuffOptMinBuffers(build(), equal, p, Options{})
+	eq, err := Optimize(context.Background(), Problem{
+		Tree: build(), Library: equal, Params: p, Objective: MinBuffersNoise,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

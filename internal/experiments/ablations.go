@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -47,10 +48,12 @@ func (s *Suite) RunSizingAblation() SizingAblation {
 	}
 	rows := make([]per, len(s.Nets))
 	s.forEachNet(func(i int) {
-		plain, err1 := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise,
-			core.Options{})
-		sized, err2 := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise,
-			core.Options{Sizing: sizing})
+		plain, err1 := core.Optimize(context.Background(), core.Problem{
+			Tree: s.Segmented[i], Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+		}, core.Options{})
+		sized, err2 := core.Optimize(context.Background(), core.Problem{
+			Tree: s.Segmented[i], Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+		}, core.Options{Sizing: sizing})
 		if err1 != nil || err2 != nil {
 			rows[i].failed = true
 			return
@@ -129,7 +132,9 @@ func (s *Suite) RunGreedyAblation() GreedyAblation {
 			core.GreedyOptions{Noise: true, Params: s.Tech.Noise})
 		r.gCPU = time.Since(start)
 		start = time.Now()
-		d, derr := core.BuffOpt(s.Segmented[i], s.Library, s.Tech.Noise, core.Options{})
+		d, derr := core.Optimize(context.Background(), core.Problem{
+			Tree: s.Segmented[i], Library: s.Library, Params: s.Tech.Noise, Objective: core.MaxSlackNoise,
+		}, core.Options{})
 		r.dCPU = time.Since(start)
 		if gerr == nil {
 			r.gFixed = true
@@ -208,7 +213,9 @@ func RunBufferCountCurve() (BufferCountCurve, error) {
 	lib := buffers.DefaultLibrary(0.8)
 	out := BufferCountCurve{LineMM: mm}
 	for k := 0; k <= 10; k++ {
-		res, err := core.DelayOptK(tr, lib, k, core.Options{})
+		res, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Objective: core.MaxSlack, MaxBuffers: &k,
+		}, core.Options{})
 		if err != nil {
 			return out, err
 		}
@@ -261,7 +268,9 @@ func RunProblem3Tradeoff() (Problem3Tradeoff, error) {
 	lib := buffers.DefaultLibrary(0.8)
 	var out Problem3Tradeoff
 	for k := 0; k <= 8; k++ {
-		res, err := core.BuffOptK(tr, lib, tech, k, core.Options{})
+		res, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Params: tech, Objective: core.MaxSlackNoise, MaxBuffers: &k,
+		}, core.Options{})
 		if err != nil {
 			out.Points = append(out.Points, TradeoffPoint{Buffers: k, Clean: false})
 			continue

@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -46,16 +47,11 @@ type Config struct {
 	SafePruning bool
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// DPWorkers bounds the worker pool inside each net's dynamic program
-	// (core.Options.Workers): 0 lets the DP decide per tree, 1 forces the
-	// serial walk, N > 1 forces an N-worker pool. Results are identical
-	// either way; only the schedule changes.
-	DPWorkers int
 }
 
 // coreOptions builds the solver options every table/ablation run shares.
 func (c Config) coreOptions() core.Options {
-	return core.Options{SafePruning: c.SafePruning, Workers: c.DPWorkers}
+	return core.Options{SafePruning: c.SafePruning}
 }
 
 func (c Config) withDefaults() Config {
@@ -179,8 +175,9 @@ func (s *Suite) runBuffOpt() []netResult {
 		}()
 		res := make([]netResult, len(s.Nets))
 		s.forEachNet(func(i int) {
-			r, err := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise,
-				s.Config.coreOptions())
+			r, err := core.Optimize(context.Background(), core.Problem{
+				Tree: s.Segmented[i], Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+			}, s.Config.coreOptions())
 			if err != nil {
 				res[i] = netResult{err: err}
 				return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -40,7 +41,9 @@ func (s *Suite) RunExplicitModeAblation() ExplicitModeAblation {
 	rows := make([]per, len(s.Nets))
 	s.forEachNet(func(i int) {
 		r := &rows[i]
-		est, err := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise, core.Options{})
+		est, err := core.Optimize(context.Background(), core.Problem{
+			Tree: s.Segmented[i], Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+		}, core.Options{})
 		if err != nil {
 			r.failed = true
 			return
@@ -58,7 +61,9 @@ func (s *Suite) RunExplicitModeAblation() ExplicitModeAblation {
 			slope := s.Tech.Noise.Slope * (0.4 + 0.6*rng.Float64())
 			node.Wire.Aggressors = []rctree.Coupling{{Ratio: ratio, Slope: slope}}
 		}
-		expRes, err := core.BuffOptMinBuffers(exp, s.Library, s.Tech.Noise, core.Options{})
+		expRes, err := core.Optimize(context.Background(), core.Problem{
+			Tree: exp, Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+		}, core.Options{})
 		if err != nil {
 			r.failed = true
 			return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -103,7 +104,9 @@ func RunRoutingAblation(nets int) (RoutingAblation, error) {
 				row.Failures++
 				continue
 			}
-			res, err := core.BuffOptMinBuffers(seg, lib, params, core.Options{})
+			res, err := core.Optimize(context.Background(), core.Problem{
+				Tree: seg, Library: lib, Params: params, Objective: core.MinBuffersNoise,
+			}, core.Options{})
 			if err != nil {
 				row.Failures++
 				continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -163,8 +164,9 @@ func (s *Suite) RunTableIII() TableIII {
 			ok    bool
 		}, len(s.Nets))
 		s.forEachNet(func(i int) {
-			r, err := core.DelayOptK(s.Segmented[i], s.Library, k,
-				s.Config.coreOptions())
+			r, err := core.Optimize(context.Background(), core.Problem{
+				Tree: s.Segmented[i], Library: s.Library, Objective: core.MaxSlack, MaxBuffers: &k,
+			}, s.Config.coreOptions())
 			if err != nil {
 				return
 			}
@@ -256,8 +258,9 @@ func (s *Suite) RunTableIV() TableIV {
 		}
 		base := elmore.Analyze(s.Segmented[i], nil).MaxDelay
 		bDelay := elmore.Analyze(r.sol.Tree, r.sol.Buffers).MaxDelay
-		d, err := core.DelayOptK(s.Segmented[i], s.Library, r.numBuffers,
-			s.Config.coreOptions())
+		d, err := core.Optimize(context.Background(), core.Problem{
+			Tree: s.Segmented[i], Library: s.Library, Objective: core.MaxSlack, MaxBuffers: &r.numBuffers,
+		}, s.Config.coreOptions())
 		if err != nil {
 			return
 		}

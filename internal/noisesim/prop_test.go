@@ -1,6 +1,7 @@
 package noisesim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,9 @@ func TestUpperBoundOnGeneratedNets(t *testing.T) {
 		if _, err := seg.InsertBelow(seg.Root()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.BuffOptMinBuffers(seg, s.Library, s.Tech.Noise, core.Options{})
+		res, err := core.Optimize(context.Background(), core.Problem{
+			Tree: seg, Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+		}, core.Options{})
 		if err != nil {
 			t.Fatalf("net %d: BuffOpt: %v", i, err)
 		}

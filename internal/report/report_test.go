@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,7 +60,9 @@ func TestWriteBufferedWithBufferTable(t *testing.T) {
 	if _, err := work.InsertBelow(work.Root()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.BuffOptMinBuffers(work, buffers.DefaultLibrary(0.8), p, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: work, Library: buffers.DefaultLibrary(0.8), Params: p, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,9 @@ func TestSummaryAndCompare(t *testing.T) {
 	if _, err := segment.ByLength(work, 0.5e-3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.BuffOptMinBuffers(work, buffers.DefaultLibrary(0.8), p, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: work, Library: buffers.DefaultLibrary(0.8), Params: p, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,9 @@ func TestTopology(t *testing.T) {
 	if _, err := segment.ByLength(work, 1e-3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.BuffOptMinBuffers(work, buffers.DefaultLibrary(0.8), p, core.Options{})
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: work, Library: buffers.DefaultLibrary(0.8), Params: p, Objective: core.MinBuffersNoise,
+	}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

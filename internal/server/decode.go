@@ -33,10 +33,20 @@ type solveRequest struct {
 	objective *core.Objective
 	// k is the optional buffer-count bound for objective requests.
 	k *int
-	// engine names the DP merge engine ("vg", "lishi", "auto"); empty
-	// means the core default. Engines are bit-identical by construction,
-	// so this knob is deliberately excluded from the cache key.
-	engine string
+}
+
+// engineNames are the merge-engine names older clients may still send as
+// "options.engine" or ?engine=. The solver picks its merge path from the
+// problem, so a listed name is accepted and changes nothing — not the
+// answer, not the cache key; any other name stays a 400.
+var engineNames = map[string]bool{"vg": true, "lishi": true, "auto": true}
+
+// checkEngine validates an optional engine name against engineNames.
+func checkEngine(name string) error {
+	if name != "" && !engineNames[name] {
+		return invalidf("unknown engine %q (want vg, lishi, or auto; the solver picks its merge path itself)", name)
+	}
+	return nil
 }
 
 // UnsupportedVersionError is the typed decode failure for an envelope
@@ -196,12 +206,8 @@ func applyEnvelope(req *solveRequest, env *Envelope, ver int) error {
 	if math.IsNaN(req.segLen) || math.IsInf(req.segLen, 0) || req.segLen < 0 {
 		return invalidf("seglen = %g must be non-negative and finite", req.segLen)
 	}
-	if k.engine != "" {
-		engine, err := core.ParseEngine(k.engine)
-		if err != nil {
-			return err // wraps guard.ErrInvalidInput: 400, class "invalid"
-		}
-		req.engine = engine
+	if err := checkEngine(k.engine); err != nil {
+		return err
 	}
 	return applyProblem(req, env.Problem)
 }
@@ -256,14 +262,7 @@ func applyQuery(req *solveRequest, q url.Values) error {
 			req.maxCands = n
 		}
 	}
-	if v := q.Get("engine"); v != "" {
-		engine, err := core.ParseEngine(v)
-		if err != nil {
-			return err
-		}
-		req.engine = engine
-	}
-	return nil
+	return checkEngine(q.Get("engine"))
 }
 
 // clampAndCheck applies the server-side bounds a client may not exceed.

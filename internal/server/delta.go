@@ -56,8 +56,7 @@ type deltaRequest struct {
 	k         *int
 	// edits is the converted edit stream.
 	edits []core.Edit
-	// engine/timeout/maxCands are this call's solve knobs.
-	engine   string
+	// timeout/maxCands are this call's solve knobs.
 	timeout  time.Duration
 	maxCands int
 }
@@ -170,12 +169,8 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 			b.MaxCandidates = sess.req.maxCands
 		}
 		b.MaxTreeNodes = s.cfg.Limits.MaxNodes
-		engine := req.engine
-		if engine == "" {
-			engine = sess.req.engine
-		}
 		var e error
-		res, e = core.Delta(rctx, sess.sess, req.edits, core.Options{Budget: b, Engine: engine})
+		res, e = core.Delta(rctx, sess.sess, req.edits, core.Options{Budget: b})
 		// Injected result corruption (chaos): a poisoned slack must be
 		// caught here — the same post-condition gate core.Solve runs —
 		// so a malformed delta can never reach a client or the ledgers.
@@ -294,7 +289,7 @@ func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 		return nil, invalidf(`delta takes "session" or "net", not both (a session's net changes only through edits)`)
 	}
 
-	// The solve knobs for this call (engine, timeout, caps) decode
+	// The solve knobs for this call (timeout, caps) decode
 	// through the same shared path /solve uses; on a create they also
 	// become the session's defaults.
 	kn := s.newSolveRequest()
@@ -304,7 +299,6 @@ func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 	if err := s.clampAndCheck(kn); err != nil {
 		return nil, err
 	}
-	req.engine = kn.engine
 	req.timeout = kn.timeout
 	req.maxCands = kn.maxCands
 

@@ -325,6 +325,8 @@ func TestDeltaRejections(t *testing.T) {
 			http.StatusBadRequest, "graft"},
 		{"unknown field", `{"v": 2, "session": {"id": "ab"}, "extra": 1}`,
 			http.StatusBadRequest, "malformed JSON"},
+		{"unknown engine", `{"v": 2, "session": {"id": "ab"}, "options": {"engine": "fastest"}}`,
+			http.StatusBadRequest, `unknown engine "fastest"`},
 	}
 	for _, tc := range cases {
 		resp, b := postDelta(t, ts, tc.body)
@@ -339,6 +341,9 @@ func TestDeltaRejections(t *testing.T) {
 		}
 		if !strings.Contains(er.Error, tc.wantMsg) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, er.Error, tc.wantMsg)
+		}
+		if er.Class != "invalid" {
+			t.Errorf("%s: class = %q, want invalid", tc.name, er.Class)
 		}
 	}
 

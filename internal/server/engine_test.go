@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -103,5 +104,29 @@ func TestEngineSharesCacheKey(t *testing.T) {
 	}
 	if normalize(t, b1) != normalize(t, b3) {
 		t.Errorf("cached default-engine answer differs from vg:\n%s\n%s", b1, b3)
+	}
+}
+
+// TestEngineEnvelopeDelta carries the wire-compatibility contract to
+// /solve/delta: a v2 "options.engine" naming vg, lishi, or auto is
+// accepted on both a create and an edit and answers exactly as the same
+// request with no engine does. (Unknown names are a decode rejection; see
+// TestDeltaRejections.)
+func TestEngineEnvelopeDelta(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	base, baseBody := deltaOK(t, ts, createBody(t, sampleNet, ""))
+	edit := `"edits": [{"op": "set-cap", "node": 2, "value": 4.1e-14}]`
+	_, editBody := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s}`, base.SessionID, edit))
+
+	for _, engine := range []string{"vg", "lishi", "auto"} {
+		opts := `"options": {"engine": "` + engine + `"}`
+		cr, cb := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "net": %s, %s}`, mustJSON(t, sampleNet), opts))
+		if normalize(t, cb) != normalize(t, baseBody) {
+			t.Errorf("engine %s create: answer differs from no engine:\n%s\n%s", engine, cb, baseBody)
+		}
+		_, eb := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s, %s}`, cr.SessionID, edit, opts))
+		if normalize(t, eb) != normalize(t, editBody) {
+			t.Errorf("engine %s edit: answer differs from no engine:\n%s\n%s", engine, eb, editBody)
+		}
 	}
 }

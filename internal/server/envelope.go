@@ -5,7 +5,7 @@ package server
 // Keyer, and the loadgen client. Two wire shapes share the struct:
 //
 // v1 — the legacy flat shape, bit-compatible forever. Solver knobs sit
-// at the top level; "options" holds only the engine:
+// at the top level; "options" holds only the (accepted, ignored) engine:
 //
 //	{"v": 1, "net": "net x\n...end\n", "timeout_ms": 1000,
 //	 "lambda": 0.7, "options": {"engine": "lishi"},
@@ -89,10 +89,10 @@ type ProblemEnvelope struct {
 // OptionsEnvelope is the "options" sub-object: how to compute it. Engine
 // is valid in both versions; every other field is v2-only.
 type OptionsEnvelope struct {
-	// Engine selects the DP merge engine: "vg" (the classic cross-product
-	// merge), "lishi" (the O(bn²) frontier walk), or "auto" (the default:
-	// per-run pick, bit-identical to both). The engines agree on answers
-	// by construction, so the choice affects speed only.
+	// Engine is accepted for wire compatibility and ignored: "vg",
+	// "lishi" and "auto" all answer exactly as no engine does, because
+	// the solver picks its merge path from the problem. Any other name is
+	// a 400.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS, MaxCands, Lambda, Rise, Vdd, BufNM, SegLen are the v2
 	// homes of the v1 top-level knobs, with identical semantics.

@@ -260,7 +260,7 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 	b.MaxTreeNodes = s.cfg.Limits.MaxNodes
 	lib := buffers.DefaultLibrary(req.bufNM)
 	if req.objective == nil {
-		return core.Solve(ctx, work, lib, req.params, core.Options{Budget: b, Engine: req.engine})
+		return core.Solve(ctx, work, lib, req.params, core.Options{Budget: b})
 	}
 	res, err := core.Optimize(ctx, core.Problem{
 		Tree:       work,
@@ -268,7 +268,7 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 		Params:     req.params,
 		Objective:  *req.objective,
 		MaxBuffers: req.k,
-	}, core.Options{Budget: b, Engine: req.engine})
+	}, core.Options{Budget: b})
 	if err != nil {
 		return nil, err
 	}

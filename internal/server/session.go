@@ -42,7 +42,7 @@ type serverSession struct {
 	sess *core.Session
 	// req preserves the creating request's decoded knobs: the noise
 	// params and library margin shape every response's analysis, and the
-	// engine/timeout defaults apply to later deltas that set none.
+	// timeout/candidate-cap defaults apply to later deltas that set none.
 	req *solveRequest
 	// objective pins the session's problem objective (a session cannot
 	// change what it optimizes, only the net).
