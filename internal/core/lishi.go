@@ -74,9 +74,10 @@ type candGroup struct {
 // lishiGroups splits a pruned (and possibly wire-charged) candidate list
 // into its (parity[, cost]) groups and computes each group's Pareto
 // frontier by a prefix-max slack scan. idx is scratch backing for the
-// frontier slices, grown as needed and returned for reuse.
-func lishiGroups(list []vgCand, opts vgOptions, idx []int) ([]candGroup, []int) {
-	var groups []candGroup
+// frontier slices, and groups backing for the result, each grown as
+// needed and returned for reuse.
+func lishiGroups(list []vgCand, opts vgOptions, groups []candGroup, idx []int) ([]candGroup, []int) {
+	groups = groups[:0]
 	for i := 0; i < len(list); {
 		j := i + 1
 		for j < len(list) && list[j].pol == list[i].pol &&
@@ -109,8 +110,17 @@ func lishiGroups(list []vgCand, opts vgOptions, idx []int) ([]candGroup, []int) 
 // consulted as the output grows.
 func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	out := opts.arena.get(len(left) + len(right))
-	lg, lidx := lishiGroups(left, opts, nil)
-	rg, _ := lishiGroups(right, opts, lidx[len(lidx):])
+	var lg, rg []candGroup
+	var idx []int
+	sc := opts.scratch
+	if sc != nil {
+		lg, rg, idx = sc.groups[0], sc.groups[1], sc.idx[:0]
+	}
+	lg, idx = lishiGroups(left, opts, lg, idx)
+	rg, idx = lishiGroups(right, opts, rg, idx)
+	if sc != nil {
+		sc.groups[0], sc.groups[1], sc.idx = lg, rg, idx
+	}
 	tick := 0
 	for _, ga := range lg {
 		for _, gb := range rg {

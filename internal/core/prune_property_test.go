@@ -32,7 +32,7 @@ func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 			cost: rng.Intn(6),
 			pol:  uint8(rng.Intn(2)),
 			sol: &solLink{
-				buf: buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)},
+				buf: &buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)},
 			},
 		}
 	}
@@ -134,7 +134,7 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 					t.Fatalf("trial %d: pruning not idempotent: %v", trial, err)
 				}
 				if !opts.safePruning {
-					groups, _ := lishiGroups(pruned, opts, nil)
+					groups, _ := lishiGroups(pruned, opts, nil, nil)
 					total := 0
 					for _, g := range groups {
 						total += len(g.frontier)

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
@@ -66,7 +67,12 @@ type vgCand struct {
 	nbuf int     // buffers used in the subtree solution
 	cost int     // Problem 3 weight of those buffers (Lillis power function)
 	pol  uint8   // parity of inverting stages to every sink (0 = in phase)
-	sol  *solLink
+	// ins marks a candidate insertBuffers emitted whose link is not made
+	// yet: ins−1 is the inserted type's library index, and sol is still
+	// the buffered candidate's link. linkInserted makes it once the node's
+	// prune has kept the candidate.
+	ins int32
+	sol *solLink
 }
 
 // solLink is one decision in a persistent solution list shared between
@@ -74,10 +80,12 @@ type vgCand struct {
 // multiplier chosen for the node's parent wire.
 type solLink struct {
 	node    rctree.NodeID
-	buf     buffers.Buffer
-	width   float64
 	isWidth bool
-	prev    [2]*solLink
+	// buf is the inserted type: an entry of the run's library, shared
+	// rather than copied, so a link stays 40 bytes.
+	buf   *buffers.Buffer
+	width float64
+	prev  [2]*solLink
 }
 
 // collectSol flattens a solution DAG into a buffer assignment and a wire
@@ -97,7 +105,7 @@ func collectSol(s *solLink) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID
 		if l.isWidth {
 			widths[l.node] = l.width
 		} else {
-			assign[l.node] = l.buf
+			assign[l.node] = *l.buf
 		}
 		stack = append(stack, l.prev[0], l.prev[1])
 	}
@@ -131,6 +139,9 @@ type vgOptions struct {
 	// arena recycles candidate-list backing arrays for the run; installed
 	// by runVG alongside stats.
 	arena *candArena
+	// scratch is computeNode's working memory, installed like stats: one
+	// per serial run, one per pool worker in parallel runs.
+	scratch *nodeScratch
 	// memo, when non-nil, turns the run into a memoized (ECO) re-solve:
 	// the top-down gate (memoGate) loads finished candidate lists for
 	// every subtree whose entry is current, and only the remaining
@@ -243,6 +254,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 
 	var st vgStats
 	opts.stats = &st
+	opts.scratch = &nodeScratch{}
 	defer st.flush()
 	// The DP span hangs off the budget's context, which carries the
 	// request's trace (server → tier → here), so per-net DP time is
@@ -305,11 +317,11 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
+	slices.SortFunc(out, func(a, b vgCand) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return out[i].q > out[j].q
+		return firstIf(a.q > b.q)
 	})
 	return out, nil
 }
@@ -397,7 +409,8 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 	}
 
 	// Step 5: consider inserting each buffer type at v.
-	if node.BufferOK && v != t.Root() {
+	inserting := node.BufferOK && v != t.Root()
+	if inserting {
 		list = insertBuffers(v, list, lib, opts)
 	}
 
@@ -405,6 +418,9 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 	if err != nil {
 		ar.put(list)
 		return err
+	}
+	if inserting {
+		linkInserted(v, list, lib)
 	}
 	if err := opts.budget.CheckCandidates(len(list)); err != nil {
 		ar.put(list)
@@ -478,88 +494,201 @@ var oneWidth = []float64{1}
 // buffer type (and, in count-indexed mode, each resulting buffer count and
 // each parity) the candidate producing the largest post-buffer slack,
 // subject to the noise constraint R_b·I(v) ≤ NS(v) when noise is enforced
-// — the boldface modification of Fig. 11, Step 5. The appended candidates
-// are emitted in a deterministic total order — (cost, load, q, buffer
-// index, parity) — never map order, so repeated runs and parallel
-// schedules see byte-identical lists.
+// — the boldface modification of Fig. 11, Step 5.
+//
+// The bests live in a dense slot table, one slot per (cost rank, output
+// parity), reset for each buffer type; a slot holds the winning
+// candidate's index and its post-buffer slack, so the scan touches no
+// map and allocates nothing. Acceptance is value-canonical: strictly
+// greater slack wins, and on an exact tie the cheaper, then smaller,
+// solution — never the one scanned first, since the classic and Li–Shi
+// merges emit candidates in different orders and a first-wins rule would
+// make the selected cost/nbuf depend on the merge. The winners are
+// appended in the total order (cost, load, q, buffer index, parity),
+// which (buffer, parity, cost) makes unique, so repeated runs and
+// parallel schedules see byte-identical lists. They leave without their
+// solLinks — each is marked with its type (vgCand.ins) — and linkInserted
+// makes the links of the ones the prune keeps: most winners are dominated
+// at once, and a link made for them would only be garbage.
 func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
-	type key struct {
-		buf  int
-		pol  uint8
-		cost int
-	}
-	best := map[key]vgCand{}
+	sc := opts.scratch
+	slots := sc.index(list, opts.countIndexed)
+	wins := sc.wins[:0]
 	for bi, b := range lib.Buffers {
-		for _, c := range list {
+		bc := b.Cost()
+		var inv uint8
+		if b.Inverting {
+			inv = 1
+		}
+		for i := range slots {
+			slots[i].src = -1
+		}
+		for i := range list {
+			c := &list[i]
 			if opts.noise && b.R*c.down > c.ns {
 				continue // inserting here would violate downstream noise
 			}
-			if opts.countIndexed && opts.maxBuffers > 0 && c.cost+b.Cost() > opts.maxBuffers {
+			if opts.countIndexed && opts.maxBuffers > 0 && c.cost+bc > opts.maxBuffers {
 				continue
 			}
 			q := c.q - b.Delay(c.load)
-			k := key{buf: bi, pol: c.pol}
-			if b.Inverting {
-				k.pol ^= 1
-			}
-			if opts.countIndexed {
-				k.cost = c.cost + b.Cost()
-			}
-			// Acceptance is value-canonical: on an exact slack tie the
-			// cheaper (then smaller) solution wins, never the one that
-			// happened to be scanned first. The classic and Li–Shi merges
-			// emit candidates in different orders, so a first-wins rule
-			// would make the selected cost/nbuf depend on the engine.
-			cur, ok := best[k]
-			better := !ok || q > cur.q
-			if !better && q == cur.q {
-				nc := c.cost + b.Cost()
-				better = nc < cur.cost || (nc == cur.cost && c.nbuf+1 < cur.nbuf)
+			s := &slots[sc.slotOf[i]^int(inv)]
+			better := s.src < 0 || q > s.q
+			if !better && q == s.q {
+				w := &list[s.src]
+				nc, wc := c.cost+bc, w.cost+bc
+				better = nc < wc || (nc == wc && c.nbuf+1 < w.nbuf+1)
 			}
 			if better {
-				best[k] = vgCand{
-					load: b.Cin,
-					q:    q,
-					down: 0,
-					ns:   b.NoiseMargin,
-					nbuf: c.nbuf + 1,
-					cost: c.cost + b.Cost(),
-					pol:  k.pol,
-					sol:  &solLink{node: v, buf: b, prev: [2]*solLink{c.sol, nil}},
-				}
+				s.src, s.q = i, q
+			}
+		}
+		for _, s := range slots {
+			if s.src >= 0 {
+				c := &list[s.src]
+				wins = append(wins, insWin{cost: c.cost + bc, load: b.Cin, q: s.q, buf: bi, pol: c.pol ^ inv, src: s.src})
 			}
 		}
 	}
-	if len(best) == 0 {
+	sc.wins = wins[:0]
+	if len(wins) == 0 {
 		return list
 	}
-	keys := make([]key, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := best[keys[i]], best[keys[j]]
+	slices.SortFunc(wins, func(a, b insWin) int {
 		if a.cost != b.cost {
-			return a.cost < b.cost
+			return cmp.Compare(a.cost, b.cost)
 		}
 		if a.load != b.load {
-			return a.load < b.load
+			return firstIf(a.load < b.load)
 		}
 		if a.q != b.q {
-			return a.q > b.q
+			return firstIf(a.q > b.q)
 		}
-		if keys[i].buf != keys[j].buf {
-			return keys[i].buf < keys[j].buf
+		if a.buf != b.buf {
+			return cmp.Compare(a.buf, b.buf)
 		}
-		return keys[i].pol < keys[j].pol
+		return cmp.Compare(a.pol, b.pol)
 	})
-	for _, k := range keys {
-		list = append(list, best[k])
+	list = slices.Grow(list, len(wins))
+	for _, w := range wins {
+		c := &list[w.src]
+		list = append(list, vgCand{
+			load: w.load,
+			q:    w.q,
+			down: 0,
+			ns:   lib.Buffers[w.buf].NoiseMargin,
+			nbuf: c.nbuf + 1,
+			cost: w.cost,
+			pol:  w.pol,
+			ins:  int32(w.buf) + 1,
+			sol:  c.sol,
+		})
 	}
 	if opts.stats != nil {
-		opts.stats.generated += int64(len(best))
+		opts.stats.generated += int64(len(wins))
 	}
 	return list
+}
+
+// linkInserted makes the solLink of every candidate insertBuffers emitted
+// at v that is still in list — the inserted type at v on top of the
+// buffered candidate's link — and clears its mark. computeNode calls it
+// after the prune, before the list leaves the node.
+func linkInserted(v rctree.NodeID, list []vgCand, lib *buffers.Library) {
+	for i := range list {
+		if c := &list[i]; c.ins != 0 {
+			c.sol = &solLink{node: v, buf: &lib.Buffers[c.ins-1], prev: [2]*solLink{c.sol, nil}}
+			c.ins = 0
+		}
+	}
+}
+
+// nodeScratch is the reusable working memory of the node step: for
+// insertBuffers the slot table and the winner buffer, for lishiMerge the
+// two lists' groups and frontier indices. runVG gives the serial walk one
+// and runVGParallel one per pool worker, next to its vgStats; it is never
+// shared between goroutines.
+type nodeScratch struct {
+	slotOf []int     // per list candidate: its slot, 2·(cost rank) + parity
+	costs  []int     // the distinct costs, when too spread for a dense rank
+	slots  []insSlot // one per (cost rank, output parity)
+	wins   []insWin  // every buffer type's winners, before emission
+
+	groups [2][]candGroup // the left and right lists' groups
+	idx    []int          // backing for both lists' frontiers
+}
+
+// insSlot is one slot of the table: the index of the winning candidate
+// in the list (-1 while empty) and its post-buffer slack.
+type insSlot struct {
+	src int
+	q   float64
+}
+
+// insWin is a buffered candidate awaiting emission: its sort key —
+// (cost, load, q, buffer index, parity), the emission order — and the
+// index of the source candidate it buffers.
+type insWin struct {
+	cost    int
+	load, q float64
+	buf     int // index of the inserted type in the library
+	pol     uint8
+	src     int
+}
+
+// denseCostSpan bounds the slot table for a list of n candidates: costs
+// spread wider than this (large Problem 3 weights) are ranked through the
+// sorted distinct costs instead of by cost − minCost, so the table stays
+// O(n) for any weights.
+func denseCostSpan(n int) int { return 4*n + 64 }
+
+// index assigns every candidate of list its slot — the cost rank is 0
+// when the run is not count-indexed — and returns the table, sized for
+// the list and ready to be reset per buffer type.
+func (sc *nodeScratch) index(list []vgCand, countIndexed bool) []insSlot {
+	sc.slotOf = slices.Grow(sc.slotOf[:0], len(list))[:len(list)]
+	ranks := 1
+	switch {
+	case !countIndexed || len(list) == 0:
+		for i := range list {
+			sc.slotOf[i] = int(list[i].pol)
+		}
+	default:
+		lo, hi := list[0].cost, list[0].cost
+		for i := range list {
+			lo, hi = min(lo, list[i].cost), max(hi, list[i].cost)
+		}
+		if span := hi - lo; span >= 0 && span < denseCostSpan(len(list)) {
+			ranks = span + 1
+			for i := range list {
+				sc.slotOf[i] = 2*(list[i].cost-lo) + int(list[i].pol)
+			}
+			break
+		}
+		sc.costs = sc.costs[:0]
+		for i := range list {
+			sc.costs = append(sc.costs, list[i].cost)
+		}
+		slices.Sort(sc.costs)
+		sc.costs = slices.Compact(sc.costs)
+		ranks = len(sc.costs)
+		for i := range list {
+			r, _ := slices.BinarySearch(sc.costs, list[i].cost)
+			sc.slotOf[i] = 2*r + int(list[i].pol)
+		}
+	}
+	sc.slots = slices.Grow(sc.slots[:0], 2*ranks)[:2*ranks]
+	return sc.slots
+}
+
+// firstIf turns a strict "a before b" test into a comparison result for
+// fields already known to differ, so the float comparators keep the exact
+// < and > tests (NaN behaviour included) of the orders they define.
+func firstIf(aFirst bool) int {
+	if aFirst {
+		return -1
+	}
+	return 1
 }
 
 // mergeVG combines the candidate lists of two sibling branches: loads and
@@ -655,32 +784,32 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if len(list) <= 1 {
 		return list, nil
 	}
-	sort.Slice(list, func(i, j int) bool {
-		a, b := &list[i], &list[j]
-		if opts.countIndexed && a.cost != b.cost {
-			return a.cost < b.cost
+	countIndexed := opts.countIndexed
+	slices.SortFunc(list, func(a, b vgCand) int {
+		if countIndexed && a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
 		if a.pol != b.pol {
-			return a.pol < b.pol
+			return cmp.Compare(a.pol, b.pol)
 		}
 		if a.load != b.load {
-			return a.load < b.load
+			return firstIf(a.load < b.load)
 		}
 		if a.q != b.q {
-			return a.q > b.q
+			return firstIf(a.q > b.q)
 		}
 		// Total-order tiebreakers: dominance-relevant fields first, so
 		// equal (load, q) candidates survive in a deterministic order.
 		if a.down != b.down {
-			return a.down < b.down
+			return firstIf(a.down < b.down)
 		}
 		if a.ns != b.ns {
-			return a.ns > b.ns
+			return firstIf(a.ns > b.ns)
 		}
 		if a.cost != b.cost {
-			return a.cost < b.cost
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return a.nbuf < b.nbuf
+		return cmp.Compare(a.nbuf, b.nbuf)
 	})
 
 	sameGroup := func(a, b *vgCand) bool {

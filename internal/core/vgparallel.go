@@ -114,12 +114,15 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 	}
 
 	// Per-worker stats keep the hot loops free of atomics; folded into the
-	// run's totals after Wait, when no worker touches them anymore.
+	// run's totals after Wait, when no worker touches them anymore. Each
+	// worker's node-step scratch is likewise its own.
 	workerStats := make([]vgStats, workers)
+	workerScratch := make([]nodeScratch, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		wopts := opts
 		wopts.stats = &workerStats[w]
+		wopts.scratch = &workerScratch[w]
 		go func() {
 			defer wg.Done()
 			// Panic isolation: a crash on a pool goroutine would kill the
