@@ -566,9 +566,8 @@ func deltaBenchNet(b *testing.B) *rctree.Tree {
 // from scratch after a single-leaf cap change; "delta" pushes the same
 // change through a Session, re-solving only the edited sink's ancestor
 // path and replaying every untouched subtree from the memo. The delta
-// row also reports reuse_rate (reused lookups / total lookups), which
-// benchjson lifts into eco_reuse_rate; the full/delta ns ratio becomes
-// eco_speedup. The acceptance floor is 10×.
+// row also reports reuse_rate (reused lookups / total lookups); the
+// full/delta ns ratio is the speedup, whose acceptance floor is 10×.
 func BenchmarkDeltaResolve(b *testing.B) {
 	tr := deltaBenchNet(b)
 	lib := buffers.DefaultLibrary(0.8)

@@ -37,7 +37,6 @@
 //	GET  /metrics      telemetry snapshot as JSON
 //	GET  /metrics/prom the same telemetry in the OpenMetrics text format,
 //	                   with trace-ID exemplars on the latency histograms
-//	GET  /debug/vars   the same counters via expvar
 //	GET  /debug/trace/<id>      retained spans of one trace (every response
 //	                   carries its trace ID in X-Trace-Id)
 //	GET  /debug/flightrecorder  complete traces of recent anomalous

@@ -16,7 +16,7 @@
 //	            [-hedge-quantile 0.9] [-hedge-min 20ms]
 //	            [-fail-threshold 3] [-retry-backoff 25ms]
 //	            [-retry-after 1s] [-max-bytes 8388608]
-//	            [-drain-timeout 15s] [-routing hash]
+//	            [-drain-timeout 15s]
 //	            [-trace-spans 4096] [-trace-latency 1s]
 //	            [-timeout 30s] [-max-timeout 2m] [-max-cands N] [-max-nodes N]
 //	            [-metrics out.json] [-v] [-pprof addr]
@@ -41,9 +41,6 @@
 // The -timeout/-max-timeout/-max-cands/-max-nodes flags mirror the
 // replicas' decode knobs so the router derives the same cache key the
 // replicas do; a mismatch weakens cache affinity but never correctness.
-//
-// -routing random disables affinity (uniform shuffle per request). It is
-// the control arm for measuring what affinity buys; see cmd/loadgen.
 //
 // SIGTERM (or Ctrl-C) drains: in-flight requests and their upstream
 // attempts finish (bounded by -drain-timeout), then the process exits 0.
@@ -89,8 +86,6 @@ func run(args []string, stderr *os.File) int {
 	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint when no replica is reachable")
 	fs.Int64Var(&cfg.MaxBytes, "max-bytes", 8<<20, "cap on request body size, bytes")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
-	fs.StringVar(&cfg.Routing, "routing", fleet.RoutingHash, "routing policy: hash (cache-affine) or random (control)")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "PRNG seed for -routing random")
 	fs.IntVar(&cfg.TraceSpans, "trace-spans", 0, "span-collector ring size: recent spans visible at /debug/trace (0 = default 4096)")
 	fs.DurationVar(&cfg.TraceLatency, "trace-latency", 0, "latency past which a request's trace is pinned in the flight recorder (0 = default 1s)")
 
@@ -133,8 +128,8 @@ func run(args []string, stderr *os.File) int {
 
 	go func() {
 		<-rt.Ready()
-		fmt.Fprintf(stderr, "bufferfleet: routing %s over %d replicas on %s\n",
-			cfg.Routing, len(cfg.Replicas), rt.Addr())
+		fmt.Fprintf(stderr, "bufferfleet: routing over %d replicas on %s\n",
+			len(cfg.Replicas), rt.Addr())
 	}()
 	runErr := rt.Run(ctx)
 	if err := stopObs(); err != nil {

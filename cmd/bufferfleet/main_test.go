@@ -25,10 +25,11 @@ func TestUsageErrors(t *testing.T) {
 	defer null.Close()
 	cases := [][]string{
 		{"-bogus-flag"},
-		{},                       // no replicas
-		{"-replicas", " , ,"},    // empty after trimming
-		{"-replicas", "a:1,a:1"}, // duplicate
-		{"-replicas", "a:1", "-routing", "roundrobin"}, // unknown policy
+		{},                                       // no replicas
+		{"-replicas", " , ,"},                    // empty after trimming
+		{"-replicas", "a:1,a:1"},                 // duplicate
+		{"-replicas", "a:1", "-routing", "hash"}, // removed flag
+		{"-replicas", "a:1", "-seed", "1"},       // removed flag
 	}
 	for _, args := range cases {
 		if code := run(args, null); code != guard.ExitUsage {

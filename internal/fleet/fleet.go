@@ -53,18 +53,6 @@ import (
 	"buffopt/internal/server"
 )
 
-// Routing selects how the router picks a replica order per request.
-const (
-	// RoutingHash is production routing: rendezvous hash order over the
-	// affinity key, cache-affine by construction.
-	RoutingHash = "hash"
-	// RoutingRandom ignores the key and shuffles the replicas per
-	// request. It exists as the control arm: cmd/loadgen runs both modes
-	// and reports the cache-hit-rate gap, which is the measured value of
-	// affinity routing.
-	RoutingRandom = "random"
-)
-
 // Config tunes the router. The zero value (plus a replica list) serves
 // on :8081 with sensible bounds; see withDefaults.
 type Config struct {
@@ -120,11 +108,6 @@ type Config struct {
 	MaxBytes int64
 	// DrainTimeout bounds the router's own shutdown drain. Default 15 s.
 	DrainTimeout time.Duration
-	// Routing is RoutingHash (default) or RoutingRandom.
-	Routing string
-	// Seed seeds the RoutingRandom shuffle, so load experiments are
-	// reproducible. Ignored under RoutingHash.
-	Seed int64
 	// Transport overrides the upstream HTTP transport (tests). Nil uses
 	// a pooled http.Transport.
 	Transport http.RoundTripper
@@ -181,9 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
-	if c.Routing == "" {
-		c.Routing = RoutingHash
-	}
 	return c
 }
 
@@ -197,9 +177,6 @@ type Router struct {
 	replicas []*replica
 	names    []string
 	client   *http.Client
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // RoutingRandom shuffle
 
 	attemptWG sync.WaitGroup // in-flight attempt goroutines, incl. abandoned hedges
 	draining  atomic.Bool
@@ -230,13 +207,9 @@ func New(cfg Config) (*Router, error) {
 		seen[r] = true
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Routing != RoutingHash && cfg.Routing != RoutingRandom {
-		return nil, fmt.Errorf("fleet: unknown routing %q (want %s or %s)", cfg.Routing, RoutingHash, RoutingRandom)
-	}
 	rt := &Router{
 		cfg:   cfg,
 		keyer: server.NewKeyer(cfg.Decode),
-		rng:   rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(cfg.Seed)^0x9e3779b97f4a7c15)),
 		ready: make(chan struct{}),
 		tracer: obs.NewCollector(obs.CollectorConfig{
 			RingSpans:        cfg.TraceSpans,
@@ -427,18 +400,13 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 // ------------------------------------------------------------------ rank
 
 // rank returns the replicas this request may try, in preference order:
-// the key's rendezvous order (or a seeded shuffle under RoutingRandom),
-// stably partitioned into tiers — routable now first, then backed-off
-// or draining (alive, answering, just not preferred), then down as the
-// last resort. Within each tier the hash order is preserved, so the
-// failover target for a key is deterministic given the fleet's health.
+// the key's rendezvous order, stably partitioned into tiers — routable
+// now first, then backed-off or draining (alive, answering, just not
+// preferred), then down as the last resort. Within each tier the hash
+// order is preserved, so the failover target for a key is deterministic
+// given the fleet's health.
 func (rt *Router) rank(key string) []*replica {
 	idx := rendezvousRank(key, rt.names)
-	if rt.cfg.Routing == RoutingRandom {
-		rt.rngMu.Lock()
-		rt.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		rt.rngMu.Unlock()
-	}
 	now := time.Now()
 	ordered := make([]*replica, 0, len(idx))
 	var deferred, last []*replica
@@ -855,13 +823,12 @@ type ReplicaStatus struct {
 }
 
 // handleStatus is GET /fleet/status: the router's live view of its
-// replicas, for operators and the loadgen harness.
+// replicas, for operators.
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
-	out := struct {
-		Routing  string          `json:"routing"`
+	var out struct {
 		Replicas []ReplicaStatus `json:"replicas"`
-	}{Routing: rt.cfg.Routing}
+	}
 	for _, rep := range rt.replicas {
 		st := ReplicaStatus{Name: rep.name, State: rep.health().String(), Fails: rep.fails.Load()}
 		if until := rep.backoffUntil.Load(); until > now.UnixNano() {

@@ -515,7 +515,4 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Replicas: []string{"a:1", "a:1"}}); err == nil {
 		t.Error("New accepted a duplicate replica")
 	}
-	if _, err := New(Config{Replicas: []string{"a:1"}, Routing: "bogus"}); err == nil {
-		t.Error("New accepted unknown routing mode")
-	}
 }

@@ -18,8 +18,8 @@ import (
 // Lab is an in-process fleet: N real bufferd replicas on loopback
 // listeners behind one Router, each replica wrapped in a chaos valve
 // that can partition (blackhole) or kill (abruptly close) it. The soak
-// test and cmd/loadgen's self-contained mode both stand their fleets up
-// with it. Everything runs over real TCP — partitions hang real
+// tests and the benchmark's fleet workload stand their fleets up with
+// it. Everything runs over real TCP — partitions hang real
 // connections and kills reset them — so the router is exercised against
 // the same failure signatures production would show it, not mocks.
 type Lab struct {

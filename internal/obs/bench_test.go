@@ -111,9 +111,8 @@ func BenchmarkSpanDisabled(b *testing.B) {
 }
 
 // BenchmarkSpanTraced is the full-cost path: a collector is attached, so
-// every span builds its path, links IDs, and records into the ring.
-// benchjson derives span_ns_traced from it next to the enabled/disabled
-// baselines.
+// every span builds its path, links IDs, and records into the ring; read
+// it next to the enabled/disabled baselines.
 func BenchmarkSpanTraced(b *testing.B) {
 	old := Default()
 	SetDefault(NewRegistry())

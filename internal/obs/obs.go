@@ -365,10 +365,10 @@ func WriteSnapshotFile(path string) error {
 
 var publishOnce sync.Once
 
-// PublishExpvar publishes the default registry under the expvar key
-// "buffopt", so the snapshot is visible at /debug/vars whenever an HTTP
-// server (e.g. the -pprof one) is running. Safe to call more than once.
-func PublishExpvar() {
+// publishExpvar publishes the default registry under the expvar key
+// "buffopt", so the snapshot is visible at /debug/vars on the -pprof
+// debug listener. Safe to call more than once.
+func publishExpvar() {
 	publishOnce.Do(func() {
 		expvar.Publish("buffopt", expvar.Func(func() any {
 			return Default().Snapshot()

@@ -48,7 +48,7 @@ func Start(o StartOptions) (stop func() error, err error) {
 	}
 
 	if o.PprofAddr != "" {
-		PublishExpvar()
+		publishExpvar()
 		srv := &http.Server{Addr: o.PprofAddr}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

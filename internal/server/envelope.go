@@ -1,8 +1,8 @@
 package server
 
 // The versioned request envelope: the one JSON codec shared by bufferd
-// (/solve, /solve/batch, /solve/delta), the fleet router's affinity
-// Keyer, and the loadgen client. Two wire shapes share the struct:
+// (/solve, /solve/batch, /solve/delta) and the fleet router's affinity
+// Keyer. Two wire shapes share the struct:
 //
 // v1 — the legacy flat shape, bit-compatible forever. Solver knobs sit
 // at the top level; "options" holds only the (accepted, ignored) engine:

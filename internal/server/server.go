@@ -22,8 +22,9 @@
 //     DrainTimeout, and exits cleanly.
 //   - Degradation reporting: responses carry the core.Solve ladder tier
 //     and per-tier failure classes, and the same classes feed obs
-//     counters exported on /metrics and expvar — shed, degraded, and
-//     failed work is all accounted for.
+//     counters exported on /metrics (JSON) and /metrics/prom
+//     (OpenMetrics) — shed, degraded, and failed work is all accounted
+//     for.
 //
 // The faultinject layer threads through all of it: when an Injector is
 // configured, each admitted request may draw one fault (slow solve,
@@ -34,7 +35,6 @@ package server
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -267,8 +267,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/metrics/prom", handlePromMetrics)
 	mux.HandleFunc("/debug/trace/", s.tracer.ServeTrace)
 	mux.HandleFunc("/debug/flightrecorder", s.tracer.ServeFlightRecorder)
-	mux.Handle("/debug/vars", expvar.Handler())
-	obs.PublishExpvar()
 	s.handler = mux
 	return s
 }

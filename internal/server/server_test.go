@@ -351,9 +351,10 @@ func TestSolveShedCarriesRetryAfter(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics serves the obs snapshot as JSON and
-// reflects request counters.
+// reflects request counters, /metrics/prom carries the same counters,
+// and the service mux serves no /debug/vars.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{CacheEntries: 16})
 	if resp, body := postNet(t, ts, "/solve", "text/plain", sampleNet); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve = %d, body %s", resp.StatusCode, body)
 	}
@@ -373,6 +374,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Counters["server.request.outcome.ok"] != 1 {
 		t.Fatalf("outcome.ok = %d, want 1", snap.Counters["server.request.outcome.ok"])
+	}
+	if snap.Counters["server.cache.lookups"] != 1 {
+		t.Fatalf("server.cache.lookups = %d, want 1", snap.Counters["server.cache.lookups"])
+	}
+	presp, err := http.Get(ts.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(presp.Body)
+	presp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "\nbuffopt_server_cache_lookups_total 1\n") {
+		t.Fatalf("/metrics/prom lacks buffopt_server_cache_lookups_total 1:\n%s", prom)
+	}
+	vresp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vresp.Body.Close()
+	if vresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %d on the service mux, want 404", vresp.StatusCode)
 	}
 }
 

@@ -32,9 +32,9 @@ func (s *Server) loadSnapshot() {
 
 // SaveSnapshot writes the result cache to cfg.SnapshotPath atomically
 // (temp file + rename; see cache.SaveSnapshot). Run calls it periodically
-// and on drain; embedders (the fleet lab, loadgen's restart arm) call it
-// directly before killing a replica. A no-op returning nil when the cache
-// or snapshotting is disabled.
+// and on drain; embedders (the fleet lab) call it directly before
+// killing a replica. A no-op returning nil when the cache or
+// snapshotting is disabled.
 func (s *Server) SaveSnapshot() error {
 	if s.cache == nil || s.cfg.SnapshotPath == "" {
 		return nil
