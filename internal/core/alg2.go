@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
@@ -362,14 +363,14 @@ func pruneNoise(list []nCand) []nCand {
 	if len(list) <= 1 {
 		return list
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].down != list[j].down {
-			return list[i].down < list[j].down
+	slices.SortFunc(list, func(a, b nCand) int {
+		if a.down != b.down {
+			return firstIf(a.down < b.down)
 		}
-		if list[i].ns != list[j].ns {
-			return list[i].ns > list[j].ns
+		if a.ns != b.ns {
+			return firstIf(a.ns > b.ns)
 		}
-		return list[i].nbuf < list[j].nbuf
+		return cmp.Compare(a.nbuf, b.nbuf)
 	})
 	out := list[:0]
 	for _, c := range list {

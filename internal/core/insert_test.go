@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"buffopt/internal/buffers"
@@ -14,20 +14,21 @@ import (
 
 // The oracle for buffer insertion: the map-keyed implementation that
 // insertBuffers' slot table replaced, kept here unchanged but for the
-// link's buffer field, which now points at the library entry. The slot
-// table, with linkInserted making the links it defers, must emit the same
-// candidates, in the same order, with the same witnesses — identical
-// solLink (node, buffer, prev) — on every list, so nothing downstream of
-// Step 5 can tell the two apart.
+// link's buffer field, which now points at the library entry, and for
+// its emission order, which is now the prune's (candCmp, then buffer
+// index). The slot table, with linkInserted making the links it defers,
+// must emit the same candidates, in the same order, with the same
+// witnesses — identical solLink (node, buffer, prev) — on every list, so
+// nothing downstream of Step 5 can tell the two apart.
 
 // insertBuffersRef appends buffered candidates at node v to list: for each
 // buffer type (and, in count-indexed mode, each resulting buffer count and
 // each parity) the candidate producing the largest post-buffer slack,
 // subject to the noise constraint R_b·I(v) ≤ NS(v) when noise is enforced
 // — the boldface modification of Fig. 11, Step 5. The appended candidates
-// are emitted in a deterministic total order — (cost, load, q, buffer
-// index, parity) — never map order, so repeated runs and parallel
-// schedules see byte-identical lists.
+// are emitted in a deterministic total order — candCmp, then buffer
+// index — never map order, so repeated runs and parallel schedules see
+// byte-identical lists.
 func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
 	type key struct {
 		buf  int
@@ -83,21 +84,12 @@ func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts
 	for k := range best {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := best[keys[i]], best[keys[j]]
-		if a.cost != b.cost {
-			return a.cost < b.cost
+	slices.SortFunc(keys, func(a, b key) int {
+		ca, cb := best[a], best[b]
+		if c := candCmp(&ca, &cb, opts.countIndexed); c != 0 {
+			return c
 		}
-		if a.load != b.load {
-			return a.load < b.load
-		}
-		if a.q != b.q {
-			return a.q > b.q
-		}
-		if keys[i].buf != keys[j].buf {
-			return keys[i].buf < keys[j].buf
-		}
-		return keys[i].pol < keys[j].pol
+		return cmp.Compare(a.buf, b.buf)
 	})
 	for _, k := range keys {
 		list = append(list, best[k])
@@ -246,6 +238,13 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 					linkInserted(v, got, lb.lib)
 					if err := sameInsertion(got, want); err != nil {
 						t.Fatalf("iteration %d (%d candidates): %v", iter, len(list), err)
+					}
+					// The winners arrive as one sorted run, so a chain
+					// node's prune merges exactly two.
+					for i := len(list) + 1; i < len(got); i++ {
+						if candCmp(&got[i], &got[i-1], pr.opts.countIndexed) < 0 {
+							t.Fatalf("iteration %d: appended tail breaks its run at %d", iter, i)
+						}
 					}
 					if gotStats != wantStats {
 						t.Fatalf("iteration %d: stats %+v, want %+v", iter, gotStats, wantStats)

@@ -440,7 +440,7 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 		}
 		if len(widths) == 1 && widths[0] == 1 {
 			// The common no-sizing case charges the wire in place: same
-			// arithmetic, in the same order, as the sized loop below with
+			// arithmetic, in the same order, as chargeWidths with
 			// wd == 1 — just without a second list.
 			for i := range list {
 				c := &list[i]
@@ -450,21 +450,7 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 				c.down += iw
 			}
 		} else {
-			sized := ar.get(len(list) * len(widths))
-			for _, c := range list {
-				for _, wd := range widths {
-					r, cw := opts.wireVariant(w, wd)
-					nc := c
-					nc.q -= r * (cw/2 + c.load)
-					nc.load += cw
-					nc.ns -= r * (c.down + iw/2)
-					nc.down += iw
-					if wd != 1 {
-						nc.sol = &solLink{node: v, width: wd, isWidth: true, prev: [2]*solLink{c.sol, nil}}
-					}
-					sized = append(sized, nc)
-				}
-			}
+			sized := chargeWidths(ar.get(len(list)*len(widths)), list, v, w, iw, widths, opts)
 			st.generated += int64(len(sized) - len(list))
 			ar.put(list)
 			list = sized
@@ -490,6 +476,29 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 // oneWidth is the default (no sizing) width set.
 var oneWidth = []float64{1}
 
+// chargeWidths appends to dst every candidate of the pruned list charged
+// with the parent wire w of node v at each width, width by width. The
+// charge adds the same capacitance to every load of a width, so each
+// width's block keeps list's candCmp order and the result reaches
+// pruneVG as at most len(widths) runs.
+func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64, widths []float64, opts vgOptions) []vgCand {
+	for _, wd := range widths {
+		r, cw := opts.wireVariant(w, wd)
+		for _, c := range list {
+			nc := c
+			nc.q -= r * (cw/2 + c.load)
+			nc.load += cw
+			nc.ns -= r * (c.down + iw/2)
+			nc.down += iw
+			if wd != 1 {
+				nc.sol = &solLink{node: v, width: wd, isWidth: true, prev: [2]*solLink{c.sol, nil}}
+			}
+			dst = append(dst, nc)
+		}
+	}
+	return dst
+}
+
 // insertBuffers appends buffered candidates at node v to list: for each
 // buffer type (and, in count-indexed mode, each resulting buffer count and
 // each parity) the candidate producing the largest post-buffer slack,
@@ -504,16 +513,19 @@ var oneWidth = []float64{1}
 // solution — never the one scanned first, since the classic and Li–Shi
 // merges emit candidates in different orders and a first-wins rule would
 // make the selected cost/nbuf depend on the merge. The winners are
-// appended in the total order (cost, load, q, buffer index, parity),
-// which (buffer, parity, cost) makes unique, so repeated runs and
-// parallel schedules see byte-identical lists. They leave without their
-// solLinks — each is marked with its type (vgCand.ins) — and linkInserted
-// makes the links of the ones the prune keeps: most winners are dominated
-// at once, and a link made for them would only be garbage.
+// appended in scan order (buffer index, then slot) and the appended tail
+// is then sorted by candCmp, stably — the prune's own order and run
+// merge — so the list reaches pruneVG as the input's runs plus one more,
+// and a chain node's prune is a single linear merge. (buffer, parity,
+// cost) makes the winners unique, so repeated runs and parallel
+// schedules see byte-identical lists. They leave without their solLinks
+// — each is marked with its type (vgCand.ins) — and linkInserted makes
+// the links of the ones the prune keeps: most winners are dominated at
+// once, and a link made for them would only be garbage.
 func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
 	sc := opts.scratch
+	n := len(list)
 	slots := sc.index(list, opts.countIndexed)
-	wins := sc.wins[:0]
 	for bi, b := range lib.Buffers {
 		bc := b.Cost()
 		var inv uint8
@@ -523,7 +535,7 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 		for i := range slots {
 			slots[i].src = -1
 		}
-		for i := range list {
+		for i := range list[:n] {
 			c := &list[i]
 			if opts.noise && b.R*c.down > c.ns {
 				continue // inserting here would violate downstream noise
@@ -545,47 +557,24 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 		}
 		for _, s := range slots {
 			if s.src >= 0 {
-				c := &list[s.src]
-				wins = append(wins, insWin{cost: c.cost + bc, load: b.Cin, q: s.q, buf: bi, pol: c.pol ^ inv, src: s.src})
+				c := list[s.src]
+				list = append(list, vgCand{
+					load: b.Cin,
+					q:    s.q,
+					down: 0,
+					ns:   b.NoiseMargin,
+					nbuf: c.nbuf + 1,
+					cost: c.cost + bc,
+					pol:  c.pol ^ inv,
+					ins:  int32(bi) + 1,
+					sol:  c.sol,
+				})
 			}
 		}
 	}
-	sc.wins = wins[:0]
-	if len(wins) == 0 {
-		return list
-	}
-	slices.SortFunc(wins, func(a, b insWin) int {
-		if a.cost != b.cost {
-			return cmp.Compare(a.cost, b.cost)
-		}
-		if a.load != b.load {
-			return firstIf(a.load < b.load)
-		}
-		if a.q != b.q {
-			return firstIf(a.q > b.q)
-		}
-		if a.buf != b.buf {
-			return cmp.Compare(a.buf, b.buf)
-		}
-		return cmp.Compare(a.pol, b.pol)
-	})
-	list = slices.Grow(list, len(wins))
-	for _, w := range wins {
-		c := &list[w.src]
-		list = append(list, vgCand{
-			load: w.load,
-			q:    w.q,
-			down: 0,
-			ns:   lib.Buffers[w.buf].NoiseMargin,
-			nbuf: c.nbuf + 1,
-			cost: w.cost,
-			pol:  w.pol,
-			ins:  int32(w.buf) + 1,
-			sol:  c.sol,
-		})
-	}
+	sc.sortCands(list[n:], opts.countIndexed)
 	if opts.stats != nil {
-		opts.stats.generated += int64(len(wins))
+		opts.stats.generated += int64(len(list) - n)
 	}
 	return list
 }
@@ -604,15 +593,17 @@ func linkInserted(v rctree.NodeID, list []vgCand, lib *buffers.Library) {
 }
 
 // nodeScratch is the reusable working memory of the node step: for
-// insertBuffers the slot table and the winner buffer, for lishiMerge the
-// two lists' groups and frontier indices. runVG gives the serial walk one
-// and runVGParallel one per pool worker, next to its vgStats; it is never
-// shared between goroutines.
+// insertBuffers the slot table, for sortCands the run boundaries and the
+// merge buffer, for lishiMerge the two lists' groups and frontier
+// indices. runVG gives the serial walk one and runVGParallel one per pool
+// worker, next to its vgStats; it is never shared between goroutines.
 type nodeScratch struct {
 	slotOf []int     // per list candidate: its slot, 2·(cost rank) + parity
 	costs  []int     // the distinct costs, when too spread for a dense rank
 	slots  []insSlot // one per (cost rank, output parity)
-	wins   []insWin  // every buffer type's winners, before emission
+
+	runs []int    // sortCands: the run boundaries
+	buf  []vgCand // sortCands: the merge buffer, cleared after every sort
 
 	groups [2][]candGroup // the left and right lists' groups
 	idx    []int          // backing for both lists' frontiers
@@ -623,17 +614,6 @@ type nodeScratch struct {
 type insSlot struct {
 	src int
 	q   float64
-}
-
-// insWin is a buffered candidate awaiting emission: its sort key —
-// (cost, load, q, buffer index, parity), the emission order — and the
-// index of the source candidate it buffers.
-type insWin struct {
-	cost    int
-	load, q float64
-	buf     int // index of the inserted type in the library
-	pol     uint8
-	src     int
 }
 
 // denseCostSpan bounds the slot table for a list of n candidates: costs
@@ -679,6 +659,147 @@ func (sc *nodeScratch) index(list []vgCand, countIndexed bool) []insSlot {
 	}
 	sc.slots = slices.Grow(sc.slots[:0], 2*ranks)[:2*ranks]
 	return sc.slots
+}
+
+// candCmp is the DP's one candidate order, shared by every prune and by
+// insertBuffers' emission: (cost, when count-indexed,) parity, load
+// ascending, slack descending — which groups a list for pruneVG and puts
+// each group's dominators first — then the remaining fields as
+// tiebreakers, dominance-relevant ones first.
+func candCmp(a, b *vgCand, countIndexed bool) int {
+	if countIndexed && a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	if a.pol != b.pol {
+		return cmp.Compare(a.pol, b.pol)
+	}
+	if a.load != b.load {
+		return firstIf(a.load < b.load)
+	}
+	if a.q != b.q {
+		return firstIf(a.q > b.q)
+	}
+	if a.down != b.down {
+		return firstIf(a.down < b.down)
+	}
+	if a.ns != b.ns {
+		return firstIf(a.ns > b.ns)
+	}
+	if a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	return cmp.Compare(a.nbuf, b.nbuf)
+}
+
+// sortCands sorts list by candCmp, stably, by merging its ascending runs:
+// one scan finds the run boundaries, then adjacent runs are merged
+// pairwise, pass after pass, until one is left. A sorted list costs the
+// scan and nothing else; k runs cost O(n log k). Each merge first trims
+// the left run's prefix and the right run's suffix that are already in
+// place, then moves the shorter remainder into sc.buf and merges it back
+// — forward when that is the left run, backward when the right. The
+// buffer is cleared before returning, so it holds no solLink between
+// sorts.
+func (sc *nodeScratch) sortCands(list []vgCand, countIndexed bool) {
+	runs := append(sc.runs[:0], 0)
+	for i := 1; i < len(list); i++ {
+		if candCmp(&list[i], &list[i-1], countIndexed) < 0 {
+			runs = append(runs, i)
+		}
+	}
+	used := 0
+	for len(runs) > 1 {
+		// runs holds the start of every run; the pass merges runs
+		// 2k and 2k+1 and keeps the start of each merged pair.
+		k := 0
+		for i := 0; i < len(runs); i += 2 {
+			if i+1 < len(runs) {
+				hi := len(list)
+				if i+2 < len(runs) {
+					hi = runs[i+2]
+				}
+				used = max(used, sc.mergeRuns(list, runs[i], runs[i+1], hi, countIndexed))
+			}
+			runs[k] = runs[i]
+			k++
+		}
+		runs = runs[:k]
+	}
+	sc.runs = runs
+	clear(sc.buf[:used])
+}
+
+// mergeRuns merges the sorted runs list[lo:mid] and list[mid:hi] in
+// place, stably — on a candCmp tie the left run's candidate goes first —
+// and returns how many entries of sc.buf it used.
+func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bool) int {
+	// The left run's candidates not after list[mid] stay where they are,
+	// and so do the right run's not before list[mid-1]; both cuts are
+	// binary searches, since each run is sorted.
+	first := &list[mid]
+	l, h := lo, mid
+	for l < h {
+		if m := int(uint(l+h) >> 1); candCmp(first, &list[m], countIndexed) < 0 {
+			h = m
+		} else {
+			l = m + 1
+		}
+	}
+	if lo = l; lo == mid {
+		return 0 // already in order
+	}
+	last := &list[mid-1]
+	l, h = mid, hi
+	for l < h {
+		if m := int(uint(l+h) >> 1); candCmp(&list[m], last, countIndexed) >= 0 {
+			h = m
+		} else {
+			l = m + 1
+		}
+	}
+	end := l
+	if mid-lo <= end-mid {
+		// Forward: the left remainder goes to the buffer.
+		buf := sc.grow(mid - lo)
+		copy(buf, list[lo:mid])
+		i, j, d := 0, mid, lo
+		for i < len(buf) && j < end {
+			if candCmp(&list[j], &buf[i], countIndexed) < 0 {
+				list[d] = list[j]
+				j++
+			} else {
+				list[d] = buf[i]
+				i++
+			}
+			d++
+		}
+		copy(list[d:], buf[i:])
+		return len(buf)
+	}
+	// Backward: the right remainder goes to the buffer.
+	buf := sc.grow(end - mid)
+	copy(buf, list[mid:end])
+	i, j, d := mid-1, len(buf)-1, end-1
+	for i >= lo && j >= 0 {
+		if candCmp(&buf[j], &list[i], countIndexed) < 0 {
+			list[d] = list[i]
+			i--
+		} else {
+			list[d] = buf[j]
+			j--
+		}
+		d--
+	}
+	copy(list[lo:], buf[:j+1])
+	return len(buf)
+}
+
+// grow returns sc.buf resized to n entries.
+func (sc *nodeScratch) grow(n int) []vgCand {
+	if cap(sc.buf) < n {
+		sc.buf = make([]vgCand, n, max(n, 2*cap(sc.buf)))
+	}
+	return sc.buf[:n]
 }
 
 // firstIf turns a strict "a before b" test into a comparison result for
@@ -775,42 +896,27 @@ func mergedCand(a, b vgCand) vgCand {
 // in Section IV-C). Safe pruning is quadratic in the group size, so the
 // dominance scan honors the budget's context.
 //
-// The scan works entirely in place: one deterministic total-order sort
-// groups the list — (buffer count,) parity, load ascending, slack
-// descending, then the remaining fields as tiebreakers — and survivors are
-// compacted into the front of the same backing array. No maps, no
-// per-group slices, no allocation; the returned slice aliases the input.
+// The scan works entirely in place: sortCands orders the list by candCmp
+// — (buffer count,) parity, load ascending, slack descending, then the
+// remaining fields as tiebreakers — which groups it, and survivors are
+// compacted into the front of the same backing array. The sort merges
+// the list's ascending runs, and the lists reaching a prune are mostly
+// sorted already: a pruned list stays sorted through the parent-wire
+// charge (one run per width when sizing, see chargeWidths),
+// insertBuffers appends its winners as one sorted run, and the
+// merges emit one run per left candidate or group pair. The sort is
+// stable, so of candidates equal in every compared field the one earlier
+// in the input survives. No maps, no per-group slices, no allocation
+// with warm scratch; the returned slice aliases the input.
 func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if len(list) <= 1 {
 		return list, nil
 	}
-	countIndexed := opts.countIndexed
-	slices.SortFunc(list, func(a, b vgCand) int {
-		if countIndexed && a.cost != b.cost {
-			return cmp.Compare(a.cost, b.cost)
-		}
-		if a.pol != b.pol {
-			return cmp.Compare(a.pol, b.pol)
-		}
-		if a.load != b.load {
-			return firstIf(a.load < b.load)
-		}
-		if a.q != b.q {
-			return firstIf(a.q > b.q)
-		}
-		// Total-order tiebreakers: dominance-relevant fields first, so
-		// equal (load, q) candidates survive in a deterministic order.
-		if a.down != b.down {
-			return firstIf(a.down < b.down)
-		}
-		if a.ns != b.ns {
-			return firstIf(a.ns > b.ns)
-		}
-		if a.cost != b.cost {
-			return cmp.Compare(a.cost, b.cost)
-		}
-		return cmp.Compare(a.nbuf, b.nbuf)
-	})
+	sc := opts.scratch
+	if sc == nil {
+		sc = &nodeScratch{}
+	}
+	sc.sortCands(list, opts.countIndexed)
 
 	sameGroup := func(a, b *vgCand) bool {
 		if a.pol != b.pol {

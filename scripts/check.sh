@@ -2,8 +2,9 @@
 # The tier-1 verification gate (see ROADMAP.md): format, vet, build, and
 # the full test suite under the race detector, once — for the root module
 # and for the nested benchmark module (benchmark/, its own go.mod), which
-# the root `./...` does not reach. One iteration of every root-package
-# benchmark (bench_test.go) runs too, so a broken benchmark fails here
+# the root `./...` does not reach. One iteration of every benchmark in the
+# root package (bench_test.go) and in internal/core (BenchmarkPruneVG,
+# BenchmarkBuffOptScaling) runs too, so a broken benchmark fails here
 # instead of going unnoticed. The long soaks stay behind their make
 # targets (make soak, fleetsoak, tracesoak, restartsoak, ecosoak). Run from
 # the repository root.
@@ -28,8 +29,8 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== go test -run '^\$' -bench . -benchtime 1x ."
-go test -run '^$' -bench . -benchtime 1x .
+echo "== go test -run '^\$' -bench . -benchtime 1x . ./internal/core"
+go test -run '^$' -bench . -benchtime 1x . ./internal/core
 
 echo "== go -C benchmark vet ./..."
 go -C benchmark vet ./...
