@@ -120,49 +120,6 @@ func sinkName(t *rctree.Tree, s rctree.NodeID) string {
 	return fmt.Sprintf("node%d", s)
 }
 
-// Topology renders the tree structure as an indented outline: one node
-// per line with its wire parasitics, any inserted buffer, and sink
-// electricals — the quick visual a designer wants when a report row looks
-// suspicious.
-func Topology(w io.Writer, t *rctree.Tree, assign map[rctree.NodeID]buffers.Buffer) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	var walk func(v rctree.NodeID, depth int) error
-	walk = func(v rctree.NodeID, depth int) error {
-		n := t.Node(v)
-		indent := ""
-		for i := 0; i < depth; i++ {
-			indent += "  "
-		}
-		var line string
-		switch n.Kind {
-		case rctree.Source:
-			line = fmt.Sprintf("%ssource %s (driver R=%.0f Ω)", indent, n.Name, t.DriverResistance)
-		case rctree.Sink:
-			line = fmt.Sprintf("%s└ sink %s  wire R=%.0f C=%.1ffF L=%.3fmm  cap=%.1ffF nm=%.2fV",
-				indent, sinkName(t, v), n.Wire.R, n.Wire.C*1e15, n.Wire.Length*1e3,
-				n.Cap*1e15, n.NoiseMargin)
-		default:
-			line = fmt.Sprintf("%s├ node %d  wire R=%.0f C=%.1ffF L=%.3fmm",
-				indent, v, n.Wire.R, n.Wire.C*1e15, n.Wire.Length*1e3)
-		}
-		if b, ok := assign[v]; ok {
-			line += fmt.Sprintf("  [%s]", b.Name)
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(t.Root(), 0)
-}
-
 // Compare renders a before/after pair for one net, the shape used by
 // cmd/buffopt.
 func Compare(w io.Writer, before, after *rctree.Tree,

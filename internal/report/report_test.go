@@ -123,34 +123,3 @@ func TestWriteRejectsInvalid(t *testing.T) {
 		t.Errorf("invalid tree accepted")
 	}
 }
-
-func TestTopology(t *testing.T) {
-	tr := buildNet(t)
-	work := tr.Clone()
-	if _, err := segment.ByLength(work, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Optimize(context.Background(), core.Problem{
-		Tree: work, Library: buffers.DefaultLibrary(0.8), Params: p, Objective: core.MinBuffersNoise,
-	}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := Topology(&sb, res.Tree, res.Buffers); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"source demo", "sink far", "sink near", "["} {
-		if !strings.Contains(out, want) {
-			t.Errorf("topology missing %q:\n%s", want, out)
-		}
-	}
-	// One line per node.
-	if got := strings.Count(out, "\n"); got != res.Tree.Len() {
-		t.Errorf("topology has %d lines for %d nodes", got, res.Tree.Len())
-	}
-	if err := Topology(&sb, rctree.New("bad", 1, 0), nil); err == nil {
-		t.Errorf("invalid tree accepted")
-	}
-}

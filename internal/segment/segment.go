@@ -19,15 +19,50 @@ import (
 	"math"
 	"sort"
 
+	"buffopt/internal/guard"
 	"buffopt/internal/rctree"
 )
 
+// MaxNodes caps the tree ByLength builds. It equals the net format's
+// default node limit (netfmt.Limits), so segmenting never grows a net past
+// what a net file may carry, and a tiny max length is refused before it
+// allocates anything.
+const MaxNodes = 1 << 20
+
+// Size returns the node count t would have after ByLength(t, maxLen). It
+// counts in float64, so a max length far below the wire lengths gives a
+// huge or infinite count rather than an overflowed int.
+func Size(t *rctree.Tree, maxLen float64) float64 {
+	n := float64(t.Len())
+	for id := 0; id < t.Len(); id++ {
+		if v := rctree.NodeID(id); v != t.Root() {
+			n += pieces(t.Node(v).Wire.Length, maxLen) - 1
+		}
+	}
+	return n
+}
+
+// pieces is the number of equal pieces, none longer than maxLen, that a
+// wire of length l splits into.
+func pieces(l, maxLen float64) float64 {
+	if l <= maxLen {
+		return 1
+	}
+	return math.Ceil(l / maxLen)
+}
+
 // ByLength splits, in place, every wire of t longer than maxLen into equal
 // pieces no longer than maxLen. New internal nodes are legal buffer sites.
-// It returns the number of nodes added.
+// It returns the number of nodes added. A split that would grow t past
+// MaxNodes is refused with an error wrapping guard.ErrBudgetExceeded, and
+// t is left as it was.
 func ByLength(t *rctree.Tree, maxLen float64) (int, error) {
 	if maxLen <= 0 || math.IsNaN(maxLen) {
 		return 0, fmt.Errorf("segment: max length %g must be positive", maxLen)
+	}
+	if n := Size(t, maxLen); n > MaxNodes {
+		return 0, fmt.Errorf("segment: max length %g would grow the tree to %g nodes (cap %d): %w",
+			maxLen, n, MaxNodes, guard.ErrBudgetExceeded)
 	}
 	added := 0
 	// Only iterate the original nodes: splitting v's wire produces pieces
@@ -39,43 +74,11 @@ func ByLength(t *rctree.Tree, maxLen float64) (int, error) {
 		if v == t.Root() {
 			continue
 		}
-		l := t.Node(v).Wire.Length
-		if l <= maxLen {
+		k := int(pieces(t.Node(v).Wire.Length, maxLen))
+		if k == 1 {
 			continue
 		}
-		k := int(math.Ceil(l / maxLen))
 		n, err := chain(t, v, k)
-		if err != nil {
-			return added, err
-		}
-		added += n
-	}
-	return added, nil
-}
-
-// ByCap splits, in place, every wire whose capacitance exceeds maxCap
-// into equal pieces at or under that capacitance. Because the noise
-// injected by a wire is proportional to its capacitance (eq. 6), a
-// capacitance bound places candidate sites densely exactly where the
-// noise budget is spent fastest — the kind of problem-specific segmenting
-// footnote 3 of the paper anticipates. It returns the number of nodes
-// added.
-func ByCap(t *rctree.Tree, maxCap float64) (int, error) {
-	if maxCap <= 0 || math.IsNaN(maxCap) {
-		return 0, fmt.Errorf("segment: max capacitance %g must be positive", maxCap)
-	}
-	added := 0
-	orig := t.Len()
-	for id := 0; id < orig; id++ {
-		v := rctree.NodeID(id)
-		if v == t.Root() {
-			continue
-		}
-		c := t.Node(v).Wire.C
-		if c <= maxCap || t.Node(v).Wire.Length == 0 {
-			continue
-		}
-		n, err := chain(t, v, int(math.Ceil(c/maxCap)))
 		if err != nil {
 			return added, err
 		}

@@ -1,10 +1,12 @@
 package segment
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"buffopt/internal/guard"
 	"buffopt/internal/noise"
 	"buffopt/internal/rctree"
 )
@@ -24,6 +26,9 @@ func approx(a, b float64) bool {
 
 func TestByLength(t *testing.T) {
 	tr := line(t, 10)
+	if got := Size(tr, 3); got != 5 {
+		t.Errorf("Size = %g, want 5", got)
+	}
 	added, err := ByLength(tr, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -67,46 +72,19 @@ func TestByLength(t *testing.T) {
 	}
 }
 
-func TestByCap(t *testing.T) {
-	// 10-unit line with C = 2/unit → 20 total; maxCap 6 → 4 pieces.
-	tr := line(t, 10)
-	added, err := ByCap(tr, 6)
-	if err != nil || added != 3 {
-		t.Fatalf("added=%d err=%v, want 3", added, err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range tr.Preorder() {
-		if v == tr.Root() {
-			continue
+// TestByLengthRefusesHugeSplits: a max length so small that the segmented
+// tree would pass MaxNodes is refused before any split, including a
+// subnormal one whose piece count overflows to +Inf.
+func TestByLengthRefusesHugeSplits(t *testing.T) {
+	for _, maxLen := range []float64{5e-324, 1e-12} {
+		tr := line(t, 1e-3)
+		n := tr.Len()
+		if _, err := ByLength(tr, maxLen); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("ByLength(%g): err = %v, want ErrBudgetExceeded", maxLen, err)
 		}
-		if c := tr.Node(v).Wire.C; c > 6+1e-12 {
-			t.Errorf("piece capacitance %g over bound", c)
+		if tr.Len() != n {
+			t.Fatalf("ByLength(%g) grew the tree to %d nodes", maxLen, tr.Len())
 		}
-	}
-	if got := tr.TotalWireCap(); !approx(got, 20) {
-		t.Errorf("capacitance changed: %g", got)
-	}
-	// Under-bound wires untouched; bad bounds rejected.
-	tr2 := line(t, 1)
-	if added, err := ByCap(tr2, 6); err != nil || added != 0 {
-		t.Errorf("small wire split: %d, %v", added, err)
-	}
-	if _, err := ByCap(tr2, 0); err == nil {
-		t.Errorf("zero bound accepted")
-	}
-	if _, err := ByCap(tr2, math.NaN()); err == nil {
-		t.Errorf("NaN bound accepted")
-	}
-	// A zero-length but capacitive wire cannot be subdivided; it is left
-	// alone rather than erroring.
-	lumped := rctree.New("l", 1, 0)
-	if _, err := lumped.AddSink(lumped.Root(), rctree.Wire{R: 1, C: 100}, "s", 1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if added, err := ByCap(lumped, 6); err != nil || added != 0 {
-		t.Errorf("lumped wire: %d, %v", added, err)
 	}
 }
 

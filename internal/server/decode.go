@@ -17,6 +17,7 @@ import (
 	"buffopt/internal/netfmt"
 	"buffopt/internal/noise"
 	"buffopt/internal/rctree"
+	"buffopt/internal/segment"
 )
 
 // solveRequest is one decoded, validated request, ready for the worker.
@@ -159,6 +160,19 @@ func (s *Server) finishDecode(req *solveRequest, netText io.Reader) (*solveReque
 		return nil, invalidf("net failed validation: %v", err)
 	}
 	req.tree = tr
+	// A seglen that would segment the net past the node limit is
+	// oversized input: refused here, before any split, rather than as a
+	// solve-time budget failure from segment.ByLength's own cap.
+	if req.segLen > 0 {
+		limit := s.cfg.Limits.MaxNodes
+		if limit <= 0 || limit > segment.MaxNodes {
+			limit = segment.MaxNodes
+		}
+		if n := segment.Size(tr, req.segLen); n > float64(limit) {
+			return nil, fmt.Errorf("server: seglen %g would segment the net to %g nodes (cap %d): %w",
+				req.segLen, n, limit, guard.ErrBudgetExceeded)
+		}
+	}
 	return req, s.clampAndCheck(req)
 }
 

@@ -17,7 +17,6 @@ import (
 	"buffopt/internal/netfmt"
 	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
-	"buffopt/internal/segment"
 )
 
 // DeltaResponse is the 200 body of POST /solve/delta: the solve answer
@@ -226,14 +225,9 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 // store — the caller registers it only after its first solve succeeds,
 // so a create killed by a fault or a budget never orphans a store slot.
 func (s *Server) createSession(req *deltaRequest) (*serverSession, error) {
-	work := req.create.tree.Clone()
-	if req.create.segLen > 0 {
-		if _, err := segment.ByLength(work, req.create.segLen); err != nil {
-			return nil, err
-		}
-		if _, err := work.InsertBelow(work.Root()); err != nil {
-			return nil, err
-		}
+	work, err := s.workTree(req.create)
+	if err != nil {
+		return nil, err
 	}
 	work.Binarize()
 	sess, err := core.NewSession(core.Problem{

@@ -246,14 +246,9 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 	if faultinject.Take(ctx, faultinject.FaultPanic) {
 		panic(faultinject.ErrInjected)
 	}
-	work := req.tree.Clone()
-	if req.segLen > 0 {
-		if _, err := segment.ByLength(work, req.segLen); err != nil {
-			return nil, err
-		}
-		if _, err := work.InsertBelow(work.Root()); err != nil {
-			return nil, err
-		}
+	work, err := s.workTree(req)
+	if err != nil {
+		return nil, err
 	}
 	b := guard.New(ctx)
 	b.MaxCandidates = req.maxCands
@@ -275,6 +270,22 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 	// Objective answers have no ladder: they are exact by construction,
 	// wrapped so the response/caching path is uniform.
 	return &core.SolveResult{Result: res, Tier: core.TierExact}, nil
+}
+
+// workTree is the tree a request is solved on: a clone of the posted net,
+// segmented to the request's seglen with a buffer site inserted below the
+// driver.
+func (s *Server) workTree(req *solveRequest) (*rctree.Tree, error) {
+	work := req.tree.Clone()
+	if req.segLen > 0 {
+		if _, err := segment.ByLength(work, req.segLen); err != nil {
+			return nil, err
+		}
+		if _, err := work.InsertBelow(work.Root()); err != nil {
+			return nil, err
+		}
+	}
+	return work, nil
 }
 
 // buildResponse shapes a SolveResult for the wire.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"buffopt/internal/faultinject"
+	"buffopt/internal/netfmt"
 	"buffopt/internal/obs"
 )
 
@@ -430,5 +431,27 @@ func TestTimeoutClamp(t *testing.T) {
 	}
 	if !sr.Degraded {
 		t.Fatalf("an hour-long stall inside a 150ms budget must degrade, got %+v", sr)
+	}
+}
+
+// TestSeglenPastNodeLimitIsRefused: a seglen that would segment the net
+// past the node limit is a 413 on /solve and on a /solve/delta create,
+// answered before any split. A configured limit refuses a seglen that
+// segment's own cap would allow; with no limit configured, that cap
+// refuses 1e-12, a billion-fold split of the net's 8.5 mm of wire.
+func TestSeglenPastNodeLimitIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		maxNodes int
+		seglen   string
+	}{{64, "1e-4"}, {0, "1e-12"}} {
+		_, ts := newTestServer(t, Config{Limits: netfmt.Limits{MaxNodes: tc.maxNodes}})
+		body := fmt.Sprintf(`{"v": 2, "net": %s, "options": {"seglen": %s}}`, mustJSON(t, sampleNet), tc.seglen)
+		for _, path := range []string{"/solve", "/solve/delta"} {
+			resp, b := postNet(t, ts, path, "application/json", body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("max nodes %d, seglen %s, %s: status = %d, want 413; body %s",
+					tc.maxNodes, tc.seglen, path, resp.StatusCode, b)
+			}
+		}
 	}
 }
