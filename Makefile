@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the tier-1 gate (ROADMAP.md).
 
-.PHONY: build test check difftest enginetest fuzz enginefuzz soak fleetsoak tracesoak restartsoak ecosoak
+.PHONY: build test check loc difftest enginetest fuzz enginefuzz soak fleetsoak tracesoak restartsoak ecosoak
 
 build:
 	go build ./...
@@ -10,6 +10,12 @@ test:
 
 check:
 	sh scripts/check.sh
+
+# Go line counts, non-test and test, excluding the nested benchmark
+# module: the before/after figures each change reports in CHANGES.md.
+loc:
+	@printf 'non-test %s\n' "$$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 
 # Differential/determinism gate on the parallel dynamic program and the
 # batch endpoint: serial-vs-parallel bit identity over the seeded corpus,

@@ -219,22 +219,33 @@ func BenchmarkSolveUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCached measures a cache hit: the canonical hash of the
-// problem plus one deep copy of the stored result, no DP at all.
+// BenchmarkSolveCached measures a cache hit on the path bufferd runs:
+// the canonical hash of the problem (SolveCacheKey) plus one deep copy of
+// the stored result, no DP at all.
 func BenchmarkSolveCached(b *testing.B) {
 	tr, lib, p := benchNet(b)
 	c := core.NewSolveCache(64, 0, "bench")
-	if _, err := core.Solve(context.Background(), tr, lib, p, core.Options{Cache: c}); err != nil {
+	solve := func() (*core.SolveResult, bool, error) {
+		res, err := core.Solve(context.Background(), tr, lib, p, core.Options{})
+		if err != nil {
+			return nil, false, err
+		}
+		return res, core.Cacheable(res), nil
+	}
+	key := func() string {
+		return core.SolveCacheKey(core.Problem{Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise}, core.Options{})
+	}
+	if _, _, err := c.Do(context.Background(), key(), solve); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(context.Background(), tr, lib, p, core.Options{Cache: c})
+		_, out, err := c.Do(context.Background(), key(), solve)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Cached {
+		if !out.Hit {
 			b.Fatal("prewarmed solve missed the cache")
 		}
 	}

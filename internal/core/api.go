@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
-	"buffopt/internal/noise"
+	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
 )
 
@@ -28,12 +29,6 @@ type Options struct {
 	// guard.ErrBudgetExceeded; the input tree is never modified either
 	// way.
 	Budget *guard.Budget
-	// Cache, when non-nil, memoizes whole-net Solve results by canonical
-	// problem hash: repeated identical requests return a deep copy of the
-	// first answer, and concurrent identical requests coalesce onto one
-	// ladder run. Only Solve consults it (the cache key covers Solve's
-	// degradation behavior); Optimize and Delta ignore it.
-	Cache *SolveCache
 
 	// dp forces the dynamic program's merge path and worker pool, which
 	// are otherwise chosen from the problem (see dpOverride). Unexported:
@@ -112,42 +107,64 @@ type Result struct {
 	Cost int
 }
 
-// buffOpt solves Problem 2 (Optimize with MaxSlackNoise): maximize the
-// slack at the source subject to every noise constraint (Algorithm 3,
-// Section IV; optimal for a single buffer type per Theorem 5). It returns
-// ErrNoiseUnfixable (wrapped) when no buffer assignment satisfies the
-// noise constraints.
-func buffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
+// solveProblem is core's one objective dispatch. The paper's five tool
+// configurations are one Algorithm 3 with switches: the noise checks are
+// on unless the objective is MaxSlack, and the candidate lists are
+// count-indexed (Lillis [18]) when MaxBuffers is set or the objective is
+// MinBuffersNoise. MinBuffersNoise searches the count (minBuffers); the
+// other objectives answer with the best slack within the count bound.
+// Optimize, Delta and Solve's DP tiers all run through here, under a
+// span named span. Inputs are pre-validated.
+//
+// The budget is reconciled against the caller's ctx (not the span's
+// child context) so callers keep their exact Budget object and its usage
+// marks; the trace still reaches the inner loops because the budget's
+// context carries the caller's span chain.
+func solveProblem(ctx context.Context, span string, p Problem, opts Options) (*Result, error) {
+	opts.Budget = budgetFor(ctx, opts.Budget)
+	_, sp := obs.Span(ctx, span)
+	sp.SetAttr("objective", p.Objective.String())
+	defer sp.End()
+
 	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
-	cands, err := runVG(t, lib, vo)
+	if vo.noise = p.Objective != MaxSlack; vo.noise {
+		vo.params = p.Params
+	}
+	if p.Objective == MinBuffersNoise {
+		return minBuffers(p.Tree, p.Library, vo)
+	}
+	k := math.MaxInt
+	if p.MaxBuffers != nil {
+		k = *p.MaxBuffers
+		vo.countIndexed = true
+		vo.maxBuffers = k
+	}
+	cands, err := runVG(p.Tree, p.Library, vo)
 	if err != nil {
 		return nil, err
 	}
-	best, ok := maxSlack(cands, math.MaxInt)
+	best, ok := maxSlack(cands, k)
 	if !ok {
-		return nil, fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
+		if vo.noise {
+			return nil, fmt.Errorf("core: %s found no noise-feasible solution: %w", p.Objective, ErrNoiseUnfixable)
+		}
+		return nil, fmt.Errorf("core: %s produced no candidates", p.Objective)
 	}
-	return finishVG(t, best, vo)
+	return finishVG(p.Tree, best, vo)
 }
 
-// buffOptMinBuffers solves Problem 3 (Optimize with MinBuffersNoise), the
-// Section V BuffOpt tool built on the Lillis buffer-count-indexed lists.
-// Buffer counts are explored by iterative deepening (caps 2, 4, 8, …): a
-// feasible solution found under cap m is count-minimal outright, because
-// every smaller count was also explored, and most nets resolve at the
-// first cap — which keeps BuffOpt's candidate lists shorter than
-// DelayOpt(k)'s, the run-time effect Section V reports. When no count
-// achieves non-negative slack, the noise-feasible solution with maximum
-// slack is returned: noise constraints are hard, timing is maximized.
-func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
+// minBuffers answers MinBuffersNoise (Problem 3), the Section V BuffOpt
+// tool built on the Lillis buffer-count-indexed lists. Buffer counts are
+// explored by iterative deepening (caps 2, 4, 8, …): a feasible solution
+// found under cap m is count-minimal outright, because every smaller
+// count was also explored, and most nets resolve at the first cap — which
+// keeps BuffOpt's candidate lists shorter than DelayOpt(k)'s, the
+// run-time effect Section V reports. When no count achieves non-negative
+// slack, the noise-feasible solution with maximum slack is returned:
+// noise constraints are hard, timing is maximized.
+func minBuffers(t *rctree.Tree, lib *buffers.Library, vo vgOptions) (*Result, error) {
 	const hardCap = 64
-	var lastErr error
 	var fallback *vgCand
-	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
 	vo.countIndexed = true
 	for limit := 2; limit <= hardCap; limit *= 2 {
 		vo.maxBuffers = limit
@@ -155,20 +172,11 @@ func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opt
 		if err != nil {
 			return nil, err
 		}
-		if len(cands) == 0 {
-			lastErr = fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
-			continue
-		}
-		// cands is sorted by ascending cost; the first candidate with
-		// non-negative slack is the cost-minimal feasible solution.
-		bestPerCount := map[int]vgCand{}
+		// runVG returns cost ascending, slack descending within a cost:
+		// the first candidate with non-negative slack is the cost-minimal
+		// feasible solution with the best slack at that cost.
 		for _, c := range cands {
-			if cur, ok := bestPerCount[c.cost]; !ok || c.q > cur.q {
-				bestPerCount[c.cost] = c
-			}
-		}
-		for k := 0; k <= maxKey(bestPerCount); k++ {
-			if c, ok := bestPerCount[k]; ok && c.q >= 0 {
+			if c.q >= 0 {
 				return finishVG(t, c, vo)
 			}
 		}
@@ -177,75 +185,15 @@ func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opt
 		// once extra headroom no longer improves anything.
 		if c, ok := maxSlack(cands, math.MaxInt); ok {
 			if fallback != nil && c.q <= fallback.q {
-				lastErr = nil
 				break
 			}
-			cc := c
-			fallback = &cc
+			fallback = &c
 		}
-		lastErr = nil
 	}
 	if fallback != nil {
 		return finishVG(t, *fallback, vo)
 	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
-}
-
-// delayOpt is the Section V baseline (Optimize with MaxSlack): Van
-// Ginneken's algorithm with the Lillis extensions but no noise
-// constraints — Algorithm 3 without the boldface modifications.
-func delayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
-	}
-	best, ok := maxSlack(cands, math.MaxInt)
-	if !ok {
-		return nil, fmt.Errorf("core: DelayOpt produced no candidates")
-	}
-	return finishVG(t, best, vo)
-}
-
-// delayOptK is DelayOpt(k) of Section V: the best slack achievable with
-// at most k buffers, via buffer-count-indexed candidate lists. It assumes
-// k ≥ 0 (Problem.Validate rejected negatives).
-func delayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	vo.countIndexed = true
-	vo.maxBuffers = k
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
-	}
-	best, ok := maxSlack(cands, k)
-	if !ok {
-		return nil, fmt.Errorf("core: DelayOpt(%d) produced no candidates", k)
-	}
-	return finishVG(t, best, vo)
-}
-
-// buffOptK returns the noise-feasible solution with the best slack using at
-// most k buffers (Optimize with MaxSlackNoise and MaxBuffers). It assumes
-// k ≥ 0 (Problem.Validate rejected negatives).
-func buffOptK(t *rctree.Tree, lib *buffers.Library, p noise.Params, k int, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
-	vo.countIndexed = true
-	vo.maxBuffers = k
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
-	}
-	best, ok := maxSlack(cands, k)
-	if !ok {
-		return nil, fmt.Errorf("core: BuffOpt(%d) found no noise-feasible solution: %w", k, ErrNoiseUnfixable)
-	}
-	return finishVG(t, best, vo)
+	return nil, fmt.Errorf("core: %s found no noise-feasible solution: %w", MinBuffersNoise, ErrNoiseUnfixable)
 }
 
 // maxSlack picks the candidate with the largest slack among those of
@@ -263,16 +211,6 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 		}
 	}
 	return best, found
-}
-
-func maxKey(m map[int]vgCand) int {
-	max := 0
-	for k := range m {
-		if k > max {
-			max = k
-		}
-	}
-	return max
 }
 
 // finishVG materializes a chosen candidate into a Result with a private

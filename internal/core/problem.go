@@ -12,7 +12,6 @@ import (
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
 	"buffopt/internal/noise"
-	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
 )
 
@@ -125,6 +124,9 @@ func (p Problem) Validate() error {
 // reaches the inner loops; when opts.Budget already carries ctx, it is
 // used as-is, preserving the caller's usage high-water marks.
 //
+// The answer passes core's answer gate (see gate): one that fails the
+// post-conditions returns an error wrapping guard.ErrInternal.
+//
 // Validation failures wrap guard.ErrInvalidInput. For graceful
 // degradation under deadline pressure, use Solve, which runs the
 // MinBuffersNoise objective down a ladder of weaker engines; Optimize
@@ -133,35 +135,14 @@ func Optimize(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// The budget is reconciled against the caller's original ctx (not the
-	// span's child context) so callers keep their exact Budget object and
-	// its usage marks; the trace still reaches the inner loops because the
-	// budget's context carries the caller's span chain.
-	opts.Budget = budgetFor(ctx, opts.Budget)
-	_, sp := obs.Span(ctx, "optimize")
-	sp.SetAttr("objective", p.Objective.String())
-	defer sp.End()
-	switch p.Objective {
-	case MaxSlack:
-		if p.MaxBuffers != nil {
-			return delayOptK(p.Tree, p.Library, *p.MaxBuffers, opts)
-		}
-		return delayOpt(p.Tree, p.Library, opts)
-	case MaxSlackNoise:
-		if p.MaxBuffers != nil {
-			return buffOptK(p.Tree, p.Library, p.Params, *p.MaxBuffers, opts)
-		}
-		return buffOpt(p.Tree, p.Library, p.Params, opts)
-	default: // MinBuffersNoise; Validate rejected everything else
-		return buffOptMinBuffers(p.Tree, p.Library, p.Params, opts)
-	}
+	return gate(ctx, func() (*Result, error) { return solveProblem(ctx, "optimize", p, opts) })
 }
 
 // budgetFor reconciles the caller's context with the caller's budget.
 // When the budget already carries ctx — including the nil-budget,
 // background-context pairing — it is returned unchanged, so callers keep
 // their exact Budget object (and its usage marks). Otherwise a fresh
-// budget bound to ctx is built, copying the resource caps.
+// budget bound to ctx is built with the same resource caps.
 func budgetFor(ctx context.Context, b *guard.Budget) *guard.Budget {
 	if ctx == nil {
 		ctx = context.Background()
@@ -169,13 +150,19 @@ func budgetFor(ctx context.Context, b *guard.Budget) *guard.Budget {
 	if ctx == b.Context() {
 		return b
 	}
-	nb := guard.New(ctx)
-	if b != nil {
-		nb.MaxCandidates = b.MaxCandidates
-		nb.MaxTreeNodes = b.MaxTreeNodes
-		nb.MaxSimSteps = b.MaxSimSteps
+	return withCaps(ctx, b)
+}
+
+// withCaps builds a budget bound to ctx carrying caps' resource caps
+// (none when caps is nil). It is core's one copy of the caps.
+func withCaps(ctx context.Context, caps *guard.Budget) *guard.Budget {
+	b := guard.New(ctx)
+	if caps != nil {
+		b.MaxCandidates = caps.MaxCandidates
+		b.MaxTreeNodes = caps.MaxTreeNodes
+		b.MaxSimSteps = caps.MaxSimSteps
 	}
-	return nb
+	return b
 }
 
 // hashVersion prefixes every canonical hash; bump it whenever the

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 
 	"buffopt/internal/buffers"
@@ -13,110 +17,69 @@ import (
 
 // TestOptimizeMatchesLegacyEntryPoints is the dispatch gate: for each of
 // the paper's five tool configurations (BuffOpt, BuffOpt(k), DelayOpt,
-// DelayOpt(k), the minimum-buffer BuffOpt), calling Optimize with the
-// corresponding Problem produces bit-identical results (slack bits, cost,
-// placements, widths) to calling the implementation directly, across the
-// differential corpus — a wrong objective/bound branch in Optimize
-// cannot hide.
+// DelayOpt(k), the minimum-buffer BuffOpt), plus BuffOpt under safe
+// pruning and under wire sizing, Optimize's answer on every net of the
+// differential corpus hashes to the digest recorded in
+// testdata/dispatch_digests.json — the answers of the per-configuration
+// runners that the one objective dispatch replaced. A digest covers the
+// slack bits, cost, placements and widths (or the error class), so a
+// wrong objective/bound switch cannot hide. Short mode checks the first
+// eight nets.
 func TestOptimizeMatchesLegacyEntryPoints(t *testing.T) {
-	n := 16
-	if testing.Short() {
-		n = 8
+	raw, err := os.ReadFile("testdata/dispatch_digests.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	nets, lib, p := diffCorpus(t, n)
+	var want map[string][]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	nets, lib, p := diffCorpus(t, 16)
 	k := 8
 
 	cases := []struct {
 		name    string
-		problem func(tr *rctree.Tree) Problem
+		problem Problem
 		opts    Options
-		direct  func(tr *rctree.Tree, opts Options) (*Result, error)
 	}{
-		{
-			name: "BuffOpt",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
-			},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return buffOpt(tr, lib, p, opts)
-			},
-		},
-		{
-			name: "BuffOptK",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}
-			},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return buffOptK(tr, lib, p, k, opts)
-			},
-		},
-		{
-			name: "DelayOpt",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Objective: MaxSlack}
-			},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return delayOpt(tr, lib, opts)
-			},
-		},
-		{
-			name: "DelayOptK",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: &k}
-			},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return delayOptK(tr, lib, k, opts)
-			},
-		},
-		{
-			name: "BuffOptMinBuffers",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}
-			},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return buffOptMinBuffers(tr, lib, p, opts)
-			},
-		},
-		{
-			name: "BuffOpt/safe-pruning",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
-			},
-			opts: Options{SafePruning: true},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return buffOpt(tr, lib, p, opts)
-			},
-		},
-		{
-			name: "BuffOpt/sizing",
-			problem: func(tr *rctree.Tree) Problem {
-				return Problem{Tree: tr, Library: lib, Params: p, Objective: MaxSlackNoise}
-			},
-			opts: Options{Sizing: &Sizing{Widths: []float64{1, 2, 4}}},
-			direct: func(tr *rctree.Tree, opts Options) (*Result, error) {
-				return buffOpt(tr, lib, p, opts)
-			},
-		},
+		{"BuffOpt", Problem{Library: lib, Params: p, Objective: MaxSlackNoise}, Options{}},
+		{"BuffOptK", Problem{Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}, Options{}},
+		{"DelayOpt", Problem{Library: lib, Objective: MaxSlack}, Options{}},
+		{"DelayOptK", Problem{Library: lib, Objective: MaxSlack, MaxBuffers: &k}, Options{}},
+		{"BuffOptMinBuffers", Problem{Library: lib, Params: p, Objective: MinBuffersNoise}, Options{}},
+		{"BuffOpt/safe-pruning", Problem{Library: lib, Params: p, Objective: MaxSlackNoise},
+			Options{SafePruning: true}},
+		{"BuffOpt/sizing", Problem{Library: lib, Params: p, Objective: MaxSlackNoise},
+			Options{Sizing: &Sizing{Widths: []float64{1, 2, 4}}}},
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("digest file has %d cases, the test %d", len(want), len(cases))
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			profNets := nets
-			if tc.opts.Sizing != nil && len(profNets) > 6 {
-				profNets = profNets[:6]
+			digests := want[tc.name]
+			n := len(nets)
+			if tc.opts.Sizing != nil {
+				n = 6
 			}
-			for i, tr := range profNets {
-				want, wantErr := tc.direct(tr, tc.opts)
-				got, gotErr := Optimize(context.Background(), tc.problem(tr), tc.opts)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("net %d: direct err %v, Optimize err %v", i, wantErr, gotErr)
+			if len(digests) != n {
+				t.Fatalf("digest file has %d nets, want %d", len(digests), n)
+			}
+			if testing.Short() {
+				n = min(n, 8)
+			}
+			for i, tr := range nets[:n] {
+				pr := tc.problem
+				pr.Tree = tr
+				res, err := Optimize(context.Background(), pr, tc.opts)
+				b := []byte("error:" + guard.Class(err))
+				if err == nil {
+					b = resultJSON(t, res)
 				}
-				if wantErr != nil {
-					continue
-				}
-				wb, gb := resultJSON(t, want), resultJSON(t, got)
-				if string(wb) != string(gb) {
-					t.Fatalf("net %d: results differ:\ndirect   %s\noptimize %s", i, wb, gb)
+				sum := sha256.Sum256(b)
+				if got := hex.EncodeToString(sum[:8]); got != digests[i] {
+					t.Errorf("net %d: answer digest %s, recorded %s (%s)", i, got, digests[i], b)
 				}
 			}
 		})

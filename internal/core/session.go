@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"buffopt/internal/cache"
-	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
 	"sync"
 )
@@ -280,8 +279,7 @@ type DeltaResult struct {
 // the applied edits — the session stays consistent and a later Delta
 // with an empty edit list retries the solve.
 //
-// opts follows Optimize's contract; Options.Cache is ignored (the
-// session's memo is the cache here).
+// opts follows Optimize's contract, and the answer passes the same gate.
 func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaResult, error) {
 	if s == nil {
 		return nil, invalid(errors.New("core: Delta on a nil session"))
@@ -312,29 +310,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 
 	run := &memoRun{table: s.memo, hashes: s.hashes}
 	opts.memo = run
-	opts.Budget = budgetFor(ctx, opts.Budget)
-	_, sp := obs.Span(ctx, "delta")
-	sp.SetAttr("objective", s.p.Objective.String())
-	defer sp.End()
-
-	p := s.p
-	var res *Result
-	switch p.Objective {
-	case MaxSlack:
-		if p.MaxBuffers != nil {
-			res, err = delayOptK(p.Tree, p.Library, *p.MaxBuffers, opts)
-		} else {
-			res, err = delayOpt(p.Tree, p.Library, opts)
-		}
-	case MaxSlackNoise:
-		if p.MaxBuffers != nil {
-			res, err = buffOptK(p.Tree, p.Library, p.Params, *p.MaxBuffers, opts)
-		} else {
-			res, err = buffOpt(p.Tree, p.Library, p.Params, opts)
-		}
-	default: // MinBuffersNoise; NewSession validated the objective
-		res, err = buffOptMinBuffers(p.Tree, p.Library, p.Params, opts)
-	}
+	res, err := gate(ctx, func() (*Result, error) { return solveProblem(ctx, "delta", s.p, opts) })
 	if err != nil {
 		return nil, err
 	}

@@ -123,11 +123,11 @@ type SolveResult struct {
 	// including elapsed time and budget usage. Empty when Tier ==
 	// TierExact.
 	TierErrors []*TierError
-	// Cached reports that this result was served from Options.Cache
-	// without running the ladder. Cached results are bit-identical to
-	// what a fresh solve would have produced (the solver is
-	// deterministic); the flag exists for telemetry and API responses,
-	// not correctness.
+	// Cached reports that this result was served from a SolveCache
+	// without running the ladder; Solve itself never sets it. Cached
+	// results are bit-identical to what a fresh solve would have
+	// produced (the solver is deterministic); the flag exists for
+	// telemetry and API responses, not correctness.
 	Cached bool
 	// Coalesced reports that this request missed the cache but shared a
 	// concurrent identical request's solve instead of running its own.
@@ -191,38 +191,8 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 		return nil, err
 	}
 
-	if opts.Cache == nil {
-		return solveLadder(ctx, t, lib, p, opts)
-	}
-	// Cached mode: the ladder runs as the fill of a coalescing cache
-	// lookup. The key covers everything that steers the output —
-	// canonical problem hash, output-affecting options, resource caps
-	// (budget classes cache separately) — and excludes deadlines, which
-	// never change the bytes of a stored result: only
-	// deterministically-degraded or exact results are stored (see
-	// cacheable). Concurrent identical requests share one ladder run.
-	key := SolveCacheKey(Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
-	res, out, err := opts.Cache.Do(ctx, key, func() (*SolveResult, bool, error) {
-		r, err := solveLadder(ctx, t, lib, p, opts)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, Cacheable(r), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Cached = out.Hit
-	res.Coalesced = out.Coalesced
-	return res, nil
-}
-
-// solveLadder is Solve's degradation ladder, separated so the cache can
-// run it as a fill function. Inputs are pre-validated.
-func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*SolveResult, error) {
 	type tierFn func(b *guard.Budget) (*Result, error)
 
-	exactOpts := opts
 	cappedOpts := opts
 	cappedOpts.SafePruning = false // the 4D dominance scan is the cost center
 	cappedOpts.Sizing = nil
@@ -233,9 +203,9 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 		run      tierFn
 	}{
 		{TierExact, 0, func(b *guard.Budget) (*Result, error) {
-			o := exactOpts
+			o := opts
 			o.Budget = b
-			return Optimize(b.Context(), Problem{
+			return solveProblem(b.Context(), "optimize", Problem{
 				Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise,
 			}, o)
 		}},
@@ -243,7 +213,7 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 			o := cappedOpts
 			o.Budget = b
 			k := cappedDPBuffers
-			return Optimize(b.Context(), Problem{
+			return solveProblem(b.Context(), "optimize", Problem{
 				Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k,
 			}, o)
 		}},
@@ -283,19 +253,10 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 	solveCtx, solveSpan := obs.Span(ctx, "solve")
 	defer solveSpan.End()
 
-	// Injected slow solve (chaos): burn the configured delay before the
-	// ladder starts, respecting the caller's deadline — the stuck-worker
-	// scenario that admission control and per-request deadlines absorb.
-	if faultinject.Take(ctx, faultinject.FaultSlow) {
-		if d := faultinject.PlanFrom(ctx).Delay(); d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-			}
-		}
-	}
+	// The slow fault burns before the ladder starts, so it spends the
+	// request's deadline rather than the exact tier's share of it; the
+	// per-tier gates below then find it taken.
+	slowFault(ctx)
 
 	var tierErrs []*TierError
 	for _, step := range tiers {
@@ -305,29 +266,18 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 		tctx, span := obs.Span(solveCtx, "solve.tier."+step.tier.String())
 		b, cancel := tierBudget(tctx, opts.Budget, tierShares[step.tier], step.maxCands)
 		start := time.Now()
+		// Every tier's answer passes the gate. A post-condition violation
+		// is a bug in the tier (class "internal"), and the ladder treats
+		// it like any other tier failure: the next tier recomputes from
+		// scratch.
 		var res *Result
 		err := guard.Safe("core.Solve/"+step.tier.String(), func() error {
 			var e error
-			res, e = step.run(b)
+			res, e = gate(ctx, func() (*Result, error) { return step.run(b) })
 			return e
 		})
 		span.Fail(err) // record the tier's duration (and trace the error); the wrap is discarded — TierError carries more
 		cancel()
-		// Injected result corruption (chaos): the Section IV-C scenario of
-		// a malformed candidate list surviving the DP, surfaced as a
-		// poisoned slack so the post-condition gate below must catch it.
-		if err == nil && res != nil && faultinject.Take(ctx, faultinject.FaultMalformed) {
-			res.Slack = math.NaN()
-		}
-		// Post-condition gate: no tier may hand the caller a structurally
-		// broken or numerically poisoned result — NaN slack would flow
-		// silently into reports and routing decisions. A violation is a
-		// bug in the tier (class "internal"), and the ladder treats it
-		// like any other tier failure: the next tier recomputes from
-		// scratch.
-		if err == nil {
-			err = validateResult(res)
-		}
 		if err == nil {
 			if step.tier != TierExact {
 				obs.Inc("solve.degraded")
@@ -371,6 +321,48 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 	return nil, fmt.Errorf("core: every degradation tier failed: %w", errors.Join(joined...))
 }
 
+// gate is core's one answer gate: every answer Optimize, Delta and each
+// Solve tier hands out passes through it, and nothing else checks one.
+// It burns an injected slow fault before run (once per request: the
+// plan's faults are take-once, so Solve's own entry burn leaves the tier
+// gates nothing to take), poisons the slack of an answer whose request
+// drew the malformed fault — the Section IV-C scenario of a malformed
+// candidate list surviving the DP — and holds every answer to
+// validateResult, so a structurally broken or numerically poisoned
+// result becomes guard.ErrInternal instead of reaching a caller, a
+// cache or a session's books.
+func gate(ctx context.Context, run func() (*Result, error)) (*Result, error) {
+	slowFault(ctx)
+	res, err := run()
+	if err != nil {
+		return nil, err
+	}
+	if res != nil && faultinject.Take(ctx, faultinject.FaultMalformed) {
+		res.Slack = math.NaN()
+	}
+	if err := validateResult(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// slowFault burns an injected slow fault's delay, yielding to ctx's
+// deadline — the stuck-worker scenario that admission control and
+// per-request deadlines absorb.
+func slowFault(ctx context.Context) {
+	if !faultinject.Take(ctx, faultinject.FaultSlow) {
+		return
+	}
+	if d := faultinject.PlanFrom(ctx).Delay(); d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+	}
+}
+
 // validateResult enforces the tiers' shared post-conditions: a complete
 // solution (tree and buffer assignment present) with finite slack and
 // non-negative cost. Violations wrap guard.ErrInternal.
@@ -396,12 +388,7 @@ func tierBudget(ctx context.Context, caps *guard.Budget, share float64, maxCands
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(float64(remain)*share))
 		}
 	}
-	b := guard.New(ctx)
-	if caps != nil {
-		b.MaxCandidates = caps.MaxCandidates
-		b.MaxTreeNodes = caps.MaxTreeNodes
-		b.MaxSimSteps = caps.MaxSimSteps
-	}
+	b := withCaps(ctx, caps)
 	if maxCands > 0 && (b.MaxCandidates == 0 || b.MaxCandidates > maxCands) {
 		b.MaxCandidates = maxCands
 	}

@@ -7,11 +7,33 @@ import (
 	"testing"
 	"time"
 
+	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
+	"buffopt/internal/noise"
 	"buffopt/internal/obs"
+	"buffopt/internal/rctree"
 )
 
-// TestSolveCacheByteIdentity is the tentpole's determinism gate: over the
+// cachedSolve runs Solve through c the way bufferd does: keyed by
+// SolveCacheKey, stored only when Cacheable, with the lookup's outcome
+// stamped on the result.
+func cachedSolve(ctx context.Context, c *SolveCache, tr *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*SolveResult, error) {
+	key := SolveCacheKey(Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
+	res, out, err := c.Do(ctx, key, func() (*SolveResult, bool, error) {
+		r, err := Solve(ctx, tr, lib, p, opts)
+		if err != nil {
+			return nil, false, err
+		}
+		return r, Cacheable(r), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Cached, res.Coalesced = out.Hit, out.Coalesced
+	return res, nil
+}
+
+// TestSolveCacheByteIdentity is the cache on/off identity gate: over the
 // differential corpus, Solve with a cache produces byte-identical results
 // to Solve without one — on the miss that fills the entry and again on
 // the hit that reads it back — and the hit is flagged Cached with the
@@ -29,11 +51,11 @@ func TestSolveCacheByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("net %d uncached: %v", i, err)
 		}
-		miss, err := Solve(context.Background(), tr, lib, p, Options{Cache: c})
+		miss, err := cachedSolve(context.Background(), c, tr, lib, p, Options{})
 		if err != nil {
 			t.Fatalf("net %d cache miss: %v", i, err)
 		}
-		hit, err := Solve(context.Background(), tr, lib, p, Options{Cache: c})
+		hit, err := cachedSolve(context.Background(), c, tr, lib, p, Options{})
 		if err != nil {
 			t.Fatalf("net %d cache hit: %v", i, err)
 		}
@@ -66,13 +88,13 @@ func TestSolveCacheByteIdentity(t *testing.T) {
 func TestSolveCacheHitIsolation(t *testing.T) {
 	nets, lib, p := diffCorpus(t, 1)
 	c := NewSolveCache(0, 0, "test")
-	first, err := Solve(context.Background(), nets[0], lib, p, Options{Cache: c})
+	first, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := string(resultJSON(t, first.Result))
 
-	hit1, err := Solve(context.Background(), nets[0], lib, p, Options{Cache: c})
+	hit1, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +106,7 @@ func TestSolveCacheHitIsolation(t *testing.T) {
 	hit1.Solution.Tree.Node(hit1.Solution.Tree.Root()).Wire.R = 1e30
 	hit1.Tier = TierUnbuffered
 
-	hit2, err := Solve(context.Background(), nets[0], lib, p, Options{Cache: c})
+	hit2, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +129,7 @@ func TestSolveCacheBudgetClassKeying(t *testing.T) {
 	starved := guard.New(context.Background())
 	starved.MaxCandidates = 2
 
-	degraded, err := Solve(context.Background(), tr, lib, p, Options{Cache: c, Budget: starved})
+	degraded, err := cachedSolve(context.Background(), c, tr, lib, p, Options{Budget: starved})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +142,7 @@ func TestSolveCacheBudgetClassKeying(t *testing.T) {
 		}
 	}
 
-	exact, err := Solve(context.Background(), tr, lib, p, Options{Cache: c})
+	exact, err := cachedSolve(context.Background(), c, tr, lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +159,7 @@ func TestSolveCacheBudgetClassKeying(t *testing.T) {
 	// Each class hits its own entry and reproduces its own bytes.
 	starved2 := guard.New(context.Background())
 	starved2.MaxCandidates = 2
-	degraded2, err := Solve(context.Background(), tr, lib, p, Options{Cache: c, Budget: starved2})
+	degraded2, err := cachedSolve(context.Background(), c, tr, lib, p, Options{Budget: starved2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +169,7 @@ func TestSolveCacheBudgetClassKeying(t *testing.T) {
 	if string(resultJSON(t, degraded2.Result)) != string(resultJSON(t, degraded.Result)) {
 		t.Fatal("capped repeat bytes differ from first capped solve")
 	}
-	exact2, err := Solve(context.Background(), tr, lib, p, Options{Cache: c})
+	exact2, err := cachedSolve(context.Background(), c, tr, lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +187,7 @@ func TestSolveCacheDeadlineDegradedNotStored(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := Solve(ctx, nets[0], lib, p, Options{Cache: c})
+	res, err := cachedSolve(ctx, c, nets[0], lib, p, Options{})
 	if err != nil {
 		t.Fatalf("expired-deadline solve must still answer (unbuffered tier): %v", err)
 	}
@@ -181,7 +203,7 @@ func TestSolveCacheDeadlineDegradedNotStored(t *testing.T) {
 
 	// The next request, unhurried, gets the exact answer — not the
 	// unbuffered leftovers.
-	fresh, err := Solve(context.Background(), nets[0], lib, p, Options{Cache: c})
+	fresh, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +230,7 @@ func TestSolveCacheCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Solve(context.Background(), nets[0], lib, p, Options{Cache: c})
+			res, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -253,7 +275,7 @@ func TestSolveCacheEvictionBounds(t *testing.T) {
 	c := NewSolveCache(1, 0, "test")
 	for pass := 0; pass < 2; pass++ {
 		for i, tr := range nets {
-			if _, err := Solve(context.Background(), tr, lib, p, Options{Cache: c}); err != nil {
+			if _, err := cachedSolve(context.Background(), c, tr, lib, p, Options{}); err != nil {
 				t.Fatalf("pass %d net %d: %v", pass, i, err)
 			}
 		}

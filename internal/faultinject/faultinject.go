@@ -61,9 +61,10 @@ const (
 	// isolation boundary must convert into a per-request failure instead
 	// of a process death.
 	FaultPanic
-	// FaultMalformed corrupts a solver tier's result (the malformed
+	// FaultMalformed corrupts a solver answer (the malformed
 	// candidate-list scenario of Section IV-C gone undetected), which
-	// core.Solve's post-condition validation must catch and degrade past.
+	// core's answer gate must catch: the ladder degrades past it,
+	// Optimize and Delta return it as an internal error.
 	FaultMalformed
 	// FaultPartition is a replica-level fault: the target replica stops
 	// answering health probes and blackholes requests (connections hang

@@ -406,7 +406,7 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 // order is preserved, so the failover target for a key is deterministic
 // given the fleet's health.
 func (rt *Router) rank(key string) []*replica {
-	idx := rendezvousRank(key, rt.names)
+	idx := server.RendezvousRank(key, rt.names)
 	now := time.Now()
 	ordered := make([]*replica, 0, len(idx))
 	var deferred, last []*replica

@@ -79,7 +79,7 @@ func TestRendezvousRankProperties(t *testing.T) {
 	// Deterministic, and a permutation of the replica set: same rank on
 	// every call, every replica appears exactly once.
 	for _, k := range keys[:10] {
-		a, b := rendezvousRank(k, names), rendezvousRank(k, names)
+		a, b := server.RendezvousRank(k, names), server.RendezvousRank(k, names)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("rank not deterministic for %q: %v vs %v", k, a, b)
 		}
@@ -95,8 +95,8 @@ func TestRendezvousRankProperties(t *testing.T) {
 	// The assignment depends on the set, not the listing order.
 	shuffled := []string{names[2], names[0], names[3], names[1]}
 	for _, k := range keys {
-		a := names[rendezvousRank(k, names)[0]]
-		b := shuffled[rendezvousRank(k, shuffled)[0]]
+		a := names[server.RendezvousRank(k, names)[0]]
+		b := shuffled[server.RendezvousRank(k, shuffled)[0]]
 		if a != b {
 			t.Fatalf("primary for %q depends on replica order: %s vs %s", k, a, b)
 		}
@@ -105,7 +105,7 @@ func TestRendezvousRankProperties(t *testing.T) {
 	// Every replica owns a non-trivial share of the keyspace.
 	owned := map[string]int{}
 	for _, k := range keys {
-		owned[names[rendezvousRank(k, names)[0]]]++
+		owned[names[server.RendezvousRank(k, names)[0]]]++
 	}
 	for _, n := range names {
 		if owned[n] < len(keys)/len(names)/3 {
@@ -118,8 +118,8 @@ func TestRendezvousRankProperties(t *testing.T) {
 	removed := names[1]
 	survivors := []string{names[0], names[2], names[3]}
 	for _, k := range keys {
-		before := rendezvousRank(k, names)
-		after := survivors[rendezvousRank(k, survivors)[0]]
+		before := server.RendezvousRank(k, names)
+		after := survivors[server.RendezvousRank(k, survivors)[0]]
 		if names[before[0]] == removed {
 			if want := names[before[1]]; after != want {
 				t.Fatalf("key %q should fail over to its second choice %s, went to %s", k, want, after)
@@ -291,7 +291,7 @@ func TestRouterHedgesPastPartition(t *testing.T) {
 	netIdx := -1
 	for i := 0; i < 32 && netIdx < 0; i++ {
 		key := rt.keyer.SolveKey("text/plain", url.Values{}, []byte(labNet(i)))
-		if rt.names[rendezvousRank(key, rt.names)[0]] == victim.Name {
+		if rt.names[server.RendezvousRank(key, rt.names)[0]] == victim.Name {
 			netIdx = i
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -152,33 +151,12 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 		if faultinject.Take(rctx, faultinject.FaultPanic) {
 			panic(faultinject.ErrInjected)
 		}
-		if faultinject.Take(rctx, faultinject.FaultSlow) {
-			if d := faultinject.PlanFrom(rctx).Delay(); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-timer.C:
-				case <-rctx.Done():
-					timer.Stop()
-				}
-			}
+		maxCands := req.maxCands
+		if maxCands == 0 {
+			maxCands = sess.req.maxCands
 		}
-		b := guard.New(rctx)
-		b.MaxCandidates = req.maxCands
-		if b.MaxCandidates == 0 {
-			b.MaxCandidates = sess.req.maxCands
-		}
-		b.MaxTreeNodes = s.cfg.Limits.MaxNodes
 		var e error
-		res, e = core.Delta(rctx, sess.sess, req.edits, core.Options{Budget: b})
-		// Injected result corruption (chaos): a poisoned slack must be
-		// caught here — the same post-condition gate core.Solve runs —
-		// so a malformed delta can never reach a client or the ledgers.
-		if e == nil && faultinject.Take(rctx, faultinject.FaultMalformed) {
-			res.Slack = math.NaN()
-		}
-		if e == nil && (math.IsNaN(res.Slack) || math.IsInf(res.Slack, 0)) {
-			return fmt.Errorf("server: delta produced a non-finite slack: %w", guard.ErrInternal)
-		}
+		res, e = core.Delta(rctx, sess.sess, req.edits, core.Options{Budget: s.budget(rctx, maxCands)})
 		return e
 	})
 	elapsed := time.Since(start)

@@ -233,8 +233,7 @@ func (s *Server) cacheKey(req *solveRequest) string {
 		p.MaxBuffers = req.k
 		base = core.OptimizeCacheKey(p, core.Options{})
 	} else {
-		b := &guard.Budget{MaxCandidates: req.maxCands, MaxTreeNodes: s.cfg.Limits.MaxNodes}
-		base = core.SolveCacheKey(p, core.Options{Budget: b})
+		base = core.SolveCacheKey(p, core.Options{Budget: s.budget(context.Background(), req.maxCands)})
 	}
 	return base + "/seglen:" + strconv.FormatUint(math.Float64bits(req.segLen), 16)
 }
@@ -250,9 +249,7 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 	if err != nil {
 		return nil, err
 	}
-	b := guard.New(ctx)
-	b.MaxCandidates = req.maxCands
-	b.MaxTreeNodes = s.cfg.Limits.MaxNodes
+	b := s.budget(ctx, req.maxCands)
 	lib := buffers.DefaultLibrary(req.bufNM)
 	if req.objective == nil {
 		return core.Solve(ctx, work, lib, req.params, core.Options{Budget: b})
@@ -270,6 +267,15 @@ func (s *Server) solveOne(ctx context.Context, req *solveRequest) (*core.SolveRe
 	// Objective answers have no ladder: they are exact by construction,
 	// wrapped so the response/caching path is uniform.
 	return &core.SolveResult{Result: res, Tier: core.TierExact}, nil
+}
+
+// budget is the one place a request's solve budget is built: bound to
+// ctx, capped at maxCands candidates and the server's tree-size limit.
+func (s *Server) budget(ctx context.Context, maxCands int) *guard.Budget {
+	b := guard.New(ctx)
+	b.MaxCandidates = maxCands
+	b.MaxTreeNodes = s.cfg.Limits.MaxNodes
+	return b
 }
 
 // workTree is the tree a request is solved on: a clone of the posted net,

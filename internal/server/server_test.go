@@ -198,6 +198,50 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestObjectiveSolveFaultBooks: an objective /solve post (a "problem"
+// envelope, answered by core.Optimize) consumes the request's injected
+// slow or malformed fault exactly once, like a ladder post, and a
+// malformed answer is refused with 500, class "internal".
+func TestObjectiveSolveFaultBooks(t *testing.T) {
+	body := `{"v":1,"net":` + mustJSON(t, sampleNet) + `,"problem":{"objective":"max-slack-noise"}}`
+	for _, tc := range []struct {
+		fault  faultinject.Fault
+		status int
+	}{
+		{faultinject.FaultSlow, http.StatusOK},
+		{faultinject.FaultMalformed, http.StatusInternalServerError},
+	} {
+		t.Run(tc.fault.String(), func(t *testing.T) {
+			inj, err := faultinject.New(faultinject.Config{
+				Seed:      7,
+				Rates:     map[faultinject.Fault]float64{tc.fault: 1},
+				SlowDelay: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newTestServer(t, Config{Injector: inj})
+			resp, b := postNet(t, ts, "/solve", "application/json", body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.status, b)
+			}
+			if a, c := inj.Assigned(tc.fault), inj.Consumed(tc.fault); a != 1 || c != 1 {
+				t.Fatalf("assigned %d, consumed %d; want exactly 1 each", a, c)
+			}
+			if tc.status == http.StatusOK {
+				return
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(b, &er); err != nil {
+				t.Fatal(err)
+			}
+			if er.Class != "internal" {
+				t.Fatalf("class = %q, want internal", er.Class)
+			}
+		})
+	}
+}
+
 // TestOverloadShedsAndReadyzFlips: with one worker, a one-deep queue, and
 // every solve held slow, the third concurrent request must shed with 429 +
 // Retry-After while /readyz reports 503; once the backlog clears, /readyz
