@@ -4,21 +4,24 @@ import "context"
 
 // The dynamic program picks its merge path and its parallelism from the
 // problem; no public option overrides either. Branch merges use the
-// Li–Shi frontier walk (lishi.go) wherever it is exact — delay-only runs
-// without safe pruning, at any library size — and the classic cross
-// product everywhere else. The bottom-up walk goes parallel on trees of
-// at least minParallelNodes nodes when GOMAXPROCS > 1. Every choice is
-// bit-identical on objective values by construction; the enginetest suite
-// (internal/core/enginetest) is the gate on that contract.
+// Li–Shi frontier walk (lishi.go) in every run without safe pruning, at
+// any library size, noise-constrained or not — under noise constraints
+// buffer insertion reads the whole pair space as flat sums beside it
+// (mergeBranch) — and the classic cross product under 4-D safe pruning.
+// The bottom-up walk goes parallel on trees of at least minParallelNodes
+// nodes when GOMAXPROCS > 1. Every choice is bit-identical on objective
+// values by construction; the enginetest suite (internal/core/enginetest)
+// is the gate on that contract.
 
 // dpOverride forces the dynamic program's otherwise automatic choices.
 // Unexported, like Options.memo: only this package sets it — EngineTable's
-// rows and the in-package differentials — so the fallback merge and the
-// forced worker pool stay reachable as the baselines the gates compare
-// against, and nowhere else.
+// rows and the in-package differentials — so the cross-product merge
+// everywhere and the forced worker pool stay reachable as the baselines
+// the gates compare against, and nowhere else.
 type dpOverride struct {
-	// classicMerge runs the cross-product merge at every branch node: the
-	// reference the frontier walk is differenced against.
+	// classicMerge runs the cross-product merge, and buffer insertion on
+	// its pairs, at every branch node: the reference the frontier walk and
+	// the noise-mode pair scan are differenced against.
 	classicMerge bool
 	// workers forces the walk's pool size: 0 = automatic, 1 = serial,
 	// N > 1 = exactly N workers even on small trees.

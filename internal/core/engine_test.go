@@ -2,18 +2,22 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/guard"
+	"buffopt/internal/rctree"
 	"buffopt/internal/segment"
 )
 
 // TestDPChoosesMergePathAndWalk pins that the dynamic program picks its
 // merge path and its walk from the problem alone, through the run
 // counters the benchmark's dp.lishi_run_share and dp.parallel_run_share
-// read: the frontier walk on every delay-only run at any library size,
-// the classic merge under noise constraints or safe pruning, and the
+// read: the frontier walk on every run without safe pruning — delay-only
+// at any library size, and under noise constraints too — the classic
+// merge under safe pruning, and the
 // parallel walk exactly on trees of minParallelNodes or more when
 // GOMAXPROCS allows it.
 func TestDPChoosesMergePathAndWalk(t *testing.T) {
@@ -55,8 +59,10 @@ func TestDPChoosesMergePathAndWalk(t *testing.T) {
 		{"delay k=4", Problem{Tree: small, Library: full, Objective: MaxSlack, MaxBuffers: &four}, Options{},
 			"vg.run.engine.lishi", "vg.run.engine.vg"},
 		{"noise b=1", Problem{Tree: small, Library: single, Params: p, Objective: MaxSlackNoise}, Options{},
-			"vg.run.engine.vg", "vg.run.engine.lishi"},
+			"vg.run.engine.lishi", "vg.run.engine.vg"},
 		{"min-buffers noise", Problem{Tree: small, Library: full, Params: p, Objective: MinBuffersNoise}, Options{},
+			"vg.run.engine.lishi", "vg.run.engine.vg"},
+		{"noise safe pruning", Problem{Tree: small, Library: full, Params: p, Objective: MaxSlackNoise}, Options{SafePruning: true},
 			"vg.run.engine.vg", "vg.run.engine.lishi"},
 		{"delay safe pruning", Problem{Tree: small, Library: full, Objective: MaxSlack}, Options{SafePruning: true},
 			"vg.run.engine.vg", "vg.run.engine.lishi"},
@@ -77,5 +83,77 @@ func TestDPChoosesMergePathAndWalk(t *testing.T) {
 					tc.want, c[tc.want], tc.not, c[tc.not], tc.want, tc.problem.Tree.Len())
 			}
 		})
+	}
+}
+
+// TestNoiseCapParity pins the candidate cap's parity between merge paths
+// under noise constraints. The frontier walk never builds the cross
+// product, but the cap is charged its size, so a cap only the cross
+// product exceeds trips on the default row as on the reference row:
+// Optimize fails in the same class, and Solve lands on the same tier
+// after the same tier-error classes. Optimize's cap is one below the
+// reference's peak charge for MaxSlackNoise, on a net whose pruned lists,
+// and so the walk's output (at most two lists long without count
+// indexing), stay under it. Solve's is one below the peak of its exact
+// tier's objective, MinBuffersNoise, so that tier trips.
+func TestNoiseCapParity(t *testing.T) {
+	nets, lib, p := diffCorpus(t, 8)
+	ctx := context.Background()
+	peak := func(tr *rctree.Tree, obj Objective) (int, int) {
+		reg := withFreshRegistry(t)
+		b := guard.New(ctx)
+		prob := Problem{Tree: tr, Library: lib, Params: p, Objective: obj}
+		if _, err := Optimize(ctx, prob, Options{Budget: b, dp: referenceDP}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Usage().Candidates, int(reg.Snapshot().Gauges["vg.list.highwater"])
+	}
+	var tree *rctree.Tree
+	limit := 0
+	for _, tr := range nets {
+		if pk, hw := peak(tr, MaxSlackNoise); pk-1 >= 2*hw && pk-1 > limit {
+			tree, limit = tr, pk-1
+		}
+	}
+	if tree == nil {
+		t.Fatal("no corpus net has a cross product larger than twice its longest list")
+	}
+	solveLimit, _ := peak(tree, MinBuffersNoise)
+	solveLimit--
+
+	capped := func(n int) *guard.Budget {
+		b := guard.New(ctx)
+		b.MaxCandidates = n
+		return b
+	}
+	rows := []struct {
+		name string
+		dp   dpOverride
+	}{{"reference", referenceDP}, {"default", dpOverride{}}}
+	var classes, trails []string
+	for _, row := range rows {
+		_, err := Optimize(ctx, Problem{Tree: tree, Library: lib, Params: p, Objective: MaxSlackNoise},
+			Options{Budget: capped(limit), dp: row.dp})
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("%s: Optimize under cap %d = %v, want a budget error", row.name, limit, err)
+		}
+		classes = append(classes, guard.Class(err))
+
+		res, err := Solve(ctx, tree, lib, p, Options{Budget: capped(solveLimit), dp: row.dp})
+		if err != nil {
+			t.Fatalf("%s: Solve: %v", row.name, err)
+		}
+		if res.Tier == TierExact {
+			t.Fatalf("%s: Solve's exact tier fit under cap %d; the test needs it to trip", row.name, solveLimit)
+		}
+		trail := res.Tier.String()
+		for _, te := range res.TierErrors {
+			trail += " " + te.Tier.String() + ":" + guard.Class(te.Err)
+		}
+		trails = append(trails, trail)
+	}
+	if classes[0] != classes[1] || trails[0] != trails[1] {
+		t.Fatalf("Optimize classes %v under cap %d, Solve tiers %q under cap %d; want the rows alike",
+			classes, limit, trails, solveLimit)
 	}
 }

@@ -234,8 +234,9 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 					want := insertBuffersRef(v, slices.Clone(list), lb.lib, ref)
 					opts := pr.opts
 					opts.stats, opts.scratch = &gotStats, sc
-					got := insertBuffers(v, slices.Clone(list), lb.lib, opts)
-					linkInserted(v, got, lb.lib)
+					got := slices.Clone(list)
+					got = insertBuffers(got, got, lb.lib, opts)
+					sc.linkInserted(v, got, lb.lib, nil, nil)
 					if err := sameInsertion(got, want); err != nil {
 						t.Fatalf("iteration %d (%d candidates): %v", iter, len(list), err)
 					}
@@ -277,14 +278,15 @@ func TestInsertBuffersAllocBudget(t *testing.T) {
 			}
 			opts := pr.opts
 			opts.scratch = &nodeScratch{}
-			winners := len(insertBuffers(7, slices.Clone(list), lib, opts)) - len(list)
+			probe := slices.Clone(list)
+			winners := len(insertBuffers(probe, probe, lib, opts)) - len(list)
 			if winners < len(lib.Buffers) {
 				t.Fatalf("only %d winners for %d buffer types", winners, len(lib.Buffers))
 			}
 			// Room for the winners, so no call grows the list.
 			list = slices.Grow(list, winners)
 			got := testing.AllocsPerRun(100, func() {
-				linkInserted(7, insertBuffers(7, list, lib, opts), lib)
+				opts.scratch.linkInserted(7, insertBuffers(list, list, lib, opts), lib, nil, nil)
 			})
 			if got > float64(winners+insertAllocSlack) {
 				t.Fatalf("insertBuffers allocates %v per call for %d winners, budget is %d",

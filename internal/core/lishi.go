@@ -6,9 +6,10 @@ package core
 // replaced by an O(L1+L2) two-pointer walk over the branches' Pareto
 // frontiers, cutting the whole DP from O(b²n²) to O(bn²) for a b-type
 // library. Everything else (sink seeding, buffer insertion, pruning, wire
-// charging) is byte-for-byte the code VG runs; the engine changes how
-// merge candidates are enumerated, never their arithmetic (mergedCand is
-// shared) and never which values survive pruning.
+// charging) is byte-for-byte the code the cross product runs; the walk
+// changes how merge candidates are enumerated, never their arithmetic
+// (pairSum and joinSol are shared) and never which values survive
+// pruning.
 //
 // Why the walk loses nothing, exactly:
 //
@@ -46,28 +47,51 @@ package core
 // ties among path pairs are settled by insertBuffers' value-canonical
 // acceptance rule rather than scan order.
 //
-// The argument is about the delay DP's 2-D (load, slack) dominance. Two
-// configurations step outside it and fall back to the classic merge,
-// node by node, via vgOptions.fastMergeOK:
+// Nothing above reads the noise fields (I, NS): the argument is about
+// the 2-D (load, slack) prune inside each (parity[, cost]) group, and
+// that is the prune noise-mode runs apply too. So the walk's pairs are
+// what a branch node prunes in every configuration but one:
 //
-//   - noise mode: insertBuffers consults the pre-prune merged list, and a
-//     2-D-dominated pair (larger load, smaller slack) can still be the
-//     only pair whose noise slack admits some buffer type — the
-//     Section IV-C observation that motivates safe pruning.
-//   - safe pruning: the frontier is 4-D; a 2-D walk would discard
-//     candidates safe pruning promises to keep.
+//   - safe pruning: the frontier is 4-D, and a pair the 2-D walk drops can
+//     be one the 4-D prune keeps (better I or NS). A 4-D frontier is no
+//     chain in any one coordinate, so it has no two-pointer order to walk;
+//     safe pruning keeps the classic cross product (mergeVG).
 //
-// Everywhere else the walk runs, at any library size: it beats the cross
-// product even at b = 1 (BENCH_2026-08-08-1). The classic merge stays as
-// the fallback for the two configurations above and as the reference the
-// enginetest differential suite compares the walk against.
+// Under noise constraints buffer insertion is the one reader that needs
+// more than the walk: a 2-D-dominated pair (larger load, smaller slack)
+// can be the only pair whose merged noise slack admits some buffer type,
+// R_b·(I_a+I_b) ≤ min(NS_a, NS_b) — the Section IV-C observation that
+// motivates safe pruning. At a noise-mode buffer site mergeBranch
+// therefore hands insertion the whole pair space as flat sums
+// (pairSources), in mergeVG's order, and insertBuffers — the same scan,
+// the same acceptance rule — picks exactly the cross product's winners.
+// prune(walk ∪ winners) then equals prune(cross ∪ winners) with links:
+// every pair off the walk is strictly load-beaten within its own group,
+// so it survives neither prune, and a pair survivor of the cross prune is
+// the only cross pair with its (load, slack) — any other would be
+// strictly beaten, and so would it — hence a walk pair with the same
+// link. The winners follow the pairs in both inputs, so full-value ties
+// between a winner and a pair resolve alike.
+//
+// Why not one filtered walk per distinct noise threshold: the pairs that
+// admit a type are not a product of a left filter and a right filter —
+// the test couples the sides through I_a + I_b against the smaller of
+// the two noise slacks — so no walk over per-side filtered frontiers
+// enumerates them. The scan costs O(b·L1·L2) comparisons, as insertion on
+// the cross product did, but makes no link, arena list or sort per pair.
+//
+// The walk beats the cross product even at b = 1 (BENCH_2026-08-08-1).
+// The classic merge stays as safe pruning's merge and as the reference
+// the enginetest differential suite compares the walk against.
 
 // candGroup is one (parity[, cost]) run of a canonically ordered
-// candidate list, with the indices of its 2-D Pareto frontier in load
-// order (load and slack both strictly increasing along frontier).
+// candidate list, list[lo:hi], with the indices of its 2-D Pareto
+// frontier in load order (load and slack both strictly increasing along
+// frontier).
 type candGroup struct {
 	pol      uint8
 	cost     int
+	lo, hi   int
 	frontier []int
 }
 
@@ -96,6 +120,8 @@ func lishiGroups(list []vgCand, opts vgOptions, groups []candGroup, idx []int) (
 		groups = append(groups, candGroup{
 			pol:      list[i].pol,
 			cost:     list[i].cost,
+			lo:       i,
+			hi:       j,
 			frontier: idx[start:len(idx):len(idx)],
 		})
 		i = j
@@ -124,10 +150,7 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	tick := 0
 	for _, ga := range lg {
 		for _, gb := range rg {
-			if ga.pol != gb.pol {
-				continue
-			}
-			if opts.countIndexed && opts.maxBuffers > 0 && ga.cost+gb.cost > opts.maxBuffers {
+			if !opts.mergeable(ga.pol, gb.pol, ga.cost, gb.cost) {
 				continue
 			}
 			i, j := 0, 0
@@ -138,8 +161,10 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 						return out, err
 					}
 				}
-				a, b := left[ga.frontier[i]], right[gb.frontier[j]]
-				out = append(out, mergedCand(a, b))
+				a, b := &left[ga.frontier[i]], &right[gb.frontier[j]]
+				c := pairSum(a, b)
+				c.sol = joinSol(a.sol, b.sol)
+				out = append(out, c)
 				// Advance past the branch that bounds this pair's slack:
 				// its later candidates can only raise the bound the other
 				// branch's current candidate already meets.
@@ -163,4 +188,52 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 		opts.stats.generated += int64(len(out))
 	}
 	return out, nil
+}
+
+// mergeable reports whether candidates of parities pa, pb and costs ca,
+// cb form a pair every merge keeps: the same parity, and within the
+// count bound when there is one.
+func (o vgOptions) mergeable(pa, pb uint8, ca, cb int) bool {
+	return pa == pb && !(o.countIndexed && o.maxBuffers > 0 && ca+cb > o.maxBuffers)
+}
+
+// crossSize is the number of pairs the cross product of the lists grouped
+// as lg and rg holds: what mergeVG would emit.
+func crossSize(lg, rg []candGroup, opts vgOptions) int {
+	n := 0
+	for _, ga := range lg {
+		for _, gb := range rg {
+			if opts.mergeable(ga.pol, gb.pol, ga.cost, gb.cost) {
+				n += (ga.hi - ga.lo) * (gb.hi - gb.lo)
+			}
+		}
+	}
+	return n
+}
+
+// pairSources fills the scratch's pair sums with the pairs of left and
+// right that mergeVG would emit, in its order — left outer, the right
+// list's mergeable groups inner — each summed by pairSum, without a link,
+// beside its two indices. It reads the right list's groups that
+// lishiMerge left in the scratch, and consults the budget's context as
+// the pairs are written (the cap has been charged their number already).
+func (sc *nodeScratch) pairSources(left, right []vgCand, opts vgOptions) error {
+	sc.pairs, sc.pairOf = sc.pairs[:0], sc.pairOf[:0]
+	pacer := opts.budget.Pacer(4096)
+	for i := range left {
+		a := &left[i]
+		for _, gb := range sc.groups[1] {
+			if !opts.mergeable(a.pol, gb.pol, a.cost, gb.cost) {
+				continue
+			}
+			for j := gb.lo; j < gb.hi; j++ {
+				if err := pacer.Tick(); err != nil {
+					return err
+				}
+				sc.pairs = append(sc.pairs, pairSum(a, &right[j]))
+				sc.pairOf = append(sc.pairOf, [2]int32{int32(i), int32(j)})
+			}
+		}
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/rctree"
 )
 
 // Property tests on the DP's list invariants. The Li–Shi merge is only
@@ -158,17 +159,34 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 // frontier index views exist for. The walk must also emit no more
 // candidates than the cross product, and strictly fewer at least once —
 // proof the fast path is engaged, not falling back.
+//
+// The noise profiles difference the whole branch step at a buffer site,
+// mergeBranch with buffer insertion: prune(walk ∪ pair-scan winners)
+// against prune(cross ∪ insertBuffers(cross)) — the reference override —
+// bit for bit, links made by linkInserted included. Their lists carry
+// nonzero currents and noise slacks, every candidate has a link at a
+// node of its own, and the library mixes several output resistances and
+// an inverter, so the noise check admits different pairs per type.
 func TestMergeDifferentialProperty(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
 		trials = 250
 	}
+	lib := &buffers.Library{Buffers: []buffers.Buffer{
+		{Name: "b0", Cin: 0.5, R: 0.25, T: 0.5, NoiseMargin: 2},
+		{Name: "b1", Cin: 1, R: 0.5, T: 0.25, NoiseMargin: 4},
+		{Name: "b2", Cin: 1.5, R: 1, NoiseMargin: 1.5, Weight: 2},
+		{Name: "b3", Cin: 0.75, R: 2, T: 0.25, NoiseMargin: 6},
+		{Name: "inv", Cin: 0.25, R: 0.5, T: 0.5, NoiseMargin: 3, Inverting: true},
+	}}
 	for _, prof := range []struct {
 		name string
 		opts vgOptions
 	}{
 		{"plain", vgOptions{}},
 		{"count-indexed", vgOptions{countIndexed: true, maxBuffers: 8}},
+		{"noise", vgOptions{noise: true}},
+		{"noise+count-indexed", vgOptions{noise: true, countIndexed: true, maxBuffers: 8}},
 	} {
 		prof := prof
 		t.Run(prof.name, func(t *testing.T) {
@@ -178,22 +196,53 @@ func TestMergeDifferentialProperty(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				opts := prof.opts
 				opts.arena = &candArena{}
-				mk := func(tag string) []vgCand {
+				opts.scratch = &nodeScratch{}
+				mk := func(tag string, node int) []vgCand {
 					l, err := pruneVG(randCandList(rng, 1+rng.Intn(80), tag), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// Charge a random parent wire: loads shift by a
 					// constant, slacks drop by R·load — order kept,
-					// monotonicity broken.
+					// monotonicity broken. Noise slacks drop and
+					// currents grow as computeNode charges them.
 					r, c := rng.Float64(), rng.Float64()
 					for i := range l {
 						l[i].q -= r * (c/2 + l[i].load)
 						l[i].load += c
 					}
+					if opts.noise {
+						iw := 0.25 * rng.Float64()
+						for i := range l {
+							l[i].ns -= r * (l[i].down + iw/2)
+							l[i].down += iw
+							l[i].sol = &solLink{node: rctree.NodeID(node + i), buf: &buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)}}
+						}
+					}
 					return l
 				}
-				left, right := mk("l"), mk("r")
+				left, right := mk("l", 1000), mk("r", 2000)
+				if opts.noise {
+					var refStats, walkStats vgStats
+					ref := opts
+					ref.dp.classicMerge, ref.stats = true, &refStats
+					want, err := mergeBranch(999, left, right, true, lib, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.stats = &walkStats
+					got, err := mergeBranch(999, left, right, true, lib, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := candsEqual(want, got); err != nil {
+						t.Fatalf("trial %d: the walk with pair-scan winners disagrees with the cross product: %v", trial, err)
+					}
+					if walkStats.merged < refStats.merged {
+						savedEmits = true
+					}
+					continue
+				}
 				cross, err := mergeVG(left, right, opts)
 				if err != nil {
 					t.Fatal(err)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -66,6 +68,76 @@ func checkScratchClean(t *testing.T, sc *nodeScratch) {
 		if c.sol != nil {
 			t.Fatalf("merge buffer entry %d still holds a solLink", i)
 		}
+	}
+}
+
+// TestPooledScratchHoldsNoLinks pins that a nodeScratch goes back to
+// scratchPool holding no solLink, so the pool keeps no solution alive
+// between runs. Statically, no field but sortCands' merge buffer and the
+// pair sums can hold one; at run time, the scratches that serial and
+// parallel noise runs return — runs that insert buffers at chain and
+// branch nodes — have a clean buffer and link-free pair sums.
+func TestPooledScratchHoldsNoLinks(t *testing.T) {
+	link := reflect.TypeOf(solLink{})
+	var reaches func(ty reflect.Type, seen map[reflect.Type]bool) bool
+	reaches = func(ty reflect.Type, seen map[reflect.Type]bool) bool {
+		if ty == link {
+			return true
+		}
+		if seen[ty] {
+			return false
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			return reaches(ty.Elem(), seen)
+		case reflect.Map:
+			return reaches(ty.Key(), seen) || reaches(ty.Elem(), seen)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if reaches(ty.Field(i).Type, seen) {
+					return true
+				}
+			}
+		case reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		}
+		return false
+	}
+	st := reflect.TypeOf(nodeScratch{})
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); f.Name != "buf" && f.Name != "pairs" && reaches(f.Type, map[reflect.Type]bool{}) {
+			t.Errorf("nodeScratch.%s can hold a solLink", f.Name)
+		}
+	}
+
+	nets, lib, p := diffCorpus(t, 4)
+	checked := 0
+	for _, workers := range []int{1, 4} {
+		for _, tr := range nets {
+			for range 5 {
+				prob := Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}
+				if _, err := Optimize(context.Background(), prob, Options{dp: dpOverride{workers: workers}}); err != nil {
+					t.Fatal(err)
+				}
+				// A fresh scratch (the pool may drop what it is given)
+				// proves nothing; one that has worked is checked.
+				sc := getScratch()
+				if cap(sc.pairs) > 0 {
+					checkScratchClean(t, sc)
+					for i, c := range sc.pairs[:cap(sc.pairs)] {
+						if c.sol != nil {
+							t.Fatalf("pair sum %d holds a solLink", i)
+						}
+					}
+					checked++
+				}
+				putScratch(sc)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no run's scratch came back from the pool")
 	}
 }
 
@@ -185,17 +257,30 @@ func frontierList(rng *rand.Rand, n int) []vgCand {
 
 // BenchmarkPruneVG times the node step's prune on the input shapes of a
 // Section V noise run: a chain node (a pruned list plus insertBuffers'
-// winners, two runs), a branch node (the cross product of two pruned
-// lists, one run per left candidate), a wire-sized list (a pruned list
-// charged at widths 1, 2 and 4, one run per width) and the
-// reverse-sorted worst case.
+// winners, two runs), a branch node as the DP prunes it (the Li–Shi
+// walk's pairs, one run per group pair, plus the winners the pair scan
+// picks from the whole pair space, one run), the cross product of the
+// same two lists (safe pruning's and the reference's branch node, one
+// run per left candidate), a wire-sized list (a pruned list charged at
+// widths 1, 2 and 4, one run per width) and the reverse-sorted worst
+// case.
 func BenchmarkPruneVG(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	lib := buffers.DefaultLibrary(0.8)
 	opts := vgOptions{noise: true, scratch: &nodeScratch{}}
 
-	chain := insertBuffers(3, frontierList(rng, 30), lib, opts)
-	branch, err := mergeVG(frontierList(rng, 10), frontierList(rng, 10), opts)
+	chain := frontierList(rng, 30)
+	chain = insertBuffers(chain, chain, lib, opts)
+	left, right := frontierList(rng, 10), frontierList(rng, 10)
+	walk, err := lishiMerge(left, right, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := opts.scratch.pairSources(left, right, opts); err != nil {
+		b.Fatal(err)
+	}
+	walk = insertBuffers(walk, opts.scratch.pairs, lib, opts)
+	cross, err := mergeVG(left, right, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +290,7 @@ func BenchmarkPruneVG(b *testing.B) {
 	for _, sh := range []struct {
 		name string
 		src  []vgCand
-	}{{"chain", chain}, {"branch", branch}, {"sized", sized}, {"reverse", reverse}} {
+	}{{"chain", chain}, {"walk-branch", walk}, {"cross-branch", cross}, {"sized", sized}, {"reverse", reverse}} {
 		b.Run(fmt.Sprintf("%s/n=%d", sh.name, len(sh.src)), func(b *testing.B) {
 			work := make([]vgCand, len(sh.src))
 			b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
@@ -68,9 +69,10 @@ type vgCand struct {
 	cost int     // Problem 3 weight of those buffers (Lillis power function)
 	pol  uint8   // parity of inverting stages to every sink (0 = in phase)
 	// ins marks a candidate insertBuffers emitted whose link is not made
-	// yet: ins−1 is the inserted type's library index, and sol is still
-	// the buffered candidate's link. linkInserted makes it once the node's
-	// prune has kept the candidate.
+	// yet: ins−1 is its entry in the node's winner table (inserted type and
+	// source), and sol is still the source's link (nil for a pair sum).
+	// linkInserted makes the link once the node's prune has kept the
+	// candidate.
 	ins int32
 	sol *solLink
 }
@@ -140,7 +142,8 @@ type vgOptions struct {
 	// by runVG alongside stats.
 	arena *candArena
 	// scratch is computeNode's working memory, installed like stats: one
-	// per serial run, one per pool worker in parallel runs.
+	// per serial run, one per pool worker in parallel runs, each drawn
+	// from scratchPool.
 	scratch *nodeScratch
 	// memo, when non-nil, turns the run into a memoized (ECO) re-solve:
 	// the top-down gate (memoGate) loads finished candidate lists for
@@ -151,17 +154,14 @@ type vgOptions struct {
 	memo *memoRun
 }
 
-// fastMergeOK reports whether computeNode may use the Li–Shi sorted
-// frontier merge at a branch node. The Li–Shi argument is about the
-// 2-D (C, q) dominance of the delay DP: with noise constraints the
-// node's buffer-insertion step must see merge candidates the 2-D
-// frontier discards (a dominated candidate can be the only
-// noise-feasible driver for some buffer type), and with safe pruning the
-// frontier itself is 4-D — in both configurations the fast merge would
-// change results, so those runs use the classic cross product and stay
-// bit-identical that way. Everywhere else the walk is exact and runs.
-func (o vgOptions) fastMergeOK() bool {
-	return !o.noise && !o.safePruning && !o.dp.classicMerge
+// walkOK reports whether computeNode merges branch nodes by the Li–Shi
+// frontier walk (lishi.go) rather than the classic cross product: in
+// every configuration but 4-D safe pruning, whose dominance the 2-D walk
+// cannot preserve, and the reference override. Under noise constraints
+// the walk's pairs are what the node prunes, and buffer insertion reads
+// the whole pair space from flat pair sums instead (mergeBranch).
+func (o vgOptions) walkOK() bool {
+	return !o.safePruning && !o.dp.classicMerge
 }
 
 // minParallelNodes gates automatic parallelism: below this tree size the
@@ -244,17 +244,19 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 		return nil, err
 	}
 
-	// The run's merge path in telemetry: "lishi" for the frontier walk,
-	// "vg" for the classic cross product.
+	// The run's merge path in telemetry: "lishi" for the frontier walk
+	// (walkOK), "vg" for the classic cross product.
 	merge := "vg"
-	if opts.fastMergeOK() {
+	if opts.walkOK() {
 		merge = "lishi"
 	}
 	obs.Inc("vg.run.engine." + merge)
 
 	var st vgStats
 	opts.stats = &st
-	opts.scratch = &nodeScratch{}
+	// A failed run's scratch is dropped rather than pooled: a panic can
+	// leave it mid-sort, with links in its merge buffer.
+	opts.scratch = getScratch()
 	defer st.flush()
 	// The DP span hangs off the budget's context, which carries the
 	// request's trace (server → tier → here), so per-net DP time is
@@ -317,6 +319,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	if err != nil {
 		return nil, err
 	}
+	putScratch(opts.scratch)
 	slices.SortFunc(out, func(a, b vgCand) int {
 		if a.cost != b.cost {
 			return cmp.Compare(a.cost, b.cost)
@@ -371,7 +374,10 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 		return err
 	}
 	node := t.Node(v)
+	// Step 5 considers inserting each buffer type at v.
+	inserting := node.BufferOK && v != t.Root()
 	var list []vgCand
+	var err error
 	switch {
 	case node.Kind == rctree.Sink:
 		st.generated++
@@ -382,45 +388,25 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 			ns:   node.NoiseMargin,
 			pol:  0,
 		})
+		list, err = insertAndPrune(v, list, inserting, lib, opts)
 	case len(node.Children) == 1:
 		// Adopt the child's list wholesale: it is dead once the parent
 		// runs, so the chain node extends it in place (no copy).
 		c := node.Children[0]
 		list, lists[c] = lists[c], nil
+		list, err = insertAndPrune(v, list, inserting, lib, opts)
 	case len(node.Children) == 2:
 		l, r := node.Children[0], node.Children[1]
-		var merged []vgCand
-		var err error
-		if opts.fastMergeOK() {
-			merged, err = lishiMerge(lists[l], lists[r], opts)
-		} else {
-			merged, err = mergeVG(lists[l], lists[r], opts)
-		}
+		list, err = mergeBranch(v, lists[l], lists[r], inserting, lib, opts)
 		ar.put(lists[l])
 		ar.put(lists[r])
 		lists[l], lists[r] = nil, nil
-		if err != nil {
-			ar.put(merged)
-			return err
-		}
-		list = merged
 	default:
 		return fmt.Errorf("core: internal node %d has no children", v)
 	}
-
-	// Step 5: consider inserting each buffer type at v.
-	inserting := node.BufferOK && v != t.Root()
-	if inserting {
-		list = insertBuffers(v, list, lib, opts)
-	}
-
-	list, err := pruneVG(list, opts)
 	if err != nil {
 		ar.put(list)
 		return err
-	}
-	if inserting {
-		linkInserted(v, list, lib)
 	}
 	if err := opts.budget.CheckCandidates(len(list)); err != nil {
 		ar.put(list)
@@ -499,33 +485,101 @@ func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64
 	return dst
 }
 
-// insertBuffers appends buffered candidates at node v to list: for each
-// buffer type (and, in count-indexed mode, each resulting buffer count and
-// each parity) the candidate producing the largest post-buffer slack,
-// subject to the noise constraint R_b·I(v) ≤ NS(v) when noise is enforced
-// — the boldface modification of Fig. 11, Step 5.
+// insertAndPrune finishes a sink's or a chain node's list at v (Steps 5
+// and 7 of Fig. 11): buffer insertion on the list's own candidates when
+// inserting, the prune, and the links of the winners the prune keeps.
+func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
+	if inserting {
+		list = insertBuffers(list, list, lib, opts)
+	}
+	list, err := pruneVG(list, opts)
+	if err == nil && inserting {
+		opts.scratch.linkInserted(v, list, lib, nil, nil)
+	}
+	return list, err
+}
+
+// mergeBranch builds branch node v's pruned list from its children's
+// finished lists left and right (Steps 3–5 and 7 of Fig. 11); it reads
+// them and leaves their release to the caller. The returned list comes
+// from the arena, and on error the caller releases it too.
+//
+// Under safe pruning and the reference override the node prunes the
+// cross product (mergeVG) and inserts buffers on it. Everywhere else it
+// prunes the Li–Shi walk's pairs, which loses nothing (lishi.go). A
+// delay-only run inserts buffers on the walk's pairs as well. Under
+// noise constraints it cannot: a pair the walk skips can be the only one
+// whose merged noise slack admits some buffer type. There insertion
+// reads the whole pair space instead — flat pair sums in the scratch
+// (pairSources), scanned in mergeVG's order under insertBuffers' rule, so
+// the winners are the cross product's — and the node makes the junction
+// link of a pair only for a winner its prune keeps.
+func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
+	if !opts.walkOK() {
+		list, err := mergeVG(left, right, opts)
+		if err != nil {
+			return list, err
+		}
+		return insertAndPrune(v, list, inserting, lib, opts)
+	}
+	list, err := lishiMerge(left, right, opts)
+	if err != nil {
+		return list, err
+	}
+	if !opts.noise {
+		return insertAndPrune(v, list, inserting, lib, opts)
+	}
+	// The candidate cap is charged the cross product's size, as if it had
+	// been built, so the same nets trip the same caps on every merge path.
+	sc := opts.scratch
+	if err := opts.budget.CheckCandidates(crossSize(sc.groups[0], sc.groups[1], opts)); err != nil {
+		return list, err
+	}
+	if !inserting {
+		return pruneVG(list, opts)
+	}
+	if err := sc.pairSources(left, right, opts); err != nil {
+		return list, err
+	}
+	list = insertBuffers(list, sc.pairs, lib, opts)
+	list, err = pruneVG(list, opts)
+	if err == nil {
+		sc.linkInserted(v, list, lib, left, right)
+	}
+	return list, err
+}
+
+// insertBuffers appends to list the buffered candidates of Step 5 that
+// the sources src drive — a chain node's own list (src is list), or a
+// noise-mode branch node's pair sums (pairSources): for each buffer type
+// (and, in count-indexed mode, each resulting buffer count and each
+// parity) the source producing the largest post-buffer slack, subject to
+// the noise constraint R_b·I ≤ NS when noise is enforced — the boldface
+// modification of Fig. 11, Step 5. It is the DP's one winner rule.
 //
 // The bests live in a dense slot table, one slot per (cost rank, output
-// parity), reset for each buffer type; a slot holds the winning
-// candidate's index and its post-buffer slack, so the scan touches no
-// map and allocates nothing. Acceptance is value-canonical: strictly
-// greater slack wins, and on an exact tie the cheaper, then smaller,
-// solution — never the one scanned first, since the classic and Li–Shi
-// merges emit candidates in different orders and a first-wins rule would
-// make the selected cost/nbuf depend on the merge. The winners are
-// appended in scan order (buffer index, then slot) and the appended tail
-// is then sorted by candCmp, stably — the prune's own order and run
-// merge — so the list reaches pruneVG as the input's runs plus one more,
-// and a chain node's prune is a single linear merge. (buffer, parity,
-// cost) makes the winners unique, so repeated runs and parallel
-// schedules see byte-identical lists. They leave without their solLinks
-// — each is marked with its type (vgCand.ins) — and linkInserted makes
-// the links of the ones the prune keeps: most winners are dominated at
-// once, and a link made for them would only be garbage.
-func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
+// parity), reset for each buffer type; a slot holds the winning source's
+// index and its post-buffer slack, so the scan touches no map and
+// allocates nothing. Acceptance is value-canonical: strictly greater
+// slack wins, and on an exact tie the cheaper, then smaller, solution;
+// only a full-value tie keeps the source scanned first, so a scan of the
+// pair sums in mergeVG's order picks what the cross product would. The
+// winners are appended in scan order (buffer index, then slot) and the
+// appended tail is then sorted by candCmp, stably — the prune's own
+// order and run merge — so the list reaches pruneVG as the input's runs
+// plus one more, and a chain node's prune is a single linear merge.
+// (buffer, parity, cost) makes the winners unique, so repeated runs and
+// parallel schedules see byte-identical lists. They leave without their
+// solLinks: each is marked with its entry in the node's winner table
+// (vgCand.ins) and keeps its source's link (nil for a pair sum), and
+// linkInserted makes the links of the ones the prune keeps — most
+// winners are dominated at once, and a link made for them would only be
+// garbage.
+func insertBuffers(list, src []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
 	sc := opts.scratch
 	n := len(list)
-	slots := sc.index(list, opts.countIndexed)
+	slots := sc.index(src, opts.countIndexed)
+	sc.wins = sc.wins[:0]
 	for bi, b := range lib.Buffers {
 		bc := b.Cost()
 		var inv uint8
@@ -535,8 +589,8 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 		for i := range slots {
 			slots[i].src = -1
 		}
-		for i := range list[:n] {
-			c := &list[i]
+		for i := range src {
+			c := &src[i]
 			if opts.noise && b.R*c.down > c.ns {
 				continue // inserting here would violate downstream noise
 			}
@@ -547,7 +601,7 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 			s := &slots[sc.slotOf[i]^int(inv)]
 			better := s.src < 0 || q > s.q
 			if !better && q == s.q {
-				w := &list[s.src]
+				w := &src[s.src]
 				nc, wc := c.cost+bc, w.cost+bc
 				better = nc < wc || (nc == wc && c.nbuf+1 < w.nbuf+1)
 			}
@@ -557,7 +611,8 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 		}
 		for _, s := range slots {
 			if s.src >= 0 {
-				c := list[s.src]
+				c := &src[s.src]
+				sc.wins = append(sc.wins, insWin{buf: bi, src: s.src})
 				list = append(list, vgCand{
 					load: b.Cin,
 					q:    s.q,
@@ -566,7 +621,7 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 					nbuf: c.nbuf + 1,
 					cost: c.cost + bc,
 					pol:  c.pol ^ inv,
-					ins:  int32(bi) + 1,
+					ins:  int32(len(sc.wins)),
 					sol:  c.sol,
 				})
 			}
@@ -581,80 +636,119 @@ func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vg
 
 // linkInserted makes the solLink of every candidate insertBuffers emitted
 // at v that is still in list — the inserted type at v on top of the
-// buffered candidate's link — and clears its mark. computeNode calls it
+// source's link — and clears its mark. A pair sum's link is the pair's
+// junction (joinSol of its left and right candidates), made here, so
+// only kept winners cost one; left and right are the lists the pair sums
+// came from, nil when the sources were the list's own candidates. Called
 // after the prune, before the list leaves the node.
-func linkInserted(v rctree.NodeID, list []vgCand, lib *buffers.Library) {
+func (sc *nodeScratch) linkInserted(v rctree.NodeID, list []vgCand, lib *buffers.Library, left, right []vgCand) {
 	for i := range list {
-		if c := &list[i]; c.ins != 0 {
-			c.sol = &solLink{node: v, buf: &lib.Buffers[c.ins-1], prev: [2]*solLink{c.sol, nil}}
-			c.ins = 0
+		c := &list[i]
+		if c.ins == 0 {
+			continue
 		}
+		w := sc.wins[c.ins-1]
+		if left != nil {
+			p := sc.pairOf[w.src]
+			c.sol = joinSol(left[p[0]].sol, right[p[1]].sol)
+		}
+		c.sol = &solLink{node: v, buf: &lib.Buffers[w.buf], prev: [2]*solLink{c.sol, nil}}
+		c.ins = 0
 	}
 }
 
 // nodeScratch is the reusable working memory of the node step: for
-// insertBuffers the slot table, for sortCands the run boundaries and the
-// merge buffer, for lishiMerge the two lists' groups and frontier
-// indices. runVG gives the serial walk one and runVGParallel one per pool
-// worker, next to its vgStats; it is never shared between goroutines.
+// buffer insertion the pair sums, slot table and winner table, for
+// sortCands the run boundaries and the merge buffer, for lishiMerge the
+// two lists' groups and frontier indices. runVG gives the serial walk one
+// and runVGParallel one per pool worker, next to its vgStats, both from
+// scratchPool; it is never shared between goroutines.
 type nodeScratch struct {
-	slotOf []int     // per list candidate: its slot, 2·(cost rank) + parity
+	// The pads keep each worker's scratch off the cache lines of whatever
+	// the allocator puts beside it — another worker's scratch, for one:
+	// the node step rewrites these slice headers at every node.
+	_ [64]byte
+
+	slotOf []int     // per source: its slot, 2·(cost rank) + parity
 	costs  []int     // the distinct costs, when too spread for a dense rank
 	slots  []insSlot // one per (cost rank, output parity)
+	wins   []insWin  // the node's winners, indexed by vgCand.ins − 1
+
+	pairs  []vgCand   // pairSources: the pair sums, each without a link
+	pairOf [][2]int32 // pairSources: each pair's left and right indices
 
 	runs []int    // sortCands: the run boundaries
 	buf  []vgCand // sortCands: the merge buffer, cleared after every sort
 
 	groups [2][]candGroup // the left and right lists' groups
 	idx    []int          // backing for both lists' frontiers
+
+	_ [64]byte
 }
 
-// insSlot is one slot of the table: the index of the winning candidate
-// in the list (-1 while empty) and its post-buffer slack.
+// scratchPool carries node-step scratch from run to run, so a run starts
+// with the buffers earlier runs grew instead of growing its own. A
+// scratch goes back holding no solLink: sortCands clears its buffer after
+// every sort, pair sums never carry one, every other field is
+// pointer-free or indexes into one, and only successful runs return
+// theirs.
+var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+
+func getScratch() *nodeScratch   { return scratchPool.Get().(*nodeScratch) }
+func putScratch(sc *nodeScratch) { scratchPool.Put(sc) }
+
+// insWin is one winner of the node's insertion: its buffer type's library
+// index and its source's index.
+type insWin struct {
+	buf, src int
+}
+
+// insSlot is one slot of the table: the index of the winning source (-1
+// while empty) and its post-buffer slack.
 type insSlot struct {
 	src int
 	q   float64
 }
 
-// denseCostSpan bounds the slot table for a list of n candidates: costs
-// spread wider than this (large Problem 3 weights) are ranked through the
-// sorted distinct costs instead of by cost − minCost, so the table stays
-// O(n) for any weights.
+// denseCostSpan bounds the slot table for n sources: costs spread wider
+// than this (large Problem 3 weights) are ranked through the sorted
+// distinct costs instead of by cost − minCost, so the table stays O(n)
+// for any weights.
 func denseCostSpan(n int) int { return 4*n + 64 }
 
-// index assigns every candidate of list its slot — the cost rank is 0
-// when the run is not count-indexed — and returns the table, sized for
-// the list and ready to be reset per buffer type.
-func (sc *nodeScratch) index(list []vgCand, countIndexed bool) []insSlot {
-	sc.slotOf = slices.Grow(sc.slotOf[:0], len(list))[:len(list)]
+// index assigns every source its slot — the cost rank is 0 when the run
+// is not count-indexed — and returns the table, sized for the sources and
+// ready to be reset per buffer type.
+func (sc *nodeScratch) index(src []vgCand, countIndexed bool) []insSlot {
+	sc.slotOf = slices.Grow(sc.slotOf[:0], len(src))[:len(src)]
 	ranks := 1
 	switch {
-	case !countIndexed || len(list) == 0:
-		for i := range list {
-			sc.slotOf[i] = int(list[i].pol)
+	case !countIndexed || len(src) == 0:
+		for i := range src {
+			sc.slotOf[i] = int(src[i].pol)
 		}
 	default:
-		lo, hi := list[0].cost, list[0].cost
-		for i := range list {
-			lo, hi = min(lo, list[i].cost), max(hi, list[i].cost)
+		lo, hi := src[0].cost, src[0].cost
+		for i := range src {
+			lo, hi = min(lo, src[i].cost), max(hi, src[i].cost)
 		}
-		if span := hi - lo; span >= 0 && span < denseCostSpan(len(list)) {
+		if span := hi - lo; span >= 0 && span < denseCostSpan(len(src)) {
 			ranks = span + 1
-			for i := range list {
-				sc.slotOf[i] = 2*(list[i].cost-lo) + int(list[i].pol)
+			for i := range src {
+				sc.slotOf[i] = 2*(src[i].cost-lo) + int(src[i].pol)
 			}
 			break
 		}
 		sc.costs = sc.costs[:0]
-		for i := range list {
-			sc.costs = append(sc.costs, list[i].cost)
+		for i := range src {
+			sc.costs = append(sc.costs, src[i].cost)
 		}
 		slices.Sort(sc.costs)
 		sc.costs = slices.Compact(sc.costs)
 		ranks = len(sc.costs)
-		for i := range list {
-			r, _ := slices.BinarySearch(sc.costs, list[i].cost)
-			sc.slotOf[i] = 2*r + int(list[i].pol)
+		for i := range src {
+			r, _ := slices.BinarySearch(sc.costs, src[i].cost)
+			sc.slotOf[i] = 2*r + int(src[i].pol)
 		}
 	}
 	sc.slots = slices.Grow(sc.slots[:0], 2*ranks)[:2*ranks]
@@ -812,13 +906,15 @@ func firstIf(aFirst bool) int {
 	return 1
 }
 
-// mergeVG combines the candidate lists of two sibling branches: loads and
-// currents add, slacks take the minimum (Steps 3–4 of Fig. 11). Only
-// parity-compatible pairs merge. The pruned per-branch frontiers are small,
-// so the full cross product is used; pruning immediately follows in the
-// caller. The cross product is where multi-buffer candidate growth
-// compounds, so the budget is consulted as the output grows. The output
-// list comes from the arena; on error the caller releases it.
+// mergeVG combines the candidate lists of two sibling branches by the
+// full cross product: every parity-compatible pair within the count
+// bound, as pairSum and joinSol build it (Steps 3–4 of Fig. 11); pruning
+// immediately follows in the caller. It is the branch merge under 4-D
+// safe pruning, whose frontier the 2-D walk would cut (lishi.go), and the
+// reference the walk is differenced against (dpOverride.classicMerge).
+// The cross product is where multi-buffer candidate growth compounds, so
+// the budget is consulted as the output grows. The output list comes from
+// the arena; on error the caller releases it.
 func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	out := opts.arena.get(len(left) + len(right))
 	tick := 0
@@ -832,13 +928,12 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 					return out, err
 				}
 			}
-			if a.pol != b.pol {
+			if !opts.mergeable(a.pol, b.pol, a.cost, b.cost) {
 				continue
 			}
-			if opts.countIndexed && opts.maxBuffers > 0 && a.cost+b.cost > opts.maxBuffers {
-				continue
-			}
-			out = append(out, mergedCand(a, b))
+			c := pairSum(&a, &b)
+			c.sol = joinSol(a.sol, b.sol)
+			out = append(out, c)
 		}
 	}
 	if err := opts.budget.CheckCandidates(len(out)); err != nil {
@@ -851,31 +946,14 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	return out, nil
 }
 
-// mergedCand combines one candidate from each sibling branch — a from
-// the left child, b from the right: loads and currents add, slacks take
-// the minimum (Steps 3–4 of Fig. 11). The single shared construction for
-// every merge implementation (classic cross product and the Li–Shi
-// frontier walk), so engines cannot drift in arithmetic or in solution
-// linking.
-func mergedCand(a, b vgCand) vgCand {
-	var sol *solLink
-	switch {
-	case a.sol == nil:
-		sol = b.sol
-	case b.sol == nil:
-		sol = a.sol
-	default:
-		// Junction link: reuse a's head with both prevs via a
-		// synthetic link carrying a's head assignment would double
-		// count; instead create a link that repeats a's head
-		// assignment — maps deduplicate identical (node, buf)
-		// pairs, so repeating is safe and keeps links binary.
-		sol = &solLink{
-			node: a.sol.node, buf: a.sol.buf,
-			width: a.sol.width, isWidth: a.sol.isWidth,
-			prev: [2]*solLink{a.sol, b.sol},
-		}
-	}
+// pairSum is the values of the pair (a, b) — a from the left child, b
+// from the right: loads and currents add, slacks take the minimum
+// (Steps 3–4 of Fig. 11). With joinSol for the pair's link it is the
+// single shared construction for every merge (classic cross product and
+// Li–Shi frontier walk) and for buffer insertion's pair sums
+// (pairSources), so none can drift from another in arithmetic or in
+// solution linking.
+func pairSum(a, b *vgCand) vgCand {
 	return vgCand{
 		load: a.load + b.load,
 		q:    math.Min(a.q, b.q),
@@ -884,7 +962,26 @@ func mergedCand(a, b vgCand) vgCand {
 		nbuf: a.nbuf + b.nbuf,
 		cost: a.cost + b.cost,
 		pol:  a.pol,
-		sol:  sol,
+	}
+}
+
+// joinSol is the solution link of a merged pair whose sides' links are a
+// and b.
+func joinSol(a, b *solLink) *solLink {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	// Junction link: reuse a's head with both prevs via a synthetic link
+	// carrying a's head assignment would double count; instead create a
+	// link that repeats a's head assignment — maps deduplicate identical
+	// (node, buf) pairs, so repeating is safe and keeps links binary.
+	return &solLink{
+		node: a.node, buf: a.buf,
+		width: a.width, isWidth: a.isWidth,
+		prev: [2]*solLink{a, b},
 	}
 }
 

@@ -115,14 +115,16 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 
 	// Per-worker stats keep the hot loops free of atomics; folded into the
 	// run's totals after Wait, when no worker touches them anymore. Each
-	// worker's node-step scratch is likewise its own.
+	// worker's node-step scratch is likewise its own, drawn from the pool
+	// and returned to it after Wait if the run succeeded (as in runVG).
 	workerStats := make([]vgStats, workers)
-	workerScratch := make([]nodeScratch, workers)
+	workerScratch := make([]*nodeScratch, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
+		workerScratch[w] = getScratch()
 		wopts := opts
 		wopts.stats = &workerStats[w]
-		wopts.scratch = &workerScratch[w]
+		wopts.scratch = workerScratch[w]
 		go func() {
 			defer wg.Done()
 			// Panic isolation: a crash on a pool goroutine would kill the
@@ -137,6 +139,9 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 
 	for w := range workerStats {
 		opts.stats.absorb(&workerStats[w])
+		if runErr == nil {
+			putScratch(workerScratch[w])
+		}
 	}
 	return runErr
 }
