@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the tier-1 gate (ROADMAP.md).
 
-.PHONY: build test check loc difftest enginetest fuzz enginefuzz soak fleetsoak tracesoak restartsoak ecosoak
+.PHONY: build test check loc difftest enginetest fuzz enginefuzz hullfuzz soak fleetsoak tracesoak restartsoak ecosoak
 
 build:
 	go build ./...
@@ -30,11 +30,13 @@ difftest:
 # (classic O(b²n²) cross-product merge, serial walk) — the full 200-net
 # stratified differential, the metamorphic properties, the exhaustive
 # oracle, the checked-in fuzz corpus replay, and the merge-level frontier
-# property tests the Li–Shi walk's soundness proof rests on. The tier-1
-# gate runs the same tests in its full race pass; this re-runs just them.
+# property tests the Li–Shi walk's soundness proof rests on, and the
+# buffer-insertion hull filter differenced against the full scan. The
+# tier-1 gate runs the same tests in its full race pass; this re-runs
+# just them.
 enginetest:
 	GOFLAGS=-count=1 go test -race ./internal/core/enginetest
-	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty' ./internal/core
+	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty|TestInsertWinnersMatchFullScan|TestInsertHullEmitsSortedRun' ./internal/core
 
 fuzz:
 	go test -fuzz=FuzzRead -fuzztime=30s ./internal/netfmt
@@ -43,6 +45,13 @@ fuzz:
 # exact EngineTable row vs the reference, bit-identical objectives required.
 enginefuzz:
 	go test -fuzz=FuzzEngineEquivalence -fuzztime=60s ./internal/core/enginetest
+
+# Hull-filter fuzzing: fuzzed adversarial source lists (near-collinear,
+# equal loads, one-ulp slacks, huge and subnormal magnitudes) through
+# delay-mode buffer insertion, filtered vs full scan, bit-identical
+# winners, order and links required.
+hullfuzz:
+	go test -run FuzzInsertWinners -fuzz=FuzzInsertWinners -fuzztime=60s ./internal/core
 
 # Fault-injection soak: repeatedly hammers the bufferd server stack —
 # admission control, drain lifecycle, seeded chaos injector — under the

@@ -1,15 +1,15 @@
 package core
 
 // This file implements the Li–Shi fast multi-type branch merge
-// (PAPERS.md, arXiv:0710.4691): the one super-linear step of the classic
-// dynamic program — the O(L1·L2) cross product at every branch node — is
-// replaced by an O(L1+L2) two-pointer walk over the branches' Pareto
-// frontiers, cutting the whole DP from O(b²n²) to O(bn²) for a b-type
-// library. Everything else (sink seeding, buffer insertion, pruning, wire
-// charging) is byte-for-byte the code the cross product runs; the walk
-// changes how merge candidates are enumerated, never their arithmetic
-// (pairSum and joinSol are shared) and never which values survive
-// pruning.
+// (PAPERS.md, arXiv:0710.4691): the O(L1·L2) cross product at every
+// branch node is replaced by an O(L1+L2) two-pointer walk over the
+// branches' Pareto frontiers. It is one half of Li and Shi's O(bn²) for a
+// b-type library; the other is convex pruning of the add-buffer step,
+// which a delay-only run does in insertHull (vg.go) and without which
+// that step alone costs O(b·k) per node. Sink seeding, pruning and wire
+// charging are the code the cross product runs; the walk changes how
+// merge candidates are enumerated, never their arithmetic (pairSum and
+// joinSol are shared) and never which values survive pruning.
 //
 // Why the walk loses nothing, exactly:
 //

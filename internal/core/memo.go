@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"buffopt/internal/buffers"
@@ -39,10 +40,47 @@ import (
 // and loads copy the slice into the run's arena before the DP may mutate
 // it in place. ids records the subtree's preorder node numbering at store
 // time, so a load after a renumbering edit (prune) can relocate the
-// solution DAG instead of discarding the entry.
+// solution DAG instead of discarding the entry. It is a window of the
+// session topology's preorder (memoTopo), shared with every other entry
+// stored under that topology, never a copy of its own.
 type subtreeMemo struct {
 	ids   []rctree.NodeID
 	cands []vgCand
+}
+
+// memoTopo is one session topology's preorder with every subtree's
+// extent: node v's subtree is pre[at[v]:end[v]], in rctree's Subtree
+// order. The session builds it once per topology — again only after a
+// graft or prune — so a store takes its entry's ids as a window, and a
+// load recognises a current entry by the window alone, both in O(1).
+type memoTopo struct {
+	pre     []rctree.NodeID
+	at, end []int32
+}
+
+func newMemoTopo(t *rctree.Tree) *memoTopo {
+	m := &memoTopo{pre: t.Preorder(), at: make([]int32, t.Len()), end: make([]int32, t.Len())}
+	for i, v := range m.pre {
+		m.at[v] = int32(i)
+	}
+	// A subtree ends where its last child's does: children follow their
+	// parent in preorder, so a reverse scan sees them first.
+	for i := len(m.pre) - 1; i >= 0; i-- {
+		v := m.pre[i]
+		if ch := t.Node(v).Children; len(ch) > 0 {
+			m.end[v] = m.end[ch[len(ch)-1]]
+		} else {
+			m.end[v] = int32(i) + 1
+		}
+	}
+	return m
+}
+
+// window returns node v's subtree ids, capped so no append can reach
+// past them into the shared preorder.
+func (m *memoTopo) window(v rctree.NodeID) []rctree.NodeID {
+	lo, hi := m.at[v], m.end[v]
+	return m.pre[lo:hi:hi]
 }
 
 // memoTable is the per-session store of subtree entries, bounded like
@@ -52,10 +90,15 @@ type memoTable = cache.Cache[*subtreeMemo]
 // subtreeMemoSize approximates an entry's resident footprint: candidate
 // structs plus an amortized share of the solution DAG behind them, plus
 // the id list. Generous constants — the byte bound is a safety valve.
+// An entry is charged 8 B per id of its window, twice a NodeID, as if it
+// held a private copy. The windows share the session's current preorder,
+// session state beside its subtree hashes, and a graft or prune copies
+// every window out of the preorder it retires (retireTopo), so no entry
+// pins one the session has dropped.
 func subtreeMemoSize(e *subtreeMemo) int64 {
 	const (
 		base    = 96
-		perCand = 160 // vgCand (72 B) + amortized solLink share
+		perCand = 160 // vgCand (64 B) + amortized solLink share
 		perID   = 8
 	)
 	if e == nil {
@@ -75,6 +118,7 @@ func subtreeMemoSize(e *subtreeMemo) int64 {
 type memoRun struct {
 	table  *memoTable
 	hashes []rctree.SubtreeHash
+	topo   *memoTopo
 	suffix string
 
 	lookups  atomic.Int64
@@ -157,36 +201,57 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 
 // store memoizes node v's finished candidate list: a private plain copy
 // (never arena-backed — the arena zeroes returned backing) plus the
-// subtree's current preorder ids. Called from computeNode after the list
-// is final (pruned and wire-charged), so serial, parallel, and subset
-// walks all store through the same line.
-func (m *memoRun) store(t *rctree.Tree, v rctree.NodeID, list []vgCand) {
+// subtree's window of the topology preorder. Called from computeNode
+// after the list is final (pruned and wire-charged), so serial, parallel,
+// and subset walks all store through the same line.
+func (m *memoRun) store(v rctree.NodeID, list []vgCand) {
 	m.resolved.Add(1)
 	m.table.Put(m.key(v), &subtreeMemo{
-		ids:   t.Subtree(v),
+		ids:   m.topo.window(v),
 		cands: append([]vgCand(nil), list...),
 	})
 }
 
 // load returns an arena-backed copy of node v's memoized list, if the
-// table holds a current entry. When the tree was renumbered since the
-// entry was stored (prune compaction), the stored solution DAG is
-// relocated through the positional old→new id map — hash equality
-// guarantees the two preorders align node for node — and the relocated
-// entry replaces the stale one.
-func (m *memoRun) load(t *rctree.Tree, v rctree.NodeID, ar *candArena) ([]vgCand, bool) {
+// table holds a current entry. An entry stored under this topology holds
+// v's window itself. One from before a graft or prune is checked id by
+// id and re-stored on the current window — relocated first through the
+// positional old→new id map when the tree was renumbered (hash equality
+// guarantees the two preorders align node for node).
+func (m *memoRun) load(v rctree.NodeID, ar *candArena) ([]vgCand, bool) {
 	key := m.key(v)
 	e, ok := m.table.Get(key)
 	if !ok {
 		return nil, false
 	}
-	ids := t.Subtree(v)
-	if !equalIDs(e.ids, ids) {
-		e = remapMemo(e, ids)
+	ids := m.topo.window(v)
+	if !sameWindow(e.ids, ids) {
+		if equalIDs(e.ids, ids) {
+			e = &subtreeMemo{ids: ids, cands: e.cands}
+		} else {
+			e = remapMemo(e, ids)
+		}
 		m.table.Put(key, e)
 	}
 	m.reused.Add(1)
 	return append(ar.get(len(e.cands)), e.cands...), true
+}
+
+// sameWindow reports whether a and b are the same window of one
+// preorder.
+func sameWindow(a, b []rctree.NodeID) bool {
+	return len(a) == len(b) && &a[0] == &b[0]
+}
+
+// retireTopo copies every entry's ids out of the session's preorder
+// before a graft or prune replaces it, so no entry pins a retired
+// preorder. Replaying the entries oldest first keeps their recency, and
+// each replaced value counts as an eviction, so the cache books stay
+// balanced.
+func retireTopo(table *memoTable) {
+	for _, e := range table.Entries() {
+		table.Put(e.Key, &subtreeMemo{ids: slices.Clone(e.Val.ids), cands: e.Val.cands})
+	}
 }
 
 func equalIDs(a, b []rctree.NodeID) bool {
@@ -259,7 +324,7 @@ func memoGate(t *rctree.Tree, opts vgOptions, lists [][]vgCand) ([]rctree.NodeID
 				return order, err
 			}
 			m.lookups.Add(1)
-			if list, ok := m.load(t, f.id, opts.arena); ok {
+			if list, ok := m.load(f.id, opts.arena); ok {
 				lists[f.id] = list
 				stack = stack[:len(stack)-1]
 				continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"buffopt/internal/cache"
 	"buffopt/internal/rctree"
@@ -28,7 +29,10 @@ type Session struct {
 	p      Problem
 	memo   *memoTable
 	hashes []rctree.SubtreeHash
-	stats  SessionStats
+	// topo is the memo's view of the tree's topology, built on the first
+	// Delta and again after a graft or prune.
+	topo  *memoTopo
+	stats SessionStats
 }
 
 // SessionConfig bounds one session's memo table.
@@ -306,9 +310,16 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 		}
 		s.p.Tree, s.hashes = t, h
 		s.stats.Edits += int64(len(edits))
+		if s.topo != nil && slices.ContainsFunc(edits, func(e Edit) bool { return e.Op == EditGraft || e.Op == EditPrune }) {
+			retireTopo(s.memo)
+			s.topo = nil
+		}
+	}
+	if s.topo == nil {
+		s.topo = newMemoTopo(s.p.Tree)
 	}
 
-	run := &memoRun{table: s.memo, hashes: s.hashes}
+	run := &memoRun{table: s.memo, hashes: s.hashes, topo: s.topo}
 	opts.memo = run
 	res, err := gate(ctx, func() (*Result, error) { return solveProblem(ctx, "delta", s.p, opts) })
 	if err != nil {

@@ -18,10 +18,11 @@ import (
 // vgStats accumulates one runVG invocation's telemetry locally — plain
 // int64 fields bumped inside the hot loops — and flushes to the obs
 // registry once at the end, so instrumentation costs the DP a handful of
-// atomic adds per run rather than per candidate. The Shi/Li O(bn²)
-// candidate-growth claim (PAPERS.md) is checked against exactly these
-// numbers: generated vs. pruned is the prune ratio, highwater is the
-// per-node list-length bound. In parallel runs each worker owns a private
+// atomic adds per run rather than per candidate. Li and Shi's O(bn²)
+// (PAPERS.md) multiplies the list length per node, which highwater
+// bounds, by a node step linear in it: the merge walk (merged) and the
+// hull-filtered insertion (DESIGN §16). generated vs. pruned is the
+// prune ratio. In parallel runs each worker owns a private
 // vgStats, absorbed into the run's at the end, so the published totals are
 // schedule-independent.
 type vgStats struct {
@@ -453,7 +454,7 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 	}
 	st.list(len(list))
 	if opts.memo != nil {
-		opts.memo.store(t, v, list)
+		opts.memo.store(v, list)
 	}
 	lists[v] = list
 	return nil
@@ -564,10 +565,9 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 // slack wins, and on an exact tie the cheaper, then smaller, solution;
 // only a full-value tie keeps the source scanned first, so a scan of the
 // pair sums in mergeVG's order picks what the cross product would. The
-// winners are appended in scan order (buffer index, then slot) and the
-// appended tail is then sorted by candCmp, stably — the prune's own
-// order and run merge — so the list reaches pruneVG as the input's runs
-// plus one more, and a chain node's prune is a single linear merge.
+// appended tail is sorted by candCmp, stably — the prune's own order and
+// run merge — so the list reaches pruneVG as the input's runs plus one
+// more, and a chain node's prune is a single linear merge.
 // (buffer, parity, cost) makes the winners unique, so repeated runs and
 // parallel schedules see byte-identical lists. They leave without their
 // solLinks: each is marked with its entry in the node's winner table
@@ -575,17 +575,34 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 // linkInserted makes the links of the ones the prune keeps — most
 // winners are dominated at once, and a link made for them would only be
 // garbage.
+//
+// A delay-only run scans only the sources that can win for some buffer
+// type (insertHull, hullKeep) and emits the winners already in candCmp
+// order when it can. Noise mode and the reference override scan every
+// source (insertScan), so the enginetest differential compares the two.
 func insertBuffers(list, src []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
 	sc := opts.scratch
 	n := len(list)
 	slots := sc.index(src, opts.countIndexed)
 	sc.wins = sc.wins[:0]
+	if opts.noise || opts.dp.classicMerge {
+		list = sc.insertScan(list, src, lib, opts, slots)
+	} else {
+		list = sc.insertHull(list, src, lib, opts, len(slots))
+	}
+	sc.sortCands(list[n:], opts.countIndexed)
+	if opts.stats != nil {
+		opts.stats.generated += int64(len(list) - n)
+	}
+	return list
+}
+
+// insertScan is insertBuffers' full scan: every source against every
+// buffer type, the winners appended in (buffer index, slot) order.
+func (sc *nodeScratch) insertScan(list, src []vgCand, lib *buffers.Library, opts vgOptions, slots []insSlot) []vgCand {
 	for bi, b := range lib.Buffers {
 		bc := b.Cost()
-		var inv uint8
-		if b.Inverting {
-			inv = 1
-		}
+		inv := inversion(&b)
 		for i := range slots {
 			slots[i].src = -1
 		}
@@ -599,39 +616,298 @@ func insertBuffers(list, src []vgCand, lib *buffers.Library, opts vgOptions) []v
 			}
 			q := c.q - b.Delay(c.load)
 			s := &slots[sc.slotOf[i]^int(inv)]
-			better := s.src < 0 || q > s.q
-			if !better && q == s.q {
-				w := &src[s.src]
-				nc, wc := c.cost+bc, w.cost+bc
-				better = nc < wc || (nc == wc && c.nbuf+1 < w.nbuf+1)
-			}
-			if better {
+			if s.src < 0 || displaces(c, &src[s.src], q, s.q) {
 				s.src, s.q = i, q
 			}
 		}
 		for _, s := range slots {
 			if s.src >= 0 {
-				c := &src[s.src]
-				sc.wins = append(sc.wins, insWin{buf: bi, src: s.src})
-				list = append(list, vgCand{
-					load: b.Cin,
-					q:    s.q,
-					down: 0,
-					ns:   b.NoiseMargin,
-					nbuf: c.nbuf + 1,
-					cost: c.cost + bc,
-					pol:  c.pol ^ inv,
-					ins:  int32(len(sc.wins)),
-					sol:  c.sol,
-				})
+				list = sc.appendWin(list, src, bi, &b, s)
 			}
 		}
 	}
-	sc.sortCands(list[n:], opts.countIndexed)
-	if opts.stats != nil {
-		opts.stats.generated += int64(len(list) - n)
+	return list
+}
+
+// displaces is the winner rule: source c, whose post-buffer slack is q,
+// takes the slot from its current winner w, at slack wq, on strictly
+// greater slack, and on an exact tie when cheaper, then smaller. A
+// full-value tie keeps w, the source scanned first.
+func displaces(c, w *vgCand, q, wq float64) bool {
+	if q != wq {
+		return q > wq
+	}
+	return c.cost < w.cost || (c.cost == w.cost && c.nbuf < w.nbuf)
+}
+
+// appendWin appends the winner s of buffer type b (library index bi) to
+// list and records it in the winner table.
+func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, s insSlot) []vgCand {
+	c := &src[s.src]
+	sc.wins = append(sc.wins, insWin{buf: bi, src: s.src})
+	return append(list, vgCand{
+		load: b.Cin,
+		q:    s.q,
+		down: 0,
+		ns:   b.NoiseMargin,
+		nbuf: c.nbuf + 1,
+		cost: c.cost + b.Cost(),
+		pol:  c.pol ^ inversion(b),
+		ins:  int32(len(sc.wins)),
+		sol:  c.sol,
+	})
+}
+
+// insertHull is insertBuffers for a delay-only run. It first narrows
+// each slot to the sources hullKeep cannot rule out, kept in src order,
+// then scans those under the same winner rule (bestIn). Every source it
+// drops has, for every buffer type, another source in its slot with
+// strictly greater post-buffer slack as computed, so the dropped sources
+// hold none of a type's maxima and the winners are the full scan's.
+//
+// When the run is not count-indexed, or every buffer costs the same, the
+// winners are emitted slot by slot — each slot's output (cost,) parity
+// ascending — and within a slot by ascending Cin, then library index: the
+// candCmp order of the tail whenever the Cin are distinct. Candidates
+// equal under candCmp still arrive in library order, as from the full
+// scan, so the stable sort after this leaves the same list. Otherwise the
+// emission is the full scan's (buffer index, slot) order.
+func (sc *nodeScratch) insertHull(list, src []vgCand, lib *buffers.Library, opts vgOptions, nslot int) []vgCand {
+	hb, filter := boundsOf(lib)
+	// Group the sources by slot, in src order: a counting sort.
+	at := slices.Grow(sc.slotAt[:0], nslot+1)[:nslot+1]
+	clear(at)
+	for i := range src {
+		at[sc.slotOf[i]+1]++
+	}
+	for s := 1; s <= nslot; s++ {
+		at[s] += at[s-1]
+	}
+	by := slices.Grow(sc.bySlot[:0], len(src))[:len(src)]
+	for i := range src {
+		s := sc.slotOf[i]
+		by[at[s]] = i
+		at[s]++
+	}
+	sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
+	clear(sc.gone)
+	sc.kept = slices.Grow(sc.kept[:0], nslot)[:nslot]
+	lo := 0
+	for s := range nslot {
+		group := by[lo:at[s]]
+		if filter {
+			group = sc.hullKeep(src, group, hb)
+		}
+		sc.kept[s] = group
+		lo = at[s]
+	}
+	sc.slotAt, sc.bySlot = at, by
+
+	if opts.countIndexed && !sameCosts(lib) {
+		for bi := range lib.Buffers {
+			for o := range nslot {
+				list = sc.bestIn(list, src, lib, bi, o, opts)
+			}
+		}
+		return list
+	}
+	order := sc.byCin(lib)
+	for o := range nslot {
+		for _, bi := range order {
+			list = sc.bestIn(list, src, lib, bi, o, opts)
+		}
 	}
 	return list
+}
+
+// bestIn appends buffer type bi's winner for output slot o, if any: the
+// best of the kept sources of the slot the type maps onto o.
+func (sc *nodeScratch) bestIn(list, src []vgCand, lib *buffers.Library, bi, o int, opts vgOptions) []vgCand {
+	b := &lib.Buffers[bi]
+	kept := sc.kept[o^int(inversion(b))]
+	// A count-indexed slot holds one cost, so the count cap skips all of
+	// it or none.
+	if len(kept) == 0 || opts.countIndexed && opts.maxBuffers > 0 && src[kept[0]].cost+b.Cost() > opts.maxBuffers {
+		return list
+	}
+	s := insSlot{src: -1}
+	for _, i := range kept {
+		c := &src[i]
+		q := c.q - b.Delay(c.load)
+		if s.src < 0 || displaces(c, &src[s.src], q, s.q) {
+			s.src, s.q = i, q
+		}
+	}
+	return sc.appendWin(list, src, bi, b, s)
+}
+
+// inversion is the parity buffer b adds: 1 for an inverter.
+func inversion(b *buffers.Buffer) uint8 {
+	if b.Inverting {
+		return 1
+	}
+	return 0
+}
+
+// sameCosts reports whether every buffer of lib has the same cost.
+func sameCosts(lib *buffers.Library) bool {
+	for i := range lib.Buffers {
+		if lib.Buffers[i].Cost() != lib.Buffers[0].Cost() {
+			return false
+		}
+	}
+	return true
+}
+
+// byCin returns lib's buffer indices in ascending Cin, then index order
+// (an insertion sort: libraries are small).
+func (sc *nodeScratch) byCin(lib *buffers.Library) []int {
+	ord := sc.cinOrder[:0]
+	for bi := range lib.Buffers {
+		ord = append(ord, bi)
+		for k := len(ord) - 1; k > 0 && lib.Buffers[ord[k-1]].Cin > lib.Buffers[bi].Cin; k-- {
+			ord[k-1], ord[k] = ord[k], ord[k-1]
+		}
+	}
+	sc.cinOrder = ord
+	return ord
+}
+
+// hullMag bounds the magnitudes hullKeep certifies: with every |q|, |C|,
+// R and T at most 2^500, no product or sum it forms can overflow, and a
+// NaN fails the bound. A slot or library outside it is scanned whole.
+const hullMag = 0x1p500
+
+// hullBounds is what the filter reads of the library: the smallest and
+// largest output resistance and the largest intrinsic delay.
+type hullBounds struct {
+	rmin, rmax, tmax float64
+}
+
+// boundsOf returns lib's hullBounds, and whether the filter may run on it
+// (Library.Validate already makes every R > 0 and T ≥ 0 finite).
+func boundsOf(lib *buffers.Library) (hullBounds, bool) {
+	h := hullBounds{rmin: math.Inf(1)}
+	for i := range lib.Buffers {
+		b := &lib.Buffers[i]
+		h.rmin, h.rmax, h.tmax = min(h.rmin, b.R), max(h.rmax, b.R), max(h.tmax, b.T)
+	}
+	return h, h.rmin > 0 && h.rmax <= hullMag && h.tmax <= hullMag
+}
+
+// tau is the margin a certificate must clear in a slot whose sources all
+// have |q| + R_max·|C| ≤ m. It bounds the rounding in computing
+// q − (T + R·C) for the dropped source and for the source that beats it,
+// plus the rounding in computing the certificate's gap itself: either is
+// within a few units in the last place of |q| + T + R·|C| summed over the
+// (at most three) sources involved, so of 3m + 2T. 2^-48 is 32 units,
+// and the last term covers underflow.
+func (h hullBounds) tau(m float64) float64 {
+	return 0x1p-48*(3*m+2*h.tmax) + 0x1p-1070
+}
+
+// hullKeep narrows one slot's sources idx (in src order) to those it
+// cannot certify as losers, returned in src order in idx's backing. With
+// f_R(i) = q_i − (T + R·C_i), for each buffer type's R, a source j is
+// dropped only on one of three certificates, each a gap δ > tau:
+//
+//   - below the chord: a and c with C_a < C_j < C_c and δ the height of
+//     the segment a–c above j at C_j. As f_R is affine in (C, q), the
+//     convex combination of f_R(a) and f_R(c) at C_j is f_R(j) + δ, so
+//     max(f_R(a), f_R(c)) ≥ f_R(j) + δ for every R;
+//   - at a load it shares with a: δ = q_a − q_j = f_R(a) − f_R(j);
+//   - off an end: j is the chain's first (last) vertex and a its
+//     neighbour, δ = (q_a − q_j) − R_max·(C_a − C_j) (respectively
+//     (q_a − q_j) + R_min·(C_j − C_a)), at most f_R(a) − f_R(j) for every
+//     R in [R_min, R_max], the library's range of output resistance.
+//
+// δ > tau makes the strict inequality survive rounding, so the winner
+// rule sees j lose to a or c under every type; a dropped a or c loses to
+// a third source in turn, and a chain of strict inequalities ends at a
+// kept source. So no dropped source attains a type's maximum, and the
+// maxima — hence the winners, on the same scan order — are unchanged.
+// The certificates are found by one monotone-chain pass for the upper
+// convex hull of (C, q) in (C ascending, q descending) order, which pops
+// a vertex only when certified, and the two end trims.
+func (sc *nodeScratch) hullKeep(src []vgCand, idx []int, h hullBounds) []int {
+	if len(idx) < 2 {
+		return idx
+	}
+	sorted, mq, mc := true, 0.0, 0.0
+	for k, i := range idx {
+		c := &src[i]
+		// max carries a NaN through, and the bound check below fails on it.
+		mq, mc = max(mq, math.Abs(c.q)), max(mc, math.Abs(c.load))
+		if k > 0 {
+			p := &src[idx[k-1]]
+			sorted = sorted && (p.load < c.load || p.load == c.load && p.q >= c.q)
+		}
+	}
+	if !(mq <= hullMag && mc <= hullMag) {
+		return idx
+	}
+	tau := h.tau(mq + h.rmax*mc)
+	ord := idx
+	if !sorted {
+		ord = append(sc.hullOrd[:0], idx...)
+		slices.SortFunc(ord, func(i, k int) int {
+			a, b := &src[i], &src[k]
+			switch {
+			case a.load != b.load:
+				return firstIf(a.load < b.load)
+			case a.q != b.q:
+				return firstIf(a.q > b.q)
+			}
+			return cmp.Compare(i, k)
+		})
+		sc.hullOrd = ord
+	}
+	gone := sc.gone
+	hull := sc.hull[:0]
+	for _, p := range ord {
+		c := &src[p]
+		if len(hull) > 0 {
+			if a := &src[hull[len(hull)-1]]; a.load == c.load {
+				// The slot's highest slack at this load is on the chain.
+				gone[p] = a.q-c.q > tau
+				continue
+			}
+		}
+		for len(hull) >= 2 {
+			a, j := &src[hull[len(hull)-2]], &src[hull[len(hull)-1]]
+			lambda := (j.load - a.load) / (c.load - a.load)
+			if !(a.q+(c.q-a.q)*lambda-j.q > tau) {
+				break
+			}
+			gone[hull[len(hull)-1]] = true
+			hull = hull[:len(hull)-1]
+		}
+		hull = append(hull, p)
+	}
+	sc.hull = hull
+	for len(hull) >= 2 {
+		j, a := &src[hull[0]], &src[hull[1]]
+		if !((a.q-j.q)-h.rmax*(a.load-j.load) > tau) {
+			break
+		}
+		gone[hull[0]] = true
+		hull = hull[1:]
+	}
+	for len(hull) >= 2 {
+		a, j := &src[hull[len(hull)-2]], &src[hull[len(hull)-1]]
+		if !((a.q-j.q)+h.rmin*(j.load-a.load) > tau) {
+			break
+		}
+		gone[hull[len(hull)-1]] = true
+		hull = hull[:len(hull)-1]
+	}
+	kept := idx[:0]
+	for _, i := range idx {
+		if !gone[i] {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // linkInserted makes the solLink of every candidate insertBuffers emitted
@@ -658,7 +934,8 @@ func (sc *nodeScratch) linkInserted(v rctree.NodeID, list []vgCand, lib *buffers
 }
 
 // nodeScratch is the reusable working memory of the node step: for
-// buffer insertion the pair sums, slot table and winner table, for
+// buffer insertion the pair sums, slot table, winner table and the hull
+// filter's index lists, for
 // sortCands the run boundaries and the merge buffer, for lishiMerge the
 // two lists' groups and frontier indices. runVG gives the serial walk one
 // and runVGParallel one per pool worker, next to its vgStats, both from
@@ -673,6 +950,14 @@ type nodeScratch struct {
 	costs  []int     // the distinct costs, when too spread for a dense rank
 	slots  []insSlot // one per (cost rank, output parity)
 	wins   []insWin  // the node's winners, indexed by vgCand.ins − 1
+
+	slotAt   []int   // insertHull: each slot's end in bySlot
+	bySlot   []int   // insertHull: the source indices grouped by slot
+	kept     [][]int // insertHull: per slot, the sources hullKeep keeps
+	gone     []bool  // hullKeep: per source, certified a loser
+	hullOrd  []int   // hullKeep: a slot's sources in (load, −slack) order
+	hull     []int   // hullKeep: the monotone chain
+	cinOrder []int   // byCin: the library in Cin order
 
 	pairs  []vgCand   // pairSources: the pair sums, each without a link
 	pairOf [][2]int32 // pairSources: each pair's left and right indices

@@ -4,8 +4,8 @@
 # and for the nested benchmark module (benchmark/, its own go.mod), which
 # the root `./...` does not reach. One iteration of every benchmark in the
 # root package (bench_test.go) and in internal/core (BenchmarkPruneVG,
-# BenchmarkBuffOptScaling) runs too, so a broken benchmark fails here
-# instead of going unnoticed. The long soaks stay behind their make
+# BenchmarkInsertBuffers, BenchmarkBuffOptScaling, ...) runs too, so a
+# broken benchmark fails here instead of going unnoticed. The long soaks stay behind their make
 # targets (make soak, fleetsoak, tracesoak, restartsoak, ecosoak). Run from
 # the repository root.
 set -eu
