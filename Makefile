@@ -38,8 +38,11 @@ enginetest:
 	GOFLAGS=-count=1 go test -race ./internal/core/enginetest
 	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty|TestInsertWinnersMatchFullScan|TestInsertHullEmitsSortedRun' ./internal/core
 
+# Decoder fuzzing: the netfmt reader, then every bufferd decode path
+# (/solve, /solve/batch items, /solve/delta) under the same invariants.
 fuzz:
 	go test -fuzz=FuzzRead -fuzztime=30s ./internal/netfmt
+	go test -run FuzzDecodeRequest -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server
 
 # Engine-equivalence fuzzing: random trees × random sub-libraries, every
 # exact EngineTable row vs the reference, bit-identical objectives required.

@@ -19,8 +19,10 @@
 //
 // Endpoints:
 //
-//	POST /solve        application/json envelope {"net": "...netfmt...", ...}
-//	                   or raw netfmt text (?timeout_ms=, ?max_cands=)
+//	POST /solve        application/json v2 envelope {"v": 2, "net":
+//	                   "...netfmt...", "options": {"timeout_ms": ...},
+//	                   "problem": {...}} ("v" may be omitted), or raw
+//	                   netfmt text (?timeout_ms=, ?max_cands=)
 //	POST /solve/batch  {"nets": [{...}, ...]} — up to -max-batch nets fanned
 //	                   across the worker pool; per-net results and errors
 //	                   (partial failures stay 200)

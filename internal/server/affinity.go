@@ -28,40 +28,23 @@ type Keyer struct {
 }
 
 // NewKeyer builds a Keyer from the same Config the replicas run with
-// (only the decode-relevant fields matter: Limits, DefaultTimeout,
-// MaxTimeout, MaxCands). Differences between this config and a replica's
-// only weaken affinity — requests still route deterministically.
+// (only the decode-relevant fields matter: MaxBytes, Limits,
+// DefaultTimeout, MaxTimeout, MaxCands). Differences between this config
+// and a replica's only weaken affinity — requests still route
+// deterministically.
 func NewKeyer(cfg Config) *Keyer {
 	return &Keyer{s: &Server{cfg: cfg.withDefaults()}}
 }
 
 // SolveKey returns the affinity key for one /solve request body, either
 // an application/json envelope or raw netfmt text with query knobs —
-// the same two shapes the replicas decode.
+// decoded by decodeSolve, the replicas' own decoder.
 func (k *Keyer) SolveKey(contentType string, query url.Values, body []byte) string {
-	req, err := k.decodeSolve(contentType, query, body)
+	req, err := k.s.decodeSolve(contentType, query, body)
 	if err != nil {
 		return rawKey(contentType, body)
 	}
 	return k.s.cacheKey(req)
-}
-
-// decodeSolve mirrors (*Server).decodeRequest over in-memory bytes.
-func (k *Keyer) decodeSolve(contentType string, query url.Values, body []byte) (*solveRequest, error) {
-	if isJSON(contentType) {
-		var env Envelope
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&env); err != nil {
-			return nil, err
-		}
-		return k.s.requestFromEnvelope(&env)
-	}
-	req := k.s.newSolveRequest()
-	if err := applyQuery(req, query); err != nil {
-		return nil, err
-	}
-	return k.s.finishDecode(req, bytes.NewReader(body))
 }
 
 // SplitItem is one /solve/batch item carved out for per-item routing:
@@ -107,13 +90,7 @@ func (k *Keyer) SplitBatch(body []byte) ([]SplitItem, error) {
 // keyed, so a net posted alone and the same net posted inside a batch
 // land on the same shard and share one cache entry.
 func (k *Keyer) itemKey(raw json.RawMessage) string {
-	var env Envelope
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		return rawKey("application/json", raw)
-	}
-	req, err := k.s.requestFromEnvelope(&env)
+	req, err := k.s.decodeJSON(raw)
 	if err != nil {
 		return rawKey("application/json", raw)
 	}

@@ -49,7 +49,7 @@ func TestKeyerSeparatesDistinctProblems(t *testing.T) {
 
 	// A different segmenting length keys differently (segmenting
 	// deterministically reshapes the worked tree).
-	seglen := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(`{"net": %q, "seglen": 1e-3}`, sampleNet)))
+	seglen := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(`{"net": %q, "options": {"seglen": 1e-3}}`, sampleNet)))
 	if seglen == base {
 		t.Fatal("different seglen shares an affinity key")
 	}
@@ -103,39 +103,44 @@ func TestKeyerFallbackOnUndecodable(t *testing.T) {
 	}
 }
 
-// TestKeyerV1V2Equivalence: a v1 envelope and a v2 envelope saying the
-// same thing produce the same affinity (and therefore cache) key — the
-// options consolidation moved where knobs are written, not what they
-// mean. Conversely, a knob with a different value still separates.
-func TestKeyerV1V2Equivalence(t *testing.T) {
+// TestKeyerKeysPinned pins the affinity (and therefore cache) key of a
+// fixed set of raw-netfmt and JSON bodies to recorded values. A key that
+// moves strands every cached answer and snapshot under the old one and
+// reshuffles the fleet's shards, so a change to the decoder or the key
+// derivation must leave these bytes alone (or re-record them on purpose).
+func TestKeyerKeysPinned(t *testing.T) {
+	const (
+		ladder   = "f769a74dff48133c0b4f4898b4281ca21ed38765b7f569683122f76bf64423e8"
+		halfMM   = "/seglen:3f40624dd2f1a9fc"
+		optsBody = `"options": {"timeout_ms": 900, "max_cands": 64, "lambda": 0.6, "seglen": 1e-3}, "problem": {"objective": "max-slack", "k": 3}`
+	)
 	k := NewKeyer(Config{})
-	v1 := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(
-		`{"v": 1, "net": %q, "timeout_ms": 900, "max_cands": 64, "lambda": 0.6, "seglen": 1e-3, "problem": {"objective": "max-slack", "k": 3}}`, sampleNet)))
-	v2 := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(
-		`{"v": 2, "net": %q, "options": {"timeout_ms": 900, "max_cands": 64, "lambda": 0.6, "seglen": 1e-3}, "problem": {"objective": "max-slack", "k": 3}}`, sampleNet)))
-	if strings.HasPrefix(v1, "raw:") || strings.HasPrefix(v2, "raw:") {
-		t.Fatalf("equivalence envelopes fell back to raw keys: %q %q", v1, v2)
-	}
-	if v1 != v2 {
-		t.Fatalf("v1 key %q != v2 key %q for the same request", v1, v2)
-	}
-
-	// Same shape, different knob value: keys must separate. (seglen, not
-	// lambda: noise params are excluded from non-noise objective keys
-	// because they cannot change a max-slack answer.)
-	other := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(
-		`{"v": 2, "net": %q, "options": {"timeout_ms": 900, "max_cands": 64, "lambda": 0.6, "seglen": 2e-3}, "problem": {"objective": "max-slack", "k": 3}}`, sampleNet)))
-	if other == v2 {
-		t.Fatal("different seglen shares an affinity key across v2 envelopes")
-	}
-
-	// The engine knob stays excluded from the key in both versions.
-	vg := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(
-		`{"v": 2, "net": %q, "options": {"engine": "vg"}}`, sampleNet)))
-	auto := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(
-		`{"v": 2, "net": %q, "options": {"engine": "auto"}}`, sampleNet)))
-	def := k.SolveKey("application/json", nil, []byte(fmt.Sprintf(`{"v": 2, "net": %q}`, sampleNet)))
-	if vg != auto || auto != def {
-		t.Fatalf("engine knob leaked into the affinity key: vg %q auto %q default %q", vg, auto, def)
+	for _, tc := range []struct {
+		ct, query, body, want string
+	}{
+		{"text/plain", "", sampleNet, ladder + halfMM},
+		{"text/plain", "max_cands=7", sampleNet,
+			"20954b954cf144a2a5a6c439edeb898661633e46681adb5132a9bef041b570df" + halfMM},
+		{"text/plain", "timeout_ms=900&max_cands=64", sampleNet,
+			"58dff46409792e3cc0d9a0b6fad6b1d0163ad2525f5763e4881e3df551dce9ef" + halfMM},
+		{"application/json", "", fmt.Sprintf(`{"net": %q}`, sampleNet), ladder + halfMM},
+		{"application/json", "", fmt.Sprintf(`{"v": 2, "net": %q}`, sampleNet), ladder + halfMM},
+		{"application/json", "", fmt.Sprintf(`{"v": 2, "net": %q, %s}`, sampleNet, optsBody),
+			"7b82bcdf7d86da5adaf5ce5378167e011809e805661104c3bda6a4fba2b6ca49/seglen:3f50624dd2f1a9fc"},
+		{"application/json", "", fmt.Sprintf(`{"v": 2, "net": %q, "options": {"seglen": 0}}`, sampleNet), ladder + "/seglen:0"},
+		{"application/json", "", fmt.Sprintf(`{"v": 2, "net": %q, "options": {"lambda": 0.5, "rise": 0.3e-9, "vdd": 1.5, "bufnm": 0.7}}`, sampleNet),
+			"f41761e3e74d894906f1cb01d7d2562b2dba0a9d1c6145c8dbce1865cd931bb6" + halfMM},
+		{"application/json", "", fmt.Sprintf(`{"net": %q, "problem": {"objective": "max-slack-noise"}}`, sampleNet),
+			"a85e3ecbe4834b133593a81b851136bef5716e2f4a019d2191e2f7bc7d9130c2" + halfMM},
+		{"application/json", "", fmt.Sprintf(`{"net": %q, "problem": {"objective": "min-buffers-noise"}}`, sampleNet),
+			"bd97672d01f7e4da35f9dc6ac808ec14615c48a1e7dbb6dec08f897c142e91bc" + halfMM},
+	} {
+		q, err := url.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.SolveKey(tc.ct, q, []byte(tc.body)); got != tc.want {
+			t.Errorf("%s ?%s %.60q...: key %q, want %q", tc.ct, tc.query, tc.body, got, tc.want)
+		}
 	}
 }

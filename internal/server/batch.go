@@ -1,9 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -15,11 +15,12 @@ import (
 
 // batchEnvelope is the application/json body of POST /solve/batch: a list
 // of per-net envelopes, each with the same shape (and the same defaults)
-// as a single /solve JSON request.
+// as a single /solve JSON request. Items stay raw until decodeJSON reads
+// each one, so a bad item fails alone.
 //
-//	{"nets": [{"net": "net a\n...end\n"}, {"net": "...", "timeout_ms": 500}]}
+//	{"nets": [{"net": "net a\n...end\n"}, {"net": "...", "options": {"timeout_ms": 500}}]}
 type batchEnvelope struct {
-	Nets []Envelope `json:"nets"`
+	Nets []json.RawMessage `json:"nets"`
 }
 
 // BatchResponse is the 200 body of POST /solve/batch. The batch as a
@@ -81,12 +82,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	env, err := s.decodeBatch(r)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, guard.ErrBudgetExceeded) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		obs.Inc("server.batch.decode.rejected")
-		writeError(w, status, guard.Class(err), err.Error(), 0)
+		writeError(w, decodeStatus(err), guard.Class(err), err.Error(), 0)
 		return
 	}
 	obs.Add("server.batch.nets", int64(len(env.Nets)))
@@ -100,14 +97,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 		// Decode before fan-out: a malformed item must not cost a queue
 		// slot, and its rejection is deterministic regardless of load.
-		req, err := s.requestFromEnvelope(&env.Nets[i])
+		req, err := s.decodeJSON(env.Nets[i])
 		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, guard.ErrBudgetExceeded) {
-				status = http.StatusRequestEntityTooLarge
-			}
 			obs.Inc("server.batch.item.outcome." + guard.Class(err))
-			item.Error = &ErrorResponse{Error: err.Error(), Class: guard.Class(err), Status: status}
+			item.Error = &ErrorResponse{Error: err.Error(), Class: guard.Class(err), Status: decodeStatus(err)}
 			continue
 		}
 
@@ -161,21 +154,27 @@ func (s *Server) solveBatchItem(ctx context.Context, req *solveRequest, item *Ba
 }
 
 // decodeBatch parses and bounds the batch body. Top-level failures —
-// malformed JSON, an empty or oversized batch, a non-JSON content type —
-// reject the whole request; per-item problems are left for the caller's
-// partial-failure path.
+// malformed JSON, an empty or oversized batch, a non-JSON content type,
+// a query parameter — reject the whole request; per-item problems are
+// left for the caller's partial-failure path.
 func (s *Server) decodeBatch(r *http.Request) (*batchEnvelope, error) {
 	if !isJSON(r.Header.Get("Content-Type")) {
 		return nil, invalidf("/solve/batch requires an application/json body")
 	}
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBytes)
+	if err := checkQuery(r.URL.Query()); err != nil {
+		return nil, err
+	}
+	body, err := s.readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkSize(body); err != nil {
+		return nil, err
+	}
 	var env batchEnvelope
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&env); err != nil {
-		if oversized(err) {
-			return nil, fmt.Errorf("server: batch body exceeds %d bytes: %w", s.cfg.MaxBytes, guard.ErrBudgetExceeded)
-		}
 		return nil, invalidf("malformed batch request: %v", err)
 	}
 	if len(env.Nets) == 0 {

@@ -129,7 +129,7 @@ func TestSolveCacheKeySeparation(t *testing.T) {
 		{"default", "/solve", "text/plain", sampleNet},
 		{"capped", "/solve?max_cands=2", "text/plain", sampleNet},
 		{"segmented", "/solve", "application/json",
-			`{"net":` + mustJSON(t, sampleNet) + `,"seglen":2.5e-4}`},
+			`{"net":` + mustJSON(t, sampleNet) + `,"options":{"seglen":2.5e-4}}`},
 		{"objective", "/solve", "application/json",
 			`{"net":` + mustJSON(t, sampleNet) + `,"problem":{"objective":"max-slack"}}`},
 	}
@@ -249,7 +249,9 @@ func TestSolveCacheCoalescingHTTP(t *testing.T) {
 }
 
 // TestEnvelopeVersioning walks the version and problem-sub-object decode
-// rules of the v1 envelope.
+// rules of the envelope: v2 (or no "v") is the only shape, and the
+// retired v1 flat shape — its version number, its top-level knobs — is a
+// named 400.
 func TestEnvelopeVersioning(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	net := mustJSON(t, sampleNet)
@@ -260,19 +262,21 @@ func TestEnvelopeVersioning(t *testing.T) {
 		status int
 		substr string
 	}{
-		{"explicit v1", `{"v":1,"net":` + net + `}`, http.StatusOK, ""},
+		{"explicit v1", `{"v":1,"net":` + net + `}`, http.StatusBadRequest, "unsupported envelope version 1"},
 		{"v0 rejected", `{"v":0,"net":` + net + `}`, http.StatusBadRequest, "unsupported envelope version 0"},
 		{"v2 accepted", `{"v":2,"net":` + net + `}`, http.StatusOK, ""},
 		{"v3 rejected", `{"v":3,"net":` + net + `}`, http.StatusBadRequest, "unsupported envelope version 3"},
-		{"v2 options knobs", `{"v":2,"net":` + net + `,"options":{"engine":"vg","timeout_ms":2000,"lambda":0.6}}`, http.StatusOK, ""},
-		{"v2 rejects top-level knob", `{"v":2,"net":` + net + `,"timeout_ms":2000}`, http.StatusBadRequest, `moved "timeout_ms" into "options"`},
-		{"v2 rejects top-level lambda", `{"v":2,"net":` + net + `,"lambda":0.6}`, http.StatusBadRequest, `moved "lambda" into "options"`},
-		{"v1 rejects options knob", `{"v":1,"net":` + net + `,"options":{"timeout_ms":2000}}`, http.StatusBadRequest, "options.timeout_ms requires a v2 envelope"},
-		{"implicit v1 rejects options knob", `{"net":` + net + `,"options":{"seglen":0}}`, http.StatusBadRequest, "options.seglen requires a v2 envelope"},
-		{"v1 rejects session", `{"net":` + net + `,"session":{"id":"x"}}`, http.StatusBadRequest, "v2 envelope"},
+		{"v2 options knobs", `{"v":2,"net":` + net + `,"options":{"timeout_ms":2000,"lambda":0.6}}`, http.StatusOK, ""},
+		{"v2 rejects top-level knob", `{"v":2,"net":` + net + `,"timeout_ms":2000}`, http.StatusBadRequest, `unknown field "timeout_ms"`},
+		{"v2 rejects top-level lambda", `{"v":2,"net":` + net + `,"lambda":0.6}`, http.StatusBadRequest, `unknown field "lambda"`},
+		{"implicit v2 rejects top-level knob", `{"net":` + net + `,"seglen":0}`, http.StatusBadRequest, `unknown field "seglen"`},
+		{"v1 rejects options knob", `{"v":1,"net":` + net + `,"options":{"timeout_ms":2000}}`, http.StatusBadRequest, "unsupported envelope version 1"},
+		{"v1 rejects top-level knob", `{"v":1,"net":` + net + `,"timeout_ms":2000}`, http.StatusBadRequest, "unsupported envelope version 1"},
+		{"implicit v2 accepts options knob", `{"net":` + net + `,"options":{"seglen":2.5e-4}}`, http.StatusOK, ""},
+		{"v1 rejects session", `{"v":1,"net":` + net + `,"session":{"id":"x"}}`, http.StatusBadRequest, "unsupported envelope version 1"},
 		{"solve rejects session", `{"v":2,"net":` + net + `,"session":{"id":"x"}}`, http.StatusBadRequest, "/solve/delta"},
 		{"solve rejects edits", `{"v":2,"net":` + net + `,"edits":[{"op":"set-cap","node":1,"value":1e-15}]}`, http.StatusBadRequest, "/solve/delta"},
-		{"problem objective", `{"v":1,"net":` + net + `,"problem":{"objective":"max-slack-noise"}}`, http.StatusOK, ""},
+		{"problem objective", `{"v":2,"net":` + net + `,"problem":{"objective":"max-slack-noise"}}`, http.StatusOK, ""},
 		{"problem with k", `{"net":` + net + `,"problem":{"objective":"max-slack","k":3}}`, http.StatusOK, ""},
 		{"unknown objective", `{"net":` + net + `,"problem":{"objective":"fastest"}}`, http.StatusBadRequest, "objective"},
 		{"empty problem", `{"net":` + net + `,"problem":{}}`, http.StatusBadRequest, `missing "objective"`},
@@ -300,17 +304,29 @@ func TestEnvelopeVersioning(t *testing.T) {
 		})
 	}
 
+	// /solve/delta reads the same envelope: no "v" means v2 there too.
+	if dr, _ := deltaOK(t, ts, `{"net":`+net+`}`); !dr.Created {
+		t.Error("a v-less /solve/delta create did not create a session")
+	}
+
 	// The version rejection is typed, not just worded: callers embedding
 	// the server can switch on it.
 	s := New(Config{})
-	v := 3
-	_, err := s.requestFromEnvelope(&Envelope{V: &v, Net: sampleNet})
-	var uve *UnsupportedVersionError
-	if !errors.As(err, &uve) || uve.Version != 3 {
-		t.Errorf("err = %v, want *UnsupportedVersionError{3}", err)
-	}
-	if !errors.Is(err, guard.ErrInvalidInput) {
-		t.Errorf("version rejection is not class invalid: %v", err)
+	for v, body := range map[int]string{
+		3: `{"v":3,"net":` + net + `}`,
+		1: `{"v":1,"net":` + net + `,"timeout_ms":900,"lambda":0.6}`,
+	} {
+		_, err := s.decodeJSON([]byte(body))
+		var uve *UnsupportedVersionError
+		if !errors.As(err, &uve) || uve.Version != v {
+			t.Errorf("err = %v, want *UnsupportedVersionError{%d}", err, v)
+		}
+		if !errors.Is(err, guard.ErrInvalidInput) {
+			t.Errorf("version rejection is not class invalid: %v", err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "speaks v2") {
+			t.Errorf("version rejection %q does not name v2", err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,10 +9,12 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"buffopt/internal/buffers"
 	"buffopt/internal/core"
 	"buffopt/internal/guard"
 	"buffopt/internal/netfmt"
@@ -30,24 +33,10 @@ type solveRequest struct {
 	segLen   float64
 	// objective, when non-nil, routes the request to core.Optimize with
 	// that single objective instead of the core.Solve degradation ladder
-	// (the default). Set only from a v1 envelope's "problem" sub-object.
+	// (the default). Set only from an envelope's "problem" sub-object.
 	objective *core.Objective
 	// k is the optional buffer-count bound for objective requests.
 	k *int
-}
-
-// engineNames are the merge-engine names older clients may still send as
-// "options.engine" or ?engine=. The solver picks its merge path from the
-// problem, so a listed name is accepted and changes nothing — not the
-// answer, not the cache key; any other name stays a 400.
-var engineNames = map[string]bool{"vg": true, "lishi": true, "auto": true}
-
-// checkEngine validates an optional engine name against engineNames.
-func checkEngine(name string) error {
-	if name != "" && !engineNames[name] {
-		return invalidf("unknown engine %q (want vg, lishi, or auto; the solver picks its merge path itself)", name)
-	}
-	return nil
 }
 
 // UnsupportedVersionError is the typed decode failure for an envelope
@@ -59,7 +48,7 @@ type UnsupportedVersionError struct {
 }
 
 func (e *UnsupportedVersionError) Error() string {
-	return fmt.Sprintf("server: unsupported envelope version %d (this server speaks v1 and v2)", e.Version)
+	return fmt.Sprintf(`server: unsupported envelope version %d (this server speaks v2: set "v": 2 or omit it)`, e.Version)
 }
 
 func (e *UnsupportedVersionError) Unwrap() error { return guard.ErrInvalidInput }
@@ -78,33 +67,89 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("server: "+format+": %w", append(args, guard.ErrInvalidInput)...)
 }
 
-// decodeRequest parses one request body: an application/json envelope, or
-// raw netfmt text (any other content type) with knobs in the query string
-// (?timeout_ms=, ?max_cands=). The body is read under cfg.MaxBytes and
-// the net under cfg.Limits, so an oversized payload is rejected before an
-// oversized structure is built. All errors wrap a guard sentinel:
-// ErrInvalidInput for malformed payloads (400), ErrBudgetExceeded for
-// oversized ones (413).
-func (s *Server) decodeRequest(r *http.Request) (*solveRequest, error) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBytes)
-	if isJSON(r.Header.Get("Content-Type")) {
-		var env Envelope
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&env); err != nil {
-			if oversized(err) {
-				return nil, fmt.Errorf("server: request body exceeds %d bytes: %w", s.cfg.MaxBytes, guard.ErrBudgetExceeded)
-			}
-			return nil, invalidf("malformed JSON request: %v", err)
-		}
-		return s.requestFromEnvelope(&env)
+// readBody reads a request body into memory, one byte past cfg.MaxBytes
+// at most: enough for the decoders to tell an oversized body (413) from
+// one that fits.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBytes+1))
+	if err != nil {
+		return nil, invalidf("unreadable request body: %v", err)
 	}
+	return body, nil
+}
 
-	req := s.newSolveRequest()
-	if err := applyQuery(req, r.URL.Query()); err != nil {
+// checkSize rejects a body larger than cfg.MaxBytes (413, class
+// "budget").
+func (s *Server) checkSize(body []byte) error {
+	if int64(len(body)) > s.cfg.MaxBytes {
+		return fmt.Errorf("server: request body exceeds %d bytes: %w", s.cfg.MaxBytes, guard.ErrBudgetExceeded)
+	}
+	return nil
+}
+
+// decodeSolve decodes one /solve body: an application/json envelope
+// (decodeJSON), or raw netfmt text (any other content type) with knobs
+// in the query string (?timeout_ms=, ?max_cands=). The handler and the
+// fleet router's Keyer both call it, so a replica's cache key and the
+// router's affinity key come from one decoder. The net is read under
+// cfg.Limits, so an oversized payload is rejected before an oversized
+// structure is built. All errors wrap a guard sentinel: ErrInvalidInput
+// for malformed payloads (400), ErrBudgetExceeded for oversized ones
+// (413).
+func (s *Server) decodeSolve(contentType string, query url.Values, body []byte) (*solveRequest, error) {
+	if isJSON(contentType) {
+		if err := checkQuery(query); err != nil {
+			return nil, err
+		}
+		return s.decodeJSON(body)
+	}
+	if err := s.checkSize(body); err != nil {
 		return nil, err
 	}
-	return s.finishDecode(req, body)
+	req := s.newSolveRequest()
+	if err := applyQuery(req, query); err != nil {
+		return nil, err
+	}
+	return s.finishDecode(req, bytes.NewReader(body))
+}
+
+// decodeJSON decodes one solve envelope: a /solve JSON body or one
+// /solve/batch item. The session fields are /solve/delta's alone.
+func (s *Server) decodeJSON(body []byte) (*solveRequest, error) {
+	env, err := s.decodeEnvelope(body)
+	if err != nil {
+		return nil, err
+	}
+	if env.Session != nil || len(env.Edits) > 0 {
+		return nil, invalidf(`"session"/"edits" are incremental-solve fields; POST them to /solve/delta`)
+	}
+	return s.requestFromEnvelope(env)
+}
+
+// decodeEnvelope is the one JSON decoder every post goes through: at
+// most cfg.MaxBytes (413 past it), no unknown fields, version 2.
+func (s *Server) decodeEnvelope(body []byte) (*Envelope, error) {
+	if err := s.checkSize(body); err != nil {
+		return nil, err
+	}
+	var env Envelope
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&env); err != nil {
+		// A body in another version's shape trips on that shape's
+		// fields: name the version, not the first strange field.
+		var ver struct {
+			V *int `json:"v"`
+		}
+		if json.Unmarshal(body, &ver) == nil && ver.V != nil && *ver.V != 2 {
+			return nil, &UnsupportedVersionError{Version: *ver.V}
+		}
+		return nil, invalidf("malformed JSON request: %v", err)
+	}
+	if env.V != nil && *env.V != 2 {
+		return nil, &UnsupportedVersionError{Version: *env.V}
+	}
+	return &env, nil
 }
 
 // newSolveRequest starts a request at the server's defaults.
@@ -118,24 +163,15 @@ func (s *Server) newSolveRequest() *solveRequest {
 	}
 }
 
-// requestFromEnvelope builds a validated request from one JSON envelope —
-// the unit of decoding shared by /solve's JSON path, every item of a
-// /solve/batch request, and the fleet router's affinity Keyer. Both
-// envelope versions land here; the session fields are /solve/delta's
-// alone.
+// requestFromEnvelope builds a validated request from one decoded
+// envelope's net, knobs and problem: the unit shared by decodeJSON and
+// the create half of /solve/delta.
 func (s *Server) requestFromEnvelope(env *Envelope) (*solveRequest, error) {
-	ver, err := env.Version()
-	if err != nil {
-		return nil, err
-	}
-	if env.Session != nil || len(env.Edits) > 0 {
-		return nil, invalidf(`"session"/"edits" are incremental-solve fields; POST them to /solve/delta`)
-	}
 	if env.Net == "" {
 		return nil, invalidf(`JSON request missing "net"`)
 	}
 	req := s.newSolveRequest()
-	if err := applyEnvelope(req, env, ver); err != nil {
+	if err := applyEnvelope(req, env); err != nil {
 		return nil, err
 	}
 	return s.finishDecode(req, strings.NewReader(env.Net))
@@ -145,9 +181,6 @@ func (s *Server) requestFromEnvelope(env *Envelope) (*solveRequest, error) {
 func (s *Server) finishDecode(req *solveRequest, netText io.Reader) (*solveRequest, error) {
 	tr, err := netfmt.ReadLimited(netText, s.cfg.Limits)
 	if err != nil {
-		if oversized(err) {
-			return nil, fmt.Errorf("server: net exceeds the configured size limits: %w: %w", err, guard.ErrBudgetExceeded)
-		}
 		if errors.Is(err, guard.ErrBudgetExceeded) {
 			return nil, err // netfmt node/aggressor limit: already the right class
 		}
@@ -176,52 +209,58 @@ func (s *Server) finishDecode(req *solveRequest, netText io.Reader) (*solveReque
 	return req, s.clampAndCheck(req)
 }
 
-// applyEnvelope copies the envelope's knobs into the request, reading
-// them from the place version ver puts them (top-level for v1, "options"
-// for v2). The validation is shared, so the two shapes accept exactly
-// the same values.
-func applyEnvelope(req *solveRequest, env *Envelope, ver int) error {
-	k := env.knobs(ver)
-	if k.timeoutMS < 0 {
-		return invalidf("timeout_ms = %d is negative", k.timeoutMS)
+// applyEnvelope copies the envelope's knobs ("options") and problem into
+// the request, validating every value at decode time: a knob the solver
+// would refuse is a decode rejection, not a wasted worker slot.
+func applyEnvelope(req *solveRequest, env *Envelope) error {
+	o := env.Options
+	if o == nil {
+		o = &OptionsEnvelope{}
 	}
-	if k.timeoutMS > 0 {
-		req.timeout = time.Duration(k.timeoutMS) * time.Millisecond
+	if t := o.TimeoutMS; t != nil {
+		if *t < 0 {
+			return invalidf("timeout_ms = %d is negative", *t)
+		}
+		if *t > 0 {
+			req.timeout = time.Duration(*t) * time.Millisecond
+		}
 	}
-	if k.maxCands < 0 {
-		return invalidf("max_cands = %d is negative", k.maxCands)
-	}
-	if k.maxCands > 0 {
-		req.maxCands = k.maxCands
+	if n := o.MaxCands; n != nil {
+		if *n < 0 {
+			return invalidf("max_cands = %d is negative", *n)
+		}
+		if *n > 0 {
+			req.maxCands = *n
+		}
 	}
 	lambda, rise, vdd := defaultLambda, defaultRise, defaultVdd
-	if k.lambda != nil {
-		lambda = *k.lambda
+	if o.Lambda != nil {
+		lambda = *o.Lambda
 	}
-	if k.rise != nil {
-		rise = *k.rise
+	if o.Rise != nil {
+		rise = *o.Rise
 	}
-	if k.vdd != nil {
-		vdd = *k.vdd
+	if o.Vdd != nil {
+		vdd = *o.Vdd
 	}
 	if rise <= 0 || math.IsNaN(rise) || math.IsInf(rise, 0) {
 		return invalidf("rise = %g must be positive and finite", rise)
 	}
-	if math.IsNaN(lambda) || math.IsNaN(vdd) || math.IsInf(lambda, 0) || math.IsInf(vdd, 0) {
-		return invalidf("lambda/vdd must be finite")
-	}
 	req.params = noise.Params{CouplingRatio: lambda, Slope: vdd / rise}
-	if k.bufNM != nil {
-		req.bufNM = *k.bufNM
+	if err := req.params.Validate(); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	if k.segLen != nil {
-		req.segLen = *k.segLen
+	if o.BufNM != nil {
+		req.bufNM = *o.BufNM
+		if err := buffers.DefaultLibrary(req.bufNM).Validate(); err != nil {
+			return invalidf("bufnm = %g: %v", req.bufNM, err)
+		}
+	}
+	if o.SegLen != nil {
+		req.segLen = *o.SegLen
 	}
 	if math.IsNaN(req.segLen) || math.IsInf(req.segLen, 0) || req.segLen < 0 {
 		return invalidf("seglen = %g must be non-negative and finite", req.segLen)
-	}
-	if err := checkEngine(k.engine); err != nil {
-		return err
 	}
 	return applyProblem(req, env.Problem)
 }
@@ -258,6 +297,9 @@ func applyProblem(req *solveRequest, pe *ProblemEnvelope) error {
 // It takes the values rather than the request so the fleet router's Keyer
 // can share it without synthesizing an *http.Request.
 func applyQuery(req *solveRequest, q url.Values) error {
+	if err := checkQuery(q, "timeout_ms", "max_cands"); err != nil {
+		return err
+	}
 	if v := q.Get("timeout_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms < 0 {
@@ -276,7 +318,33 @@ func applyQuery(req *solveRequest, q url.Values) error {
 			req.maxCands = n
 		}
 	}
-	return checkEngine(q.Get("engine"))
+	return nil
+}
+
+// checkQuery rejects every query parameter not named in allowed, so a
+// knob is never silently ignored: only raw netfmt posts take knobs in
+// the query, and a JSON post carries them in its "options".
+func checkQuery(q url.Values, allowed ...string) error {
+	names := make([]string, 0, len(q))
+	for name := range q {
+		if !slices.Contains(allowed, name) {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	slices.Sort(names)
+	return invalidf("unknown query parameter %q (only raw netfmt posts take ?timeout_ms= and ?max_cands=)", names[0])
+}
+
+// decodeStatus is the HTTP status of a decode rejection: 413 for an
+// oversized payload, 400 for everything else.
+func decodeStatus(err error) int {
+	if errors.Is(err, guard.ErrBudgetExceeded) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // clampAndCheck applies the server-side bounds a client may not exceed.
@@ -294,11 +362,4 @@ func (s *Server) clampAndCheck(req *solveRequest) error {
 func isJSON(ct string) bool {
 	ct = strings.TrimSpace(strings.SplitN(ct, ";", 2)[0])
 	return strings.EqualFold(ct, "application/json")
-}
-
-// oversized reports whether err means "the body/net was too large":
-// http.MaxBytesReader tripping.
-func oversized(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
 }

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -54,7 +52,8 @@ type deltaRequest struct {
 	k         *int
 	// edits is the converted edit stream.
 	edits []core.Edit
-	// timeout/maxCands are this call's solve knobs.
+	// timeout/maxCands are the knobs this call set; zero keeps the
+	// session's own (the values its create decoded).
 	timeout  time.Duration
 	maxCands int
 }
@@ -85,12 +84,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 
 	req, err := s.decodeDelta(r)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, guard.ErrBudgetExceeded) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		obs.Inc("server.delta.decode.rejected")
-		writeError(w, status, guard.Class(err), err.Error(), 0)
+		writeError(w, decodeStatus(err), guard.Class(err), err.Error(), 0)
 		return
 	}
 
@@ -137,9 +132,12 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 		sess, created = cs, true
 	}
 
-	timeout := req.timeout
-	if timeout <= 0 {
-		timeout = sess.req.timeout
+	timeout, maxCands := sess.req.timeout, sess.req.maxCands
+	if req.timeout > 0 {
+		timeout = req.timeout
+	}
+	if req.maxCands > 0 {
+		maxCands = req.maxCands
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -150,10 +148,6 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 		rctx := faultinject.WithPlan(ctx, s.cfg.Injector.Assign())
 		if faultinject.Take(rctx, faultinject.FaultPanic) {
 			panic(faultinject.ErrInjected)
-		}
-		maxCands := req.maxCands
-		if maxCands == 0 {
-			maxCands = sess.req.maxCands
 		}
 		var e error
 		res, e = core.Delta(rctx, sess.sess, req.edits, core.Options{Budget: s.budget(rctx, maxCands)})
@@ -225,29 +219,23 @@ func (s *Server) createSession(req *deltaRequest) (*serverSession, error) {
 	return &serverSession{sess: sess, req: req.create, objective: req.objective}, nil
 }
 
-// decodeDelta parses one /solve/delta body: a v2 JSON envelope carrying
+// decodeDelta parses one /solve/delta body: a JSON envelope carrying
 // either a net (create) or a session id (continue), plus an optional
 // edit stream.
 func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 	if !isJSON(r.Header.Get("Content-Type")) {
 		return nil, invalidf("/solve/delta takes an application/json v2 envelope")
 	}
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBytes)
-	var env Envelope
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		if oversized(err) {
-			return nil, fmt.Errorf("server: request body exceeds %d bytes: %w", s.cfg.MaxBytes, guard.ErrBudgetExceeded)
-		}
-		return nil, invalidf("malformed JSON request: %v", err)
+	if err := checkQuery(r.URL.Query()); err != nil {
+		return nil, err
 	}
-	ver, err := env.Version()
+	body, err := s.readBody(r)
 	if err != nil {
 		return nil, err
 	}
-	if ver < 2 {
-		return nil, invalidf(`/solve/delta requires a v2 envelope (set "v": 2)`)
+	env, err := s.decodeEnvelope(body)
+	if err != nil {
+		return nil, err
 	}
 
 	req := &deltaRequest{}
@@ -261,21 +249,10 @@ func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 		return nil, invalidf(`delta takes "session" or "net", not both (a session's net changes only through edits)`)
 	}
 
-	// The solve knobs for this call (timeout, caps) decode
-	// through the same shared path /solve uses; on a create they also
-	// become the session's defaults.
-	kn := s.newSolveRequest()
-	if err := applyEnvelope(kn, &env, ver); err != nil {
-		return nil, err
-	}
-	if err := s.clampAndCheck(kn); err != nil {
-		return nil, err
-	}
-	req.timeout = kn.timeout
-	req.maxCands = kn.maxCands
-
 	if req.sessionID == "" {
-		create, err := s.requestFromDeltaEnvelope(&env, ver)
+		// A create decodes exactly as /solve does; its knobs become the
+		// session's own.
+		create, err := s.requestFromEnvelope(env)
 		if err != nil {
 			return nil, err
 		}
@@ -288,6 +265,24 @@ func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 			req.objective = *create.objective
 			req.k = create.k
 		}
+	} else {
+		// A continue validates its knobs as /solve would and keeps the
+		// call knobs it set; the session supplies the rest.
+		kn := s.newSolveRequest()
+		if err := applyEnvelope(kn, env); err != nil {
+			return nil, err
+		}
+		if err := s.clampAndCheck(kn); err != nil {
+			return nil, err
+		}
+		if o := env.Options; o != nil {
+			if o.TimeoutMS != nil && *o.TimeoutMS > 0 {
+				req.timeout = kn.timeout
+			}
+			if o.MaxCands != nil && *o.MaxCands > 0 {
+				req.maxCands = kn.maxCands
+			}
+		}
 	}
 
 	req.edits, err = s.convertEdits(env.Edits)
@@ -295,16 +290,6 @@ func (s *Server) decodeDelta(r *http.Request) (*deltaRequest, error) {
 		return nil, err
 	}
 	return req, nil
-}
-
-// requestFromDeltaEnvelope decodes the create half of a delta envelope:
-// requestFromEnvelope's body, minus its session/edits rejection.
-func (s *Server) requestFromDeltaEnvelope(env *Envelope, ver int) (*solveRequest, error) {
-	req := s.newSolveRequest()
-	if err := applyEnvelope(req, env, ver); err != nil {
-		return nil, err
-	}
-	return s.finishDecode(req, strings.NewReader(env.Net))
 }
 
 // convertEdits maps wire-format edits onto core edits, parsing graft

@@ -287,6 +287,35 @@ func TestDeltaMemoByteBudget(t *testing.T) {
 	}
 }
 
+// TestDeltaSessionKeepsItsKnobs: the timeout_ms/max_cands a create sets
+// are the session's own, so a later delta that names no knob runs under
+// them rather than the server's defaults, and a delta that names one
+// overrides it for that call only. The sample net's lists peak at 164
+// candidates; the edits below grow one to 194, past the session's cap of
+// 170 but well inside the server's 10000.
+func TestDeltaSessionKeepsItsKnobs(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxCands: 10000})
+	created, _ := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "net": %s, "options": {"timeout_ms": 1000, "max_cands": 170}}`,
+		mustJSON(t, sampleNet)))
+
+	edit := `"edits": [{"op": "set-rat", "node": 2, "value": 3e-9}, {"op": "set-cap", "node": 2, "value": 9e-13}]`
+	resp, b := postDelta(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s}`, created.SessionID, edit))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("knob-less delta status = %d, want 503 under the session's cap; body %s", resp.StatusCode, b)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(b, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Class != "budget" || !strings.Contains(er.Error, "(cap 170)") {
+		t.Fatalf("knob-less delta error = %+v, want class budget under cap 170", er)
+	}
+
+	// Naming a cap overrides the session's for this call; the edit above
+	// already landed, so this re-solves the edited tree.
+	deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, "options": {"max_cands": 10000}}`, created.SessionID))
+}
+
 // TestDeltaRejections pins the decode surface: wrong method, wrong
 // content type, version discipline, the session-XOR-net rule, and every
 // malformed edit shape answer 4xx with a named reason — and the
@@ -301,10 +330,8 @@ func TestDeltaRejections(t *testing.T) {
 		status  int
 		wantMsg string
 	}{
-		{"v1 envelope", fmt.Sprintf(`{"net": %s}`, mustJSON(t, sampleNet)),
-			http.StatusBadRequest, "requires a v2 envelope"},
 		{"explicit v1", fmt.Sprintf(`{"v": 1, "net": %s}`, mustJSON(t, sampleNet)),
-			http.StatusBadRequest, "requires a v2 envelope"},
+			http.StatusBadRequest, "unsupported envelope version 1"},
 		{"unknown version", `{"v": 3, "net": "x"}`,
 			http.StatusBadRequest, "unsupported envelope version 3"},
 		{"neither session nor net", `{"v": 2}`,
@@ -312,7 +339,7 @@ func TestDeltaRejections(t *testing.T) {
 		{"both session and net", fmt.Sprintf(`{"v": 2, "net": %s, "session": {"id": "ab"}}`, mustJSON(t, sampleNet)),
 			http.StatusBadRequest, `"session" or "net", not both`},
 		{"v2 top-level knob", fmt.Sprintf(`{"v": 2, "net": %s, "timeout_ms": 50}`, mustJSON(t, sampleNet)),
-			http.StatusBadRequest, `v2 moved "timeout_ms"`},
+			http.StatusBadRequest, `unknown field "timeout_ms"`},
 		{"unknown op", `{"v": 2, "session": {"id": "ab"}, "edits": [{"op": "warp", "node": 1}]}`,
 			http.StatusBadRequest, `unknown op "warp"`},
 		{"set-cap missing value", `{"v": 2, "session": {"id": "ab"}, "edits": [{"op": "set-cap", "node": 2}]}`,
@@ -325,8 +352,10 @@ func TestDeltaRejections(t *testing.T) {
 			http.StatusBadRequest, "graft"},
 		{"unknown field", `{"v": 2, "session": {"id": "ab"}, "extra": 1}`,
 			http.StatusBadRequest, "malformed JSON"},
-		{"unknown engine", `{"v": 2, "session": {"id": "ab"}, "options": {"engine": "fastest"}}`,
-			http.StatusBadRequest, `unknown engine "fastest"`},
+		{"engine option", `{"v": 2, "session": {"id": "ab"}, "options": {"engine": "lishi"}}`,
+			http.StatusBadRequest, `unknown field "engine"`},
+		{"lambda out of range", `{"v": 2, "session": {"id": "ab"}, "options": {"lambda": 1.5}}`,
+			http.StatusBadRequest, "must lie in [0, 1]"},
 	}
 	for _, tc := range cases {
 		resp, b := postDelta(t, ts, tc.body)

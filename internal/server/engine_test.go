@@ -8,125 +8,98 @@ import (
 	"testing"
 )
 
-// TestEngineEnvelope walks the "options.engine" decode rules: every
-// registered engine name is accepted (envelope and query string alike), an
-// unknown name is a 400 with error class "invalid" — rejected at decode
-// time, before a worker slot is spent — and the engines agree on the
-// answer, because they are bit-identical by construction.
+// TestEngineEnvelope: the merge-engine knob is retired. The solver picks
+// its merge path itself, so "options.engine" and ?engine= are decode
+// rejections (400, class "invalid") on /solve, on /solve/batch, and on a
+// JSON /solve post's query string, whatever name they carry — the once
+// accepted vg, lishi and auto as much as an unknown one.
 func TestEngineEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	net := mustJSON(t, sampleNet)
 
-	base, _ := solveOK(t, ts, "text/plain", sampleNet)
-	for _, engine := range []string{"vg", "lishi", "auto"} {
-		// JSON envelope path.
-		sr, _ := solveOK(t, ts, "application/json",
-			`{"v":1,"net":`+net+`,"options":{"engine":"`+engine+`"}}`)
-		if sr.NumBuffers != base.NumBuffers || sr.SlackPS != base.SlackPS {
-			t.Errorf("engine %s: (%d buffers, %g ps) disagrees with default (%d, %g)",
-				engine, sr.NumBuffers, sr.SlackPS, base.NumBuffers, base.SlackPS)
-		}
-		// Raw-netfmt query path.
-		qr, _ := solveOK(t, ts, "text/plain", sampleNet)
-		resp, b := postNet(t, ts, "/solve?engine="+engine, "text/plain", sampleNet)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("engine %s query: status %d, body %s", engine, resp.StatusCode, b)
-		}
-		if err := json.Unmarshal(b, &qr); err != nil {
-			t.Fatalf("bad response JSON: %v\n%s", err, b)
-		}
-		if qr.NumBuffers != base.NumBuffers || qr.SlackPS != base.SlackPS {
-			t.Errorf("engine %s (query): answer diverged from default", engine)
-		}
-		// The objective route threads the engine too.
-		or, _ := solveOK(t, ts, "application/json",
-			`{"net":`+net+`,"problem":{"objective":"max-slack-noise"},"options":{"engine":"`+engine+`"}}`)
-		if or.Tier != "exact" {
-			t.Errorf("engine %s objective solve: tier %s", engine, or.Tier)
-		}
-	}
-
-	for _, tc := range []struct {
-		name string
-		path string
-		ct   string
-		body string
-	}{
-		{"envelope", "/solve", "application/json", `{"net":` + net + `,"options":{"engine":"fastest"}}`},
-		{"query", "/solve?engine=fastest", "text/plain", sampleNet},
+	for _, tc := range []struct{ label, engine string }{
+		{"vg", "vg"}, {"lishi", "lishi"}, {"auto", "auto"}, {"unknown", "fastest"},
 	} {
-		t.Run("unknown-"+tc.name, func(t *testing.T) {
-			resp, body := postNet(t, ts, tc.path, tc.ct, tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, body)
+		envelope := `{"net":` + net + `,"options":{"engine":"` + tc.engine + `"}}`
+		for _, post := range []struct {
+			name, path, ct, body, want string
+		}{
+			{"envelope", "/solve", "application/json", envelope, `unknown field "engine"`},
+			{"query", "/solve?engine=" + tc.engine, "text/plain", sampleNet, `unknown query parameter "engine"`},
+			{"json-query", "/solve?engine=" + tc.engine, "application/json", `{"net":` + net + `}`, `unknown query parameter "engine"`},
+			{"batch-query", "/solve/batch?engine=" + tc.engine, "application/json", `{"nets":[{"net":` + net + `}]}`, `unknown query parameter "engine"`},
+		} {
+			t.Run(tc.label+"-"+post.name, func(t *testing.T) {
+				resp, body := postNet(t, ts, post.path, post.ct, post.body)
+				wantError(t, resp, body, http.StatusBadRequest, post.want)
+			})
+		}
+
+		// A batch item naming an engine fails alone, like any bad item.
+		t.Run(tc.label+"-batch-item", func(t *testing.T) {
+			resp, body := postNet(t, ts, "/solve/batch", "application/json", `{"nets":[`+envelope+`,{"net":`+net+`}]}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200 (partial failure); body %s", resp.StatusCode, body)
 			}
-			var er ErrorResponse
-			if err := json.Unmarshal(body, &er); err != nil {
-				t.Fatalf("bad error body: %v", err)
+			var br BatchResponse
+			if err := json.Unmarshal(body, &br); err != nil {
+				t.Fatal(err)
 			}
-			if er.Class != "invalid" {
-				t.Errorf("class = %q, want invalid", er.Class)
-			}
-			if !strings.Contains(er.Error, "engine") {
-				t.Errorf("error %q does not mention the engine", er.Error)
+			bad := br.Results[0].Error
+			if br.Succeeded != 1 || bad == nil || bad.Status != http.StatusBadRequest || bad.Class != "invalid" ||
+				!strings.Contains(bad.Error, `unknown field "engine"`) {
+				t.Fatalf("engine item = %+v, want a 400 invalid naming the field (succeeded %d)", bad, br.Succeeded)
 			}
 		})
 	}
 }
 
-// TestEngineSharesCacheKey: the engine knob changes how the answer is
-// computed, never what it is, so it is deliberately excluded from the
-// cache key — a net solved under one engine is a cache hit under another,
-// with byte-identical solver output.
-func TestEngineSharesCacheKey(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheEntries: 16})
-	net := mustJSON(t, sampleNet)
-
-	first, b1 := solveOK(t, ts, "application/json",
-		`{"net":`+net+`,"options":{"engine":"vg"}}`)
-	if first.Cached {
-		t.Fatal("first solve reported a cache hit")
-	}
-	second, b2 := solveOK(t, ts, "application/json",
-		`{"net":`+net+`,"options":{"engine":"lishi"}}`)
-	if !second.Cached {
-		t.Fatal("lishi request missed the cache entry the vg request filled")
-	}
-	if normalize(t, b1) != normalize(t, b2) {
-		t.Errorf("cached cross-engine answers differ:\n%s\n%s", b1, b2)
-	}
-
-	// The default path — no engine named at all — resolves to auto and
-	// shares the same entry with the same bytes.
-	third, b3 := solveOK(t, ts, "application/json", `{"net":`+net+`}`)
-	if !third.Cached {
-		t.Fatal("default-engine request missed the cache entry the vg request filled")
-	}
-	if normalize(t, b1) != normalize(t, b3) {
-		t.Errorf("cached default-engine answer differs from vg:\n%s\n%s", b1, b3)
-	}
-}
-
-// TestEngineEnvelopeDelta carries the wire-compatibility contract to
-// /solve/delta: a v2 "options.engine" naming vg, lishi, or auto is
-// accepted on both a create and an edit and answers exactly as the same
-// request with no engine does. (Unknown names are a decode rejection; see
-// TestDeltaRejections.)
+// TestEngineEnvelopeDelta carries the retirement to /solve/delta: an
+// "options.engine" on a create or an edit, or an ?engine= on either, is a
+// decode rejection, and the session it names is left as it was.
 func TestEngineEnvelopeDelta(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	base, baseBody := deltaOK(t, ts, createBody(t, sampleNet, ""))
+	base, _ := deltaOK(t, ts, createBody(t, sampleNet, ""))
 	edit := `"edits": [{"op": "set-cap", "node": 2, "value": 4.1e-14}]`
-	_, editBody := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s}`, base.SessionID, edit))
 
 	for _, engine := range []string{"vg", "lishi", "auto"} {
 		opts := `"options": {"engine": "` + engine + `"}`
-		cr, cb := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "net": %s, %s}`, mustJSON(t, sampleNet), opts))
-		if normalize(t, cb) != normalize(t, baseBody) {
-			t.Errorf("engine %s create: answer differs from no engine:\n%s\n%s", engine, cb, baseBody)
+		for _, body := range []string{
+			fmt.Sprintf(`{"v": 2, "net": %s, %s}`, mustJSON(t, sampleNet), opts),
+			fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s, %s}`, base.SessionID, edit, opts),
+		} {
+			resp, b := postDelta(t, ts, body)
+			wantError(t, resp, b, http.StatusBadRequest, `unknown field "engine"`)
+			resp, b = postNet(t, ts, "/solve/delta?engine="+engine, "application/json", strings.Replace(body, ", "+opts, "", 1))
+			wantError(t, resp, b, http.StatusBadRequest, `unknown query parameter "engine"`)
 		}
-		_, eb := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}, %s, %s}`, cr.SessionID, edit, opts))
-		if normalize(t, eb) != normalize(t, editBody) {
-			t.Errorf("engine %s edit: answer differs from no engine:\n%s\n%s", engine, eb, editBody)
-		}
+	}
+
+	// None of the rejected edits landed: a no-edit re-solve is a pure
+	// root hit on the session as created.
+	again, _ := deltaOK(t, ts, fmt.Sprintf(`{"v": 2, "session": {"id": %q}}`, base.SessionID))
+	if again.Resolved != 0 || again.SlackPS != base.SlackPS {
+		t.Fatalf("session moved under rejected deltas: resolved %d, slack %g vs %g", again.Resolved, again.SlackPS, base.SlackPS)
+	}
+}
+
+// wantError asserts a decode rejection: the status, class "invalid",
+// and an error that names what was wrong.
+func wantError(t *testing.T, resp *http.Response, body []byte, status int, substr string) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Errorf("status = %d, want %d; body %s", resp.StatusCode, status, body)
+		return
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Errorf("bad error body: %v\n%s", err, body)
+		return
+	}
+	if er.Class != "invalid" {
+		t.Errorf("class = %q, want invalid (%s)", er.Class, er.Error)
+	}
+	if !strings.Contains(er.Error, substr) {
+		t.Errorf("error %q does not mention %q", er.Error, substr)
 	}
 }

@@ -119,14 +119,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	req, err := s.decodeRequest(r)
+	body, err := s.readBody(r)
+	var req *solveRequest
+	if err == nil {
+		req, err = s.decodeSolve(r.Header.Get("Content-Type"), r.URL.Query(), body)
+	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, guard.ErrBudgetExceeded) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		obs.Inc("server.decode.rejected")
-		writeError(w, status, guard.Class(err), err.Error(), 0)
+		writeError(w, decodeStatus(err), guard.Class(err), err.Error(), 0)
 		return
 	}
 

@@ -81,9 +81,8 @@ func TestSolveRawNetfmt(t *testing.T) {
 func TestSolveJSONEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	env, _ := json.Marshal(map[string]any{
-		"net":        sampleNet,
-		"timeout_ms": 5000,
-		"lambda":     0.6,
+		"net":     sampleNet,
+		"options": map[string]any{"timeout_ms": 5000, "lambda": 0.6},
 	})
 	resp, body := postNet(t, ts, "/solve", "application/json", string(env))
 	if resp.StatusCode != http.StatusOK {
@@ -112,7 +111,7 @@ func TestSolveRejections(t *testing.T) {
 		{"malformed JSON", "application/json", `{"net": `, http.StatusBadRequest, "invalid"},
 		{"missing net", "application/json", `{}`, http.StatusBadRequest, "invalid"},
 		{"unknown field", "application/json", `{"net":"x","bogus":1}`, http.StatusBadRequest, "invalid"},
-		{"negative timeout", "application/json", `{"net":"net x\nend\n","timeout_ms":-1}`, http.StatusBadRequest, "invalid"},
+		{"negative timeout", "application/json", `{"net":"net x\nend\n","options":{"timeout_ms":-1}}`, http.StatusBadRequest, "invalid"},
 		{"garbage netfmt", "text/plain", "this is not a net\n", http.StatusBadRequest, "invalid"},
 		{"truncated netfmt", "text/plain", strings.Join(strings.Split(sampleNet, "\n")[:4], "\n"), http.StatusBadRequest, "invalid"},
 		{"oversized body", "text/plain", strings.Repeat("# pad\n", 600) + sampleNet, http.StatusRequestEntityTooLarge, "budget"},
@@ -143,6 +142,54 @@ func TestSolveRejections(t *testing.T) {
 			t.Fatalf("GET /solve = %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestPhysicsKnobsRejectedAtDecode: a noise knob outside its domain — λ
+// outside [0, 1], a non-positive aggressor slope vdd/rise, a negative
+// buffer noise margin — is a decode rejection (400, class "invalid") on
+// every JSON path, never admitted to fail inside the solve or, under a
+// max-slack objective, to answer 200 with a noise report computed from
+// the invalid value.
+func TestPhysicsKnobsRejectedAtDecode(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	net := mustJSON(t, sampleNet)
+	cases := []struct{ name, options, want string }{
+		{"lambda above 1", `{"lambda": 2}`, "must lie in [0, 1]"},
+		{"lambda negative", `{"lambda": -0.1}`, "must lie in [0, 1]"},
+		{"zero slope", `{"vdd": 0}`, "must be positive and finite"},
+		{"negative slope", `{"vdd": -1.8}`, "must be positive and finite"},
+		{"negative bufnm", `{"bufnm": -0.1}`, "bufnm = -0.1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, body := range []string{
+				`{"net": ` + net + `, "options": ` + tc.options + `}`,
+				`{"net": ` + net + `, "options": ` + tc.options + `, "problem": {"objective": "max-slack"}}`,
+			} {
+				resp, b := postNet(t, ts, "/solve", "application/json", body)
+				wantError(t, resp, b, http.StatusBadRequest, tc.want)
+
+				resp, b = postNet(t, ts, "/solve/batch", "application/json", `{"nets": [`+body+`]}`)
+				var br BatchResponse
+				if err := json.Unmarshal(b, &br); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("batch status %d, body %s", resp.StatusCode, b)
+				}
+				if e := br.Results[0].Error; e == nil || e.Status != http.StatusBadRequest || e.Class != "invalid" || !strings.Contains(e.Error, tc.want) {
+					t.Errorf("batch item error = %+v, want a 400 invalid mentioning %q", e, tc.want)
+				}
+
+				resp, b = postDelta(t, ts, strings.Replace(body, "{", `{"v": 2, `, 1))
+				wantError(t, resp, b, http.StatusBadRequest, tc.want)
+			}
+		})
+	}
+	snap := obs.Default().Snapshot()
+	if got, want := snap.Counters["server.decode.rejected"], int64(2*len(cases)); got != want {
+		t.Errorf("server.decode.rejected = %d, want %d", got, want)
+	}
+	if got := snap.Counters["server.request.outcome.invalid"]; got != 0 {
+		t.Errorf("server.request.outcome.invalid = %d, want 0: a bad knob reached a worker", got)
+	}
 }
 
 // TestQueryKnobs: the raw-netfmt path honors ?timeout_ms and ?max_cands
@@ -203,7 +250,7 @@ func TestPanicIsolation(t *testing.T) {
 // slow or malformed fault exactly once, like a ladder post, and a
 // malformed answer is refused with 500, class "internal".
 func TestObjectiveSolveFaultBooks(t *testing.T) {
-	body := `{"v":1,"net":` + mustJSON(t, sampleNet) + `,"problem":{"objective":"max-slack-noise"}}`
+	body := `{"v":2,"net":` + mustJSON(t, sampleNet) + `,"problem":{"objective":"max-slack-noise"}}`
 	for _, tc := range []struct {
 		fault  faultinject.Fault
 		status int
