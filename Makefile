@@ -30,29 +30,38 @@ difftest:
 # (classic O(b²n²) cross-product merge, serial walk) — the full 200-net
 # stratified differential, the metamorphic properties, the exhaustive
 # oracle, the checked-in fuzz corpus replay, and the merge-level frontier
-# property tests the Li–Shi walk's soundness proof rests on, and the
-# buffer-insertion hull filter differenced against the full scan. The
-# tier-1 gate runs the same tests in its full race pass; this re-runs
-# just them.
+# property tests the Li–Shi walk's soundness proof rests on, and buffer
+# insertion's slot-major path (the delay-mode hull filter, the sorted
+# emission in both modes) differenced against the full scan. The tier-1
+# gate runs the same tests in its full race pass; this re-runs just
+# them.
 enginetest:
 	GOFLAGS=-count=1 go test -race ./internal/core/enginetest
 	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty|TestInsertWinnersMatchFullScan|TestInsertHullEmitsSortedRun' ./internal/core
 
-# Decoder fuzzing: the netfmt reader, then every bufferd decode path
-# (/solve, /solve/batch items, /solve/delta) under the same invariants.
+# Decoder and solve-path fuzzing: the netfmt reader, then every bufferd
+# decode path (/solve, /solve/batch items, /solve/delta) under the same
+# invariants, then fuzzed netfmt bytes read, segmented and solved by
+# core.Optimize under a small candidate cap and a timeout — each input
+# must end in a typed guard error or an answer the Elmore and Devgan
+# analyzers confirm.
 fuzz:
 	go test -fuzz=FuzzRead -fuzztime=30s ./internal/netfmt
 	go test -run FuzzDecodeRequest -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server
+	go test -run FuzzOptimizeNetfmt -fuzz=FuzzOptimizeNetfmt -fuzztime=30s ./internal/core
 
 # Engine-equivalence fuzzing: random trees × random sub-libraries, every
 # exact EngineTable row vs the reference, bit-identical objectives required.
 enginefuzz:
 	go test -fuzz=FuzzEngineEquivalence -fuzztime=60s ./internal/core/enginetest
 
-# Hull-filter fuzzing: fuzzed adversarial source lists (near-collinear,
-# equal loads, one-ulp slacks, huge and subnormal magnitudes) through
-# delay-mode buffer insertion, filtered vs full scan, bit-identical
-# winners, order and links required.
+# Buffer-insertion fuzzing: fuzzed adversarial source lists
+# (near-collinear, equal loads, one-ulp slacks, huge and subnormal
+# magnitudes; under noise constraints, noise slacks on a type's
+# admission boundary and NaN, infinite or negative currents) through
+# insertion's slot-major path — the hull filter in delay mode, the whole
+# slots in noise mode — vs the full scan, bit-identical winners, order
+# and links required.
 hullfuzz:
 	go test -run FuzzInsertWinners -fuzz=FuzzInsertWinners -fuzztime=60s ./internal/core
 

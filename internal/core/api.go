@@ -148,7 +148,11 @@ func solveProblem(ctx context.Context, span string, p Problem, opts Options) (*R
 		if vo.noise {
 			return nil, fmt.Errorf("core: %s found no noise-feasible solution: %w", p.Objective, ErrNoiseUnfixable)
 		}
-		return nil, fmt.Errorf("core: %s produced no candidates", p.Objective)
+		// Without noise constraints the unbuffered solution is always a
+		// candidate; it is lost only when every slack overflowed to −Inf
+		// or NaN, which the net's electrical values alone decide.
+		return nil, fmt.Errorf("core: %s produced no finite candidate; the net's electrical values overflow: %w",
+			p.Objective, guard.ErrInvalidInput)
 	}
 	return finishVG(p.Tree, best, vo)
 }

@@ -11,11 +11,13 @@ import (
 	"buffopt/internal/rctree"
 )
 
-// The hull filter (hullKeep) may only drop sources that cannot win, so a
-// delay-only insertBuffers must pick, for every buffer type and slot, the
-// same source with the same slack as the full scan the reference
-// override runs, emit the same list after its sort, and make the same
-// links. These tests difference the two on adversarial source lists.
+// insertBuffers' slot-major path (insertHull) must pick, for every
+// buffer type and slot, the same source with the same slack as the full
+// scan the reference override runs, emit the same list after its sort,
+// and make the same links: in delay-only runs, where the hull filter
+// (hullKeep) may only drop sources that cannot win, and under noise
+// constraints, where each type admits only the sources with R·I ≤ NS.
+// These tests difference the two on adversarial source lists.
 
 // hullSources builds an n-source list of one of several adversarial
 // shapes, in src order a chain or branch node could present.
@@ -110,12 +112,64 @@ func hullSources(rng *rand.Rand, n, shape int) []vgCand {
 	return list
 }
 
-// hullProfiles are the delay-only option sets the filter runs under.
+// noiseFields gives src's sources currents and noise slacks whose
+// admission is adversarial for lib: NS exactly fl(R·I) for a library R
+// (the type admits it, on the boundary) or one ulp either side of it,
+// I = 0, NS < 0, and ordinary values, at ordinary, unit and subnormal
+// scales. With hostile set it also mixes in NaN, infinite and negative I
+// or NS and magnitudes past hullMag, where rounding no longer orders the
+// types' admitted sets and only the scan's own test may decide.
+func noiseFields(rng *rand.Rand, src []vgCand, lib *buffers.Library, hostile bool) {
+	scale := []float64{1e-4, 1, 0x1p-1060}[rng.Intn(3)]
+	for i := range src {
+		c := &src[i]
+		r := lib.Buffers[rng.Intn(len(lib.Buffers))].R
+		c.down = float64(1+rng.Intn(64)) * scale
+		switch rng.Intn(8) {
+		case 0, 1:
+			c.ns = r * c.down
+		case 2:
+			c.ns = math.Nextafter(r*c.down, math.Inf(-1))
+		case 3:
+			c.ns = math.Nextafter(r*c.down, math.Inf(1))
+		case 4:
+			c.down, c.ns = 0, float64(rng.Intn(3)-1)*0.5
+		case 5:
+			c.ns = -rng.Float64() * scale
+		default:
+			c.ns = 2 * rng.Float64() * r * c.down
+		}
+		if hostile && rng.Intn(8) == 0 {
+			switch rng.Intn(7) {
+			case 0:
+				c.down = math.NaN()
+			case 1:
+				c.down = -c.down - scale
+			case 2:
+				c.down = math.Inf(1)
+			case 3:
+				c.ns = math.NaN()
+			case 4:
+				c.ns = math.Inf(2*rng.Intn(2) - 1)
+			case 5:
+				c.down = 1e300
+			default:
+				c.ns = -1e300
+			}
+		}
+	}
+}
+
+// hullProfiles are the option sets insertHull runs under: delay-only,
+// then the same three under noise constraints.
 func hullProfiles() []vgOptions {
 	return []vgOptions{
 		{},
 		{countIndexed: true},
 		{countIndexed: true, maxBuffers: 4},
+		{noise: true},
+		{noise: true, countIndexed: true},
+		{noise: true, countIndexed: true, maxBuffers: 4},
 	}
 }
 
@@ -144,9 +198,9 @@ func hullLibraries(rng *rand.Rand) []*buffers.Library {
 func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) error {
 	run := func(o vgOptions) ([]vgCand, []insWin, vgStats) {
 		var st vgStats
-		o.stats, o.scratch = &st, &nodeScratch{}
+		o.stats, o.scratch, o.ins = &st, &nodeScratch{}, newInsLib(lib)
 		list := slices.Clone(src)
-		list = insertBuffers(list, list, lib, o)
+		list = insertBuffers(list, list, o)
 		var wins []insWin
 		for _, c := range list[len(src):] {
 			wins = append(wins, o.scratch.wins[c.ins-1])
@@ -167,8 +221,9 @@ func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) error
 	return sameInsertion(got, want)
 }
 
-// TestInsertWinnersMatchFullScan differences the filter against the full
-// scan on 400 lists per shape, library and delay-only profile.
+// TestInsertWinnersMatchFullScan differences insertHull against the full
+// scan on 400 lists per shape, library and profile; in the noise
+// profiles a quarter of the lists carry hostile currents or noise slacks.
 func TestInsertWinnersMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	libs := hullLibraries(rng)
@@ -177,6 +232,9 @@ func TestInsertWinnersMatchFullScan(t *testing.T) {
 			for pi, opts := range hullProfiles() {
 				for iter := 0; iter < 400; iter++ {
 					src := hullSources(rng, rng.Intn(90), shape)
+					if opts.noise {
+						noiseFields(rng, src, lib, iter%4 == 3)
+					}
 					if err := diffInsertWinners(src, lib, opts); err != nil {
 						t.Fatalf("shape %d, library %d, profile %d, iteration %d (%d sources): %v",
 							shape, li, pi, iter, len(src), err)
@@ -189,18 +247,23 @@ func TestInsertWinnersMatchFullScan(t *testing.T) {
 
 // TestInsertHullEmitsSortedRun checks the sorted emission: with distinct
 // Cin, no count index or equal costs, the winners leave insertHull as
-// one candCmp run, so the sort after it is a single scan.
+// one candCmp run, so the sort after it is a single scan — in noise runs
+// too, count-indexed with equal costs as the Section V ladder runs.
 func TestInsertHullEmitsSortedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	libs := hullLibraries(rng)
 	lib := libs[len(libs)-1]
-	for _, opts := range []vgOptions{{}, {countIndexed: true}, {countIndexed: true, maxBuffers: 5}} {
+	for _, opts := range hullProfiles() {
 		sc := &nodeScratch{}
+		opts.ins = newInsLib(lib)
 		for iter := 0; iter < 500; iter++ {
 			src := hullSources(rng, rng.Intn(60), 4)
+			if opts.noise {
+				noiseFields(rng, src, lib, iter%4 == 3)
+			}
 			slots := sc.index(src, opts.countIndexed)
 			sc.wins = sc.wins[:0]
-			tail := sc.insertHull(nil, src, lib, opts, len(slots))
+			tail := sc.insertHull(nil, src, opts, len(slots))
 			if runs := countRuns(tail, opts.countIndexed); runs > 1 {
 				t.Fatalf("%+v, iteration %d: %d winners arrive as %d runs", opts, iter, len(tail), runs)
 			}
@@ -215,8 +278,8 @@ func TestInsertHullEmitsSortedRun(t *testing.T) {
 func TestHullKeepDrops(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	lib := buffers.DefaultLibrary(0.8)
-	hb, ok := boundsOf(lib)
-	if !ok {
+	in := newInsLib(lib)
+	if !in.filter {
 		t.Fatal("the Section V library is outside the filter's bounds")
 	}
 	src := hullSources(rng, 80, 1)
@@ -228,7 +291,7 @@ func TestHullKeepDrops(t *testing.T) {
 			idx = append(idx, i)
 		}
 	}
-	kept := sc.hullKeep(src, slices.Clone(idx), hb)
+	kept := sc.hullKeep(src, slices.Clone(idx), in.hb)
 	if len(kept) == 0 || len(kept) > len(idx)/2 {
 		t.Fatalf("hullKeep kept %d of %d sources", len(kept), len(idx))
 	}
@@ -246,11 +309,14 @@ func TestHullKeepDrops(t *testing.T) {
 	}
 }
 
-// FuzzInsertWinners differences the filter against the full scan on
-// fuzzed shapes, sizes, libraries and profiles (make hullfuzz).
+// FuzzInsertWinners differences insertHull against the full scan on
+// fuzzed shapes, sizes, libraries and profiles (make hullfuzz); in the
+// noise profiles with adversarial currents and noise slacks, hostile on
+// odd seeds.
 func FuzzInsertWinners(f *testing.F) {
 	for shape := 0; shape < 7; shape++ {
 		f.Add(int64(shape), uint8(shape), uint8(40), uint8(shape), uint8(shape))
+		f.Add(int64(shape+7), uint8(shape), uint8(60), uint8(shape), uint8(3+shape%3))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape, n, li, pi uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -258,6 +324,9 @@ func FuzzInsertWinners(f *testing.F) {
 		profiles := hullProfiles()
 		src := hullSources(rng, int(n%128), int(shape))
 		lib, opts := libs[int(li)%len(libs)], profiles[int(pi)%len(profiles)]
+		if opts.noise {
+			noiseFields(rng, src, lib, seed%2 != 0)
+		}
 		if err := diffInsertWinners(src, lib, opts); err != nil {
 			t.Fatalf("%d sources: %v", len(src), err)
 		}
@@ -267,19 +336,29 @@ func FuzzInsertWinners(f *testing.F) {
 // BenchmarkInsertBuffers times Step 5 on a chain node's list (a pruned
 // staircase charged with its wire) and on a branch node's sources (the
 // Li–Shi walk's pairs in delay mode, the whole pair space in noise mode),
-// with the Section V library.
+// with the Section V library. The noise-ci mode is the Section V ladder's
+// configuration, count-indexed under noise constraints, on lists whose
+// currents spread the sources over several admission levels.
 func BenchmarkInsertBuffers(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	lib := buffers.DefaultLibrary(0.8)
 	chain := hullSources(rand.New(rand.NewSource(23)), 80, 1)
-	slices.SortFunc(chain, func(a, b vgCand) int { return candCmp(&a, &b, false) })
 	left, right := frontierList(rng, 10), frontierList(rng, 10)
 	for _, mode := range []struct {
 		name string
 		opts vgOptions
-	}{{"delay", vgOptions{}}, {"noise", vgOptions{noise: true}}} {
+	}{{"delay", vgOptions{}}, {"noise", vgOptions{noise: true}}, {"noise-ci", vgOptions{noise: true, countIndexed: true}}} {
 		opts := mode.opts
-		opts.scratch = &nodeScratch{}
+		opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
+		chain, left, right := slices.Clone(chain), slices.Clone(left), slices.Clone(right)
+		for _, l := range [][]vgCand{chain, left, right} {
+			if opts.countIndexed {
+				for i := range l {
+					l[i].down *= 50
+				}
+			}
+			slices.SortFunc(l, func(a, b vgCand) int { return candCmp(&a, &b, opts.countIndexed) })
+		}
 		walk, err := lishiMerge(left, right, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -299,7 +378,7 @@ func BenchmarkInsertBuffers(b *testing.B) {
 				list := make([]vgCand, 0, len(walk)+4*len(lib.Buffers))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					insertBuffers(list, sh.src, lib, opts)
+					insertBuffers(list, sh.src, opts)
 				}
 			})
 		}

@@ -233,9 +233,9 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 					ref.stats = &wantStats
 					want := insertBuffersRef(v, slices.Clone(list), lb.lib, ref)
 					opts := pr.opts
-					opts.stats, opts.scratch = &gotStats, sc
+					opts.stats, opts.scratch, opts.ins = &gotStats, sc, newInsLib(lb.lib)
 					got := slices.Clone(list)
-					got = insertBuffers(got, got, lb.lib, opts)
+					got = insertBuffers(got, got, opts)
 					sc.linkInserted(v, got, lb.lib, nil, nil)
 					if err := sameInsertion(got, want); err != nil {
 						t.Fatalf("iteration %d (%d candidates): %v", iter, len(list), err)
@@ -277,16 +277,16 @@ func TestInsertBuffersAllocBudget(t *testing.T) {
 				list[i].down *= 1e-3 // keep the noise profiles' scans busy
 			}
 			opts := pr.opts
-			opts.scratch = &nodeScratch{}
+			opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
 			probe := slices.Clone(list)
-			winners := len(insertBuffers(probe, probe, lib, opts)) - len(list)
+			winners := len(insertBuffers(probe, probe, opts)) - len(list)
 			if winners < len(lib.Buffers) {
 				t.Fatalf("only %d winners for %d buffer types", winners, len(lib.Buffers))
 			}
 			// Room for the winners, so no call grows the list.
 			list = slices.Grow(list, winners)
 			got := testing.AllocsPerRun(100, func() {
-				opts.scratch.linkInserted(7, insertBuffers(list, list, lib, opts), lib, nil, nil)
+				opts.scratch.linkInserted(7, insertBuffers(list, list, opts), lib, nil, nil)
 			})
 			if got > float64(winners+insertAllocSlack) {
 				t.Fatalf("insertBuffers allocates %v per call for %d winners, budget is %d",

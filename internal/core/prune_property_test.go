@@ -196,7 +196,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				opts := prof.opts
 				opts.arena = &candArena{}
-				opts.scratch = &nodeScratch{}
+				opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
 				mk := func(tag string, node int) []vgCand {
 					l, err := pruneVG(randCandList(rng, 1+rng.Intn(80), tag), opts)
 					if err != nil {

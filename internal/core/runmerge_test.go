@@ -267,10 +267,10 @@ func frontierList(rng *rand.Rand, n int) []vgCand {
 func BenchmarkPruneVG(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	lib := buffers.DefaultLibrary(0.8)
-	opts := vgOptions{noise: true, scratch: &nodeScratch{}}
+	opts := vgOptions{noise: true, scratch: &nodeScratch{}, ins: newInsLib(lib)}
 
 	chain := frontierList(rng, 30)
-	chain = insertBuffers(chain, chain, lib, opts)
+	chain = insertBuffers(chain, chain, opts)
 	left, right := frontierList(rng, 10), frontierList(rng, 10)
 	walk, err := lishiMerge(left, right, opts)
 	if err != nil {
@@ -279,7 +279,7 @@ func BenchmarkPruneVG(b *testing.B) {
 	if err := opts.scratch.pairSources(left, right, opts); err != nil {
 		b.Fatal(err)
 	}
-	walk = insertBuffers(walk, opts.scratch.pairs, lib, opts)
+	walk = insertBuffers(walk, opts.scratch.pairs, opts)
 	cross, err := mergeVG(left, right, opts)
 	if err != nil {
 		b.Fatal(err)

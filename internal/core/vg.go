@@ -146,6 +146,9 @@ type vgOptions struct {
 	// per serial run, one per pool worker in parallel runs, each drawn
 	// from scratchPool.
 	scratch *nodeScratch
+	// ins is what buffer insertion reads of the run's library, computed
+	// once by runVG and shared read-only by every worker.
+	ins *insLib
 	// memo, when non-nil, turns the run into a memoized (ECO) re-solve:
 	// the top-down gate (memoGate) loads finished candidate lists for
 	// every subtree whose entry is current, and only the remaining
@@ -258,6 +261,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	// A failed run's scratch is dropped rather than pooled: a panic can
 	// leave it mid-sort, with links in its merge buffer.
 	opts.scratch = getScratch()
+	opts.ins = newInsLib(lib)
 	defer st.flush()
 	// The DP span hangs off the budget's context, which carries the
 	// request's trace (server → tier → here), so per-net DP time is
@@ -491,7 +495,7 @@ func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64
 // inserting, the prune, and the links of the winners the prune keeps.
 func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
 	if inserting {
-		list = insertBuffers(list, list, lib, opts)
+		list = insertBuffers(list, list, opts)
 	}
 	list, err := pruneVG(list, opts)
 	if err == nil && inserting {
@@ -542,7 +546,7 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 	if err := sc.pairSources(left, right, opts); err != nil {
 		return list, err
 	}
-	list = insertBuffers(list, sc.pairs, lib, opts)
+	list = insertBuffers(list, sc.pairs, opts)
 	list, err = pruneVG(list, opts)
 	if err == nil {
 		sc.linkInserted(v, list, lib, left, right)
@@ -558,37 +562,39 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 // the noise constraint R_b·I ≤ NS when noise is enforced — the boldface
 // modification of Fig. 11, Step 5. It is the DP's one winner rule.
 //
-// The bests live in a dense slot table, one slot per (cost rank, output
-// parity), reset for each buffer type; a slot holds the winning source's
-// index and its post-buffer slack, so the scan touches no map and
-// allocates nothing. Acceptance is value-canonical: strictly greater
-// slack wins, and on an exact tie the cheaper, then smaller, solution;
-// only a full-value tie keeps the source scanned first, so a scan of the
-// pair sums in mergeVG's order picks what the cross product would. The
-// appended tail is sorted by candCmp, stably — the prune's own order and
-// run merge — so the list reaches pruneVG as the input's runs plus one
-// more, and a chain node's prune is a single linear merge.
-// (buffer, parity, cost) makes the winners unique, so repeated runs and
-// parallel schedules see byte-identical lists. They leave without their
-// solLinks: each is marked with its entry in the node's winner table
-// (vgCand.ins) and keeps its source's link (nil for a pair sum), and
-// linkInserted makes the links of the ones the prune keeps — most
-// winners are dominated at once, and a link made for them would only be
-// garbage.
+// A slot is one (cost rank, output parity); a slot's best holds the
+// winning source's index and its post-buffer slack, so the scan touches
+// no map and allocates nothing. Acceptance is value-canonical (displaces):
+// strictly greater slack wins, and on an exact tie the cheaper, then
+// smaller, solution; only a full-value tie keeps the source scanned
+// first, so a scan of the pair sums in mergeVG's order picks what the
+// cross product would. The appended tail is sorted by candCmp, stably —
+// the prune's own order and run merge — so the list reaches pruneVG as
+// the input's runs plus one more, and a chain node's prune is a single
+// linear merge. (buffer, parity, cost) makes the winners unique, so
+// repeated runs and parallel schedules see byte-identical lists. They
+// leave without their solLinks: each is marked with its entry in the
+// node's winner table (vgCand.ins) and keeps its source's link (nil for
+// a pair sum), and linkInserted makes the links of the ones the prune
+// keeps — most winners are dominated at once, and a link made for them
+// would only be garbage.
 //
-// A delay-only run scans only the sources that can win for some buffer
-// type (insertHull, hullKeep) and emits the winners already in candCmp
-// order when it can. Noise mode and the reference override scan every
-// source (insertScan), so the enginetest differential compares the two.
-func insertBuffers(list, src []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
+// Every run but the reference takes insertHull: the sources grouped by
+// slot, and the winners emitted already in candCmp order when they can
+// be, so the sort is one linear check. A delay-only run first narrows each
+// slot to the sources that can win for some buffer type (hullKeep); a
+// noise-mode run scans its slots whole. The reference override scans
+// every source type by type (insertScan), so the enginetest differential
+// compares the two.
+func insertBuffers(list, src []vgCand, opts vgOptions) []vgCand {
 	sc := opts.scratch
 	n := len(list)
 	slots := sc.index(src, opts.countIndexed)
 	sc.wins = sc.wins[:0]
-	if opts.noise || opts.dp.classicMerge {
-		list = sc.insertScan(list, src, lib, opts, slots)
+	if opts.dp.classicMerge {
+		list = sc.insertScan(list, src, opts.ins.lib, opts, slots)
 	} else {
-		list = sc.insertHull(list, src, lib, opts, len(slots))
+		list = sc.insertHull(list, src, opts, len(slots))
 	}
 	sc.sortCands(list[n:], opts.countIndexed)
 	if opts.stats != nil {
@@ -597,8 +603,9 @@ func insertBuffers(list, src []vgCand, lib *buffers.Library, opts vgOptions) []v
 	return list
 }
 
-// insertScan is insertBuffers' full scan: every source against every
-// buffer type, the winners appended in (buffer index, slot) order.
+// insertScan is the reference override's insertion: every source against
+// every buffer type, the slot table reset for each type, the winners
+// appended in (buffer index, slot) order.
 func (sc *nodeScratch) insertScan(list, src []vgCand, lib *buffers.Library, opts vgOptions, slots []insSlot) []vgCand {
 	for bi, b := range lib.Buffers {
 		bc := b.Cost()
@@ -658,22 +665,28 @@ func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, 
 	})
 }
 
-// insertHull is insertBuffers for a delay-only run. It first narrows
-// each slot to the sources hullKeep cannot rule out, kept in src order,
-// then scans those under the same winner rule (bestIn). Every source it
-// drops has, for every buffer type, another source in its slot with
-// strictly greater post-buffer slack as computed, so the dropped sources
-// hold none of a type's maxima and the winners are the full scan's.
+// insertHull is insertBuffers' path in every run but the reference. It
+// groups the sources by slot, in src order, and in a delay-only run first
+// narrows each slot to the sources hullKeep cannot rule out; then it
+// scans each slot's remaining sources under the same winner rule (bestIn).
+// Every source the filter drops has, for every buffer type, another source
+// in its slot with strictly greater post-buffer slack as computed, so the
+// dropped sources hold none of a type's maxima and the winners are the
+// full scan's. A noise-mode run scans its slots whole, testing each
+// source against each type's R·I ≤ NS: every type admits its own subset,
+// and no exact filter for that case measured cheaper than the scan it
+// saves (DESIGN §16).
 //
 // When the run is not count-indexed, or every buffer costs the same, the
 // winners are emitted slot by slot — each slot's output (cost,) parity
 // ascending — and within a slot by ascending Cin, then library index: the
 // candCmp order of the tail whenever the Cin are distinct. Candidates
 // equal under candCmp still arrive in library order, as from the full
-// scan, so the stable sort after this leaves the same list. Otherwise the
-// emission is the full scan's (buffer index, slot) order.
-func (sc *nodeScratch) insertHull(list, src []vgCand, lib *buffers.Library, opts vgOptions, nslot int) []vgCand {
-	hb, filter := boundsOf(lib)
+// scan, so the stable sort after this leaves the same list. Otherwise —
+// and when a winner's slack is NaN — the emission is the full scan's
+// (buffer index, slot) order.
+func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int) []vgCand {
+	in := opts.ins
 	// Group the sources by slot, in src order: a counting sort.
 	at := slices.Grow(sc.slotAt[:0], nslot+1)[:nslot+1]
 	clear(at)
@@ -689,54 +702,84 @@ func (sc *nodeScratch) insertHull(list, src []vgCand, lib *buffers.Library, opts
 		by[at[s]] = i
 		at[s]++
 	}
-	sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
-	clear(sc.gone)
+	filter := in.filter && !opts.noise
+	if filter {
+		sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
+		clear(sc.gone)
+	}
 	sc.kept = slices.Grow(sc.kept[:0], nslot)[:nslot]
 	lo := 0
 	for s := range nslot {
 		group := by[lo:at[s]]
 		if filter {
-			group = sc.hullKeep(src, group, hb)
+			group = sc.hullKeep(src, group, in.hb)
 		}
 		sc.kept[s] = group
 		lo = at[s]
 	}
 	sc.slotAt, sc.bySlot = at, by
 
-	if opts.countIndexed && !sameCosts(lib) {
-		for bi := range lib.Buffers {
-			for o := range nslot {
-				list = sc.bestIn(list, src, lib, bi, o, opts)
+	// A count-indexed slot holds one cost, so the count cap skips all of
+	// it or none.
+	capped := opts.countIndexed && opts.maxBuffers > 0
+	if !opts.countIndexed || in.sameCost {
+		n := len(list)
+		for o := range nslot {
+			if len(sc.kept[o]) == 0 && len(sc.kept[o^1]) == 0 {
+				continue // no type has a source for this slot
+			}
+			for _, bi := range in.byCin {
+				list = sc.bestIn(list, src, in, bi, o, opts.noise, capped, opts.maxBuffers)
 			}
 		}
-		return list
+		if !hasNaNSlack(list[n:]) {
+			return list
+		}
+		// candCmp cannot order a NaN slack, so the stable sort that
+		// follows need not put such a tail where it puts the full scan's:
+		// emit in the full scan's order instead.
+		list, sc.wins = list[:n], sc.wins[:0]
 	}
-	order := sc.byCin(lib)
-	for o := range nslot {
-		for _, bi := range order {
-			list = sc.bestIn(list, src, lib, bi, o, opts)
+	for bi := range in.lib.Buffers {
+		for o := range nslot {
+			list = sc.bestIn(list, src, in, bi, o, opts.noise, capped, opts.maxBuffers)
 		}
 	}
 	return list
 }
 
+// hasNaNSlack reports whether any candidate of list has a NaN slack.
+func hasNaNSlack(list []vgCand) bool {
+	for i := range list {
+		if list[i].q != list[i].q {
+			return true
+		}
+	}
+	return false
+}
+
 // bestIn appends buffer type bi's winner for output slot o, if any: the
-// best of the kept sources of the slot the type maps onto o.
-func (sc *nodeScratch) bestIn(list, src []vgCand, lib *buffers.Library, bi, o int, opts vgOptions) []vgCand {
-	b := &lib.Buffers[bi]
+// best of the kept sources of the slot the type maps onto o — of those it
+// admits, under noise constraints.
+func (sc *nodeScratch) bestIn(list, src []vgCand, in *insLib, bi, o int, noise, capped bool, maxBuffers int) []vgCand {
+	b := &in.lib.Buffers[bi]
 	kept := sc.kept[o^int(inversion(b))]
-	// A count-indexed slot holds one cost, so the count cap skips all of
-	// it or none.
-	if len(kept) == 0 || opts.countIndexed && opts.maxBuffers > 0 && src[kept[0]].cost+b.Cost() > opts.maxBuffers {
+	if len(kept) == 0 || capped && src[kept[0]].cost+b.Cost() > maxBuffers {
 		return list
 	}
 	s := insSlot{src: -1}
 	for _, i := range kept {
 		c := &src[i]
+		if noise && b.R*c.down > c.ns {
+			continue // inserting here would violate downstream noise
+		}
 		q := c.q - b.Delay(c.load)
 		if s.src < 0 || displaces(c, &src[s.src], q, s.q) {
 			s.src, s.q = i, q
 		}
+	}
+	if s.src < 0 {
+		return list
 	}
 	return sc.appendWin(list, src, bi, b, s)
 }
@@ -749,28 +792,37 @@ func inversion(b *buffers.Buffer) uint8 {
 	return 0
 }
 
-// sameCosts reports whether every buffer of lib has the same cost.
-func sameCosts(lib *buffers.Library) bool {
-	for i := range lib.Buffers {
-		if lib.Buffers[i].Cost() != lib.Buffers[0].Cost() {
-			return false
-		}
-	}
-	return true
+// insLib is what buffer insertion reads of a run's library, computed once
+// per run (newInsLib) rather than at every buffer site.
+type insLib struct {
+	lib *buffers.Library
+	// hb bounds the library for the filter, and filter says whether the
+	// filter may run on it at all.
+	hb     hullBounds
+	filter bool
+	// sameCost: every type costs the same, so the sorted emission applies
+	// to count-indexed runs too.
+	sameCost bool
+	// byCin is the library's indices in ascending Cin, then index order:
+	// the sorted emission's type order.
+	byCin []int
 }
 
-// byCin returns lib's buffer indices in ascending Cin, then index order
-// (an insertion sort: libraries are small).
-func (sc *nodeScratch) byCin(lib *buffers.Library) []int {
-	ord := sc.cinOrder[:0]
+// newInsLib returns lib's insLib. Library.Validate already makes every
+// R > 0 and T ≥ 0 finite; the filter also needs them within hullMag.
+func newInsLib(lib *buffers.Library) *insLib {
+	in := &insLib{lib: lib, sameCost: true, hb: hullBounds{rmin: math.Inf(1)}}
 	for bi := range lib.Buffers {
-		ord = append(ord, bi)
-		for k := len(ord) - 1; k > 0 && lib.Buffers[ord[k-1]].Cin > lib.Buffers[bi].Cin; k-- {
-			ord[k-1], ord[k] = ord[k], ord[k-1]
-		}
+		b := &lib.Buffers[bi]
+		in.hb.rmin, in.hb.rmax, in.hb.tmax = min(in.hb.rmin, b.R), max(in.hb.rmax, b.R), max(in.hb.tmax, b.T)
+		in.sameCost = in.sameCost && b.Cost() == lib.Buffers[0].Cost()
+		in.byCin = append(in.byCin, bi)
 	}
-	sc.cinOrder = ord
-	return ord
+	in.filter = in.hb.rmin > 0 && in.hb.rmax <= hullMag && in.hb.tmax <= hullMag
+	slices.SortStableFunc(in.byCin, func(i, k int) int {
+		return cmp.Compare(lib.Buffers[i].Cin, lib.Buffers[k].Cin)
+	})
+	return in
 }
 
 // hullMag bounds the magnitudes hullKeep certifies: with every |q|, |C|,
@@ -782,17 +834,6 @@ const hullMag = 0x1p500
 // largest output resistance and the largest intrinsic delay.
 type hullBounds struct {
 	rmin, rmax, tmax float64
-}
-
-// boundsOf returns lib's hullBounds, and whether the filter may run on it
-// (Library.Validate already makes every R > 0 and T ≥ 0 finite).
-func boundsOf(lib *buffers.Library) (hullBounds, bool) {
-	h := hullBounds{rmin: math.Inf(1)}
-	for i := range lib.Buffers {
-		b := &lib.Buffers[i]
-		h.rmin, h.rmax, h.tmax = min(h.rmin, b.R), max(h.rmax, b.R), max(h.tmax, b.T)
-	}
-	return h, h.rmin > 0 && h.rmax <= hullMag && h.tmax <= hullMag
 }
 
 // tau is the margin a certificate must clear in a slot whose sources all
@@ -951,13 +992,12 @@ type nodeScratch struct {
 	slots  []insSlot // one per (cost rank, output parity)
 	wins   []insWin  // the node's winners, indexed by vgCand.ins − 1
 
-	slotAt   []int   // insertHull: each slot's end in bySlot
-	bySlot   []int   // insertHull: the source indices grouped by slot
-	kept     [][]int // insertHull: per slot, the sources hullKeep keeps
-	gone     []bool  // hullKeep: per source, certified a loser
-	hullOrd  []int   // hullKeep: a slot's sources in (load, −slack) order
-	hull     []int   // hullKeep: the monotone chain
-	cinOrder []int   // byCin: the library in Cin order
+	slotAt  []int   // insertHull: each slot's end in bySlot
+	bySlot  []int   // insertHull: the source indices grouped by slot
+	kept    [][]int // insertHull: per slot, the sources bestIn scans
+	gone    []bool  // hullKeep: per source, certified a loser
+	hullOrd []int   // hullKeep: a slot's sources in (load, −slack) order
+	hull    []int   // hullKeep: the monotone chain
 
 	pairs  []vgCand   // pairSources: the pair sums, each without a link
 	pairOf [][2]int32 // pairSources: each pair's left and right indices

@@ -23,6 +23,26 @@ func TestReadRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestReadTypesMalformedInput: a malformed line, a missing field or a
+// tree that fails validation wraps guard.ErrInvalidInput, as a
+// non-finite number does, so servers and exit codes classify it.
+func TestReadTypesMalformedInput(t *testing.T) {
+	for _, in := range []string{
+		"",
+		"net\n",
+		"end\n",
+		"net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\nend\n",
+		"net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\nnode 1 sink parent=0\nend\n",
+		"net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\n" +
+			"node 1 gate parent=0 wire=1,1,1 x=0 y=0\nend\n",
+	} {
+		_, err := Read(strings.NewReader(in))
+		if !errors.Is(err, guard.ErrInvalidInput) {
+			t.Errorf("Read(%q) err = %v, want ErrInvalidInput", in, err)
+		}
+	}
+}
+
 func TestReadNodeLimit(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\n")

@@ -126,12 +126,20 @@ func Read(r io.Reader) (*rctree.Tree, error) {
 	return ReadLimited(r, Limits{})
 }
 
-// ReadLimited parses one tree from the stream. Numeric fields must be
-// finite — NaN or ±Inf anywhere is rejected (wrapping
-// guard.ErrInvalidInput) — and streams exceeding lim are rejected
-// (wrapping guard.ErrBudgetExceeded) before the oversized structure is
-// built.
+// ReadLimited parses one tree from the stream. Streams exceeding lim are
+// rejected (wrapping guard.ErrBudgetExceeded) before the oversized
+// structure is built; every other failure — a malformed line, a missing
+// field, a non-finite number, a tree that fails validation — wraps
+// guard.ErrInvalidInput.
 func ReadLimited(r io.Reader, lim Limits) (*rctree.Tree, error) {
+	t, err := readLimited(r, lim)
+	if err != nil && guard.Class(err) == "error" {
+		err = fmt.Errorf("%w: %w", err, guard.ErrInvalidInput)
+	}
+	return t, err
+}
+
+func readLimited(r io.Reader, lim Limits) (*rctree.Tree, error) {
 	lim = lim.withDefaults()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
