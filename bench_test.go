@@ -516,7 +516,7 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 // deltaBenchNet builds the ECO benchmark workload: a deterministic
 // complete binary tree of ~500 nodes (the ISSUE's acceptance scale) with
 // every internal node a legal buffer site.
-func deltaBenchNet(b *testing.B) *rctree.Tree {
+func deltaBenchNet(b testing.TB) *rctree.Tree {
 	b.Helper()
 	tr := rctree.New("eco-bench", 120, 30e-12)
 	wire := func(i int) rctree.Wire {
@@ -556,6 +556,32 @@ func deltaBenchNet(b *testing.B) *rctree.Tree {
 		b.Fatal(err)
 	}
 	return tr
+}
+
+// optimizeAllocBudget pins a warm core.Optimize on deltaBenchNet (511
+// nodes, MaxSlack, the Section V library; serial, since AllocsPerRun
+// runs at GOMAXPROCS 1). It measured 933–960 allocations: the answer's
+// tree clone and maps, the run's bookkeeping and telemetry, a slice box
+// per pooled candidate list, and the arena's misses — 1,065–1,076 under
+// the race detector, whose sync.Pool drops a quarter of what it is
+// given. The margin of about a quarter absorbs that; a solve writes
+// 3,544 solution rows, so heap allocation per row, or per kept
+// candidate, would overrun the budget several times over.
+const optimizeAllocBudget = 1200
+
+// TestOptimizeAllocBudget pins the pooled, pointer-free dynamic program
+// (candidate lists from the arena, solution rows in a pooled link table)
+// against per-row or per-candidate heap allocation quietly returning.
+func TestOptimizeAllocBudget(t *testing.T) {
+	prob := core.Problem{Tree: deltaBenchNet(t), Library: buffers.DefaultLibrary(0.8), Objective: core.MaxSlack}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := core.Optimize(context.Background(), prob, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > optimizeAllocBudget {
+		t.Fatalf("a warm Optimize on deltaBenchNet allocates %v, budget is %d", got, optimizeAllocBudget)
+	}
 }
 
 // BenchmarkDeltaResolve prices the incremental (ECO) re-solve engine

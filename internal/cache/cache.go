@@ -65,6 +65,11 @@ type Config[V any] struct {
 	// Namespace prefixes the obs metric names: namespace "server" yields
 	// "server.cache.hits" and friends. Empty means "cache.hits".
 	Namespace string
+	// Dropped, when non-nil, is called under the cache's lock with every
+	// value the cache lets go of — evicted by a bound, displaced by a Put
+	// on its key, purged — or refuses as larger than MaxBytes, so an
+	// owner can keep books on what stays resident.
+	Dropped func(V)
 }
 
 // Stats is a consistent snapshot of the cache's own accounting, kept
@@ -205,6 +210,7 @@ func (c *Cache[V]) putLocked(key string, v V) {
 	if c.cfg.MaxBytes > 0 && sz > c.cfg.MaxBytes {
 		c.stats.Rejected++
 		obs.Inc(c.ns + "rejected")
+		c.drop(v)
 		return
 	}
 	if el, ok := c.byKey[key]; ok {
@@ -215,6 +221,7 @@ func (c *Cache[V]) putLocked(key string, v V) {
 		c.stats.Evicted++
 		c.stats.EvictedBytes += old.size
 		obs.Inc(c.ns + "evicted")
+		c.drop(old.val)
 		old.val, old.size = v, sz
 		c.bytes += sz
 		c.ll.MoveToFront(el)
@@ -250,6 +257,14 @@ func (c *Cache[V]) evictOldestLocked() {
 	c.stats.Evicted++
 	c.stats.EvictedBytes += e.size
 	obs.Inc(c.ns + "evicted")
+	c.drop(e.val)
+}
+
+// drop hands a value the cache lets go of to Config.Dropped.
+func (c *Cache[V]) drop(v V) {
+	if c.cfg.Dropped != nil {
+		c.cfg.Dropped(v)
+	}
 }
 
 func (c *Cache[V]) publishGaugesLocked() {

@@ -441,3 +441,26 @@ func TestPurge(t *testing.T) {
 	}
 	checkBooks(t, c)
 }
+
+// TestDroppedHook pins Config.Dropped: every value the cache lets go of —
+// evicted by a bound, displaced by a Put on its key, purged — or refuses
+// as too large is handed to the hook exactly once, and a resident value
+// never is.
+func TestDroppedHook(t *testing.T) {
+	dropped := map[int]int{}
+	c := newTestCache(Config[*val]{MaxEntries: 2, MaxBytes: 100, Size: sizeVal,
+		Dropped: func(v *val) { dropped[v.n]++ }})
+	c.Put("a", &val{n: 1, blob: make([]byte, 10)})
+	c.Put("b", &val{n: 2, blob: make([]byte, 10)})
+	c.Put("c", &val{n: 3, blob: make([]byte, 10)})  // evicts a
+	c.Put("b", &val{n: 4, blob: make([]byte, 10)})  // displaces b
+	c.Put("d", &val{n: 5, blob: make([]byte, 101)}) // refused
+	if want := map[int]int{1: 1, 2: 1, 5: 1}; fmt.Sprint(dropped) != fmt.Sprint(want) {
+		t.Fatalf("dropped %v, want %v", dropped, want)
+	}
+	c.Purge()
+	if want := map[int]int{1: 1, 2: 1, 3: 1, 4: 1, 5: 1}; fmt.Sprint(dropped) != fmt.Sprint(want) {
+		t.Fatalf("after Purge dropped %v, want %v", dropped, want)
+	}
+	checkBooks(t, c)
+}

@@ -130,6 +130,15 @@ func solveProblem(ctx context.Context, span string, p Problem, opts Options) (*R
 	if vo.noise = p.Objective != MaxSlack; vo.noise {
 		vo.params = p.Params
 	}
+	// A session's runs append to the session's link table; a plain solve
+	// takes one from the pool and returns it once finishVG has read the
+	// answer out of it.
+	if vo.memo != nil {
+		vo.tab = vo.memo.tab
+	} else {
+		vo.tab = getLinkTab()
+		defer putLinkTab(vo.tab)
+	}
 	if p.Objective == MinBuffersNoise {
 		return minBuffers(p.Tree, p.Library, vo)
 	}
@@ -154,7 +163,7 @@ func solveProblem(ctx context.Context, span string, p Problem, opts Options) (*R
 		return nil, fmt.Errorf("core: %s produced no finite candidate; the net's electrical values overflow: %w",
 			p.Objective, guard.ErrInvalidInput)
 	}
-	return finishVG(p.Tree, best, vo)
+	return finishVG(p.Tree, p.Library, best, vo)
 }
 
 // minBuffers answers MinBuffersNoise (Problem 3), the Section V BuffOpt
@@ -165,7 +174,9 @@ func solveProblem(ctx context.Context, span string, p Problem, opts Options) (*R
 // keeps BuffOpt's candidate lists shorter than DelayOpt(k)'s, the
 // run-time effect Section V reports. When no count achieves non-negative
 // slack, the noise-feasible solution with maximum slack is returned:
-// noise constraints are hard, timing is maximized.
+// noise constraints are hard, timing is maximized. Every cap's run
+// appends to the one link table vo.tab, so a fallback kept from an
+// earlier cap still reads its solution.
 func minBuffers(t *rctree.Tree, lib *buffers.Library, vo vgOptions) (*Result, error) {
 	const hardCap = 64
 	var fallback *vgCand
@@ -181,7 +192,7 @@ func minBuffers(t *rctree.Tree, lib *buffers.Library, vo vgOptions) (*Result, er
 		// feasible solution with the best slack at that cost.
 		for _, c := range cands {
 			if c.q >= 0 {
-				return finishVG(t, c, vo)
+				return finishVG(t, lib, c, vo)
 			}
 		}
 		// Noise is satisfiable but timing is not (yet): remember the best
@@ -195,7 +206,7 @@ func minBuffers(t *rctree.Tree, lib *buffers.Library, vo vgOptions) (*Result, er
 		}
 	}
 	if fallback != nil {
-		return finishVG(t, *fallback, vo)
+		return finishVG(t, lib, *fallback, vo)
 	}
 	return nil, fmt.Errorf("core: %s found no noise-feasible solution: %w", MinBuffersNoise, ErrNoiseUnfixable)
 }
@@ -220,8 +231,16 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 // finishVG materializes a chosen candidate into a Result with a private
 // tree copy, applying any chosen wire widths to the copy's parasitics so
 // the standard analyzers see exactly what the dynamic program computed.
-func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
-	assign, widths := collectSol(c.sol)
+func finishVG(t *rctree.Tree, lib *buffers.Library, c vgCand, vo vgOptions) (*Result, error) {
+	bufs, wis := collectSol(vo.tab, c)
+	assign := make(map[rctree.NodeID]buffers.Buffer, len(bufs))
+	for v, bi := range bufs {
+		assign[v] = lib.Buffers[bi]
+	}
+	widths := make(map[rctree.NodeID]float64, len(wis))
+	for v, wi := range wis {
+		widths[v] = vo.widths[wi]
+	}
 	work := t.Clone()
 	for v, wd := range widths {
 		node := work.Node(v)

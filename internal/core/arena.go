@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"buffopt/internal/obs"
+	"buffopt/internal/rctree"
 )
 
 // candArena recycles the dynamic program's candidate-list backing arrays
@@ -30,9 +31,9 @@ type candArena struct {
 	returned atomic.Int64
 }
 
-// candPool holds recycled candidate-list backing arrays. Entries are fully
-// zeroed before Put so pooled arrays cannot retain solLink chains (and the
-// trees hanging off them) across runs.
+// candPool holds recycled candidate-list backing arrays. Candidates are
+// pointer-free (their solutions are refs into a link table), so a pooled
+// array pins nothing and goes back as it is.
 var candPool = sync.Pool{}
 
 // arenaMinCap is the smallest backing array the arena hands out; merges
@@ -59,8 +60,7 @@ func (a *candArena) get(capHint int) []vgCand {
 	return make([]vgCand, 0, capHint)
 }
 
-// put returns a list to the pool. The backing array is zeroed first so no
-// solution links survive into the pool; the counter is bumped even for
+// put returns a list to the pool. The counter is bumped even for
 // zero-capacity slices so the taken/returned invariant is a pure call
 // count, immune to append having swapped the backing array.
 func (a *candArena) put(s []vgCand) {
@@ -70,8 +70,6 @@ func (a *candArena) put(s []vgCand) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:cap(s)]
-	clear(s)
 	sp := new([]vgCand)
 	*sp = s[:0]
 	candPool.Put(sp)
@@ -83,4 +81,104 @@ func (a *candArena) put(s []vgCand) {
 func (a *candArena) flush() {
 	obs.Add("vg.pool.taken", a.taken.Load())
 	obs.Add("vg.pool.returned", a.returned.Load())
+}
+
+// solRow is one row of a link table: one decision of a solution and the
+// rows it builds on. kind > 0 inserts buffer kind−1 of the run's library
+// at node; kind < 0 sizes node's parent wire at width −kind−1 of the
+// run's widths; kind 0 is a junction, the union of a branch node's two
+// sides' solutions (prev[0] and prev[1]), and decides nothing itself.
+// 16 bytes, no Go pointers.
+type solRow struct {
+	node rctree.NodeID
+	kind int16
+	prev [2]int32
+}
+
+// bufKind and widthKind are the row kinds of buffer bi and width wi.
+func bufKind(bi int) int16   { return int16(bi + 1) }
+func widthKind(wi int) int16 { return int16(-wi - 1) }
+
+// maxKinds bounds a library's types and a run's widths, so every kind
+// fits a candidate's int16.
+const maxKinds = 1<<15 - 1
+
+// A ref names a row of a link table: row i of segment s is
+// s<<segShift | i+1, and 0 names no row. segRows is a segment's capacity.
+// A segment keeps its rows in fixed chunks of chunkRows (16 KiB), so it
+// grows without copying and holds at most one chunk it does not fill.
+const (
+	segShift   = 25
+	segRows    = 1<<segShift - 1
+	chunkShift = 10
+	chunkRows  = 1 << chunkShift
+)
+
+// linkTab holds the rows the candidates of one or more runs refer to —
+// a plain solve's own table, or a session's, shared by every Delta — in
+// one segment per pool worker, so parallel workers append without
+// sharing a slice. Rows are written once and never moved during a run;
+// only collectSol and, between a session's runs, compaction and the
+// relocation after a prune renumbering read them.
+type linkTab struct {
+	segs [maxVGWorkers]linkSeg
+}
+
+func (t *linkTab) row(ref int32) *solRow {
+	i := ref&segRows - 1
+	return &t.segs[ref>>segShift].chunks[i>>chunkShift][i&(chunkRows-1)]
+}
+
+// rows is the number of rows the table holds.
+func (t *linkTab) rows() int {
+	n := 0
+	for i := range t.segs {
+		n += int(t.segs[i].n)
+	}
+	return n
+}
+
+// seg opens segment id for appending; the caller stores it back.
+func (t *linkTab) seg(id int) linkSeg {
+	s := t.segs[id]
+	s.id = int32(id)
+	return s
+}
+
+// linkSeg is one segment, as its one writer appends to it.
+type linkSeg struct {
+	id     int32
+	n      int32 // rows written
+	full   bool  // an add found the segment at capacity
+	chunks []*[chunkRows]solRow
+}
+
+// add appends r and returns its ref; on a full segment it returns 0 and
+// sets full, which the caller turns into a budget error.
+func (s *linkSeg) add(r solRow) int32 {
+	i := s.n
+	if i >= segRows {
+		s.full = true
+		return 0
+	}
+	if int(i>>chunkShift) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([chunkRows]solRow))
+	}
+	s.chunks[i>>chunkShift][i&(chunkRows-1)] = r
+	s.n++
+	return s.id<<segShift | s.n
+}
+
+// linkPool recycles plain solves' link tables: a table is taken for one
+// solve and returned, emptied but keeping its chunks, once the answer
+// has been read out of it.
+var linkPool = sync.Pool{New: func() any { return new(linkTab) }}
+
+func getLinkTab() *linkTab { return linkPool.Get().(*linkTab) }
+
+func putLinkTab(t *linkTab) {
+	for i := range t.segs {
+		t.segs[i].n, t.segs[i].full = 0, false
+	}
+	linkPool.Put(t)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -56,8 +57,9 @@ func diffCorpus(t testing.TB, n int) ([]*rctree.Tree, *buffers.Library, noise.Pa
 
 // candsEqual compares two candidate lists bit for bit: every float via
 // math.Float64bits (so -0 vs 0 or differing NaNs cannot hide), every
-// count exactly, and the flattened solution DAGs as assignment maps.
-func candsEqual(a, b []vgCand) error {
+// count exactly, and the flattened solutions — a's rows in ta, b's in tb
+// — as buffer and width maps.
+func candsEqual(a []vgCand, ta *linkTab, b []vgCand, tb *linkTab) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("list lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -72,18 +74,13 @@ func candsEqual(a, b []vgCand) error {
 		if x.nbuf != y.nbuf || x.cost != y.cost || x.pol != y.pol {
 			return fmt.Errorf("candidate %d counts differ: %+v vs %+v", i, x, y)
 		}
-		ax, wx := collectSol(x.sol)
-		ay, wy := collectSol(y.sol)
-		if err := assignEqual(ax, ay); err != nil {
-			return fmt.Errorf("candidate %d solutions differ: %w", i, err)
+		ax, wx := collectSol(ta, x)
+		ay, wy := collectSol(tb, y)
+		if !maps.Equal(ax, ay) {
+			return fmt.Errorf("candidate %d solutions differ: %v vs %v", i, ax, ay)
 		}
-		if len(wx) != len(wy) {
+		if !maps.Equal(wx, wy) {
 			return fmt.Errorf("candidate %d width maps differ: %v vs %v", i, wx, wy)
-		}
-		for k, v := range wx {
-			if wy[k] != v {
-				return fmt.Errorf("candidate %d width at node %d: %g vs %g", i, k, v, wy[k])
-			}
 		}
 	}
 	return nil
@@ -134,17 +131,18 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	}
 	nets, lib, p := diffCorpus(t, n)
 
-	runOnce := func(tr *rctree.Tree, opts vgOptions, workers int) ([]vgCand, obs.Snapshot) {
+	runOnce := func(tr *rctree.Tree, opts vgOptions, workers int) ([]vgCand, *linkTab, obs.Snapshot) {
 		t.Helper()
 		old := obs.Default()
 		obs.SetDefault(obs.NewRegistry())
 		defer obs.SetDefault(old)
 		opts.dp.workers = workers
+		opts.tab = &linkTab{}
 		cands, err := runVG(tr, lib, opts)
 		if err != nil {
 			t.Fatalf("runVG(workers=%d): %v", workers, err)
 		}
-		return cands, obs.Default().Snapshot()
+		return cands, opts.tab, obs.Default().Snapshot()
 	}
 
 	statKeys := []string{
@@ -164,10 +162,10 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				profNets = profNets[:12]
 			}
 			for i, tr := range profNets {
-				serial, ssnap := runOnce(tr, prof.opts, 1)
+				serial, stab, ssnap := runOnce(tr, prof.opts, 1)
 				for _, workers := range []int{2, 4} {
-					par, psnap := runOnce(tr, prof.opts, workers)
-					if err := candsEqual(serial, par); err != nil {
+					par, ptab, psnap := runOnce(tr, prof.opts, workers)
+					if err := candsEqual(serial, stab, par, ptab); err != nil {
 						t.Fatalf("net %d (%s), workers %d: %v",
 							i, tr.Node(tr.Root()).Name, workers, err)
 					}

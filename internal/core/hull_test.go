@@ -22,9 +22,6 @@ import (
 // hullSources builds an n-source list of one of several adversarial
 // shapes, in src order a chain or branch node could present.
 func hullSources(rng *rand.Rand, n, shape int) []vgCand {
-	link := func(i int) *solLink {
-		return &solLink{buf: &buffers.Buffer{Name: fmt.Sprintf("s%d", i)}}
-	}
 	var list []vgCand
 	switch shape % 7 {
 	case 0:
@@ -103,8 +100,10 @@ func hullSources(rng *rand.Rand, n, shape int) []vgCand {
 			})
 		}
 	}
+	// Each source's own pending row, at a node of its own, is its
+	// witness: a winner's link names the source it was built on.
 	for i := range list {
-		list[i].sol = link(i)
+		list[i].kind, list[i].node = 1, rctree.NodeID(i)
 	}
 	if rng.Intn(3) == 0 {
 		rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
@@ -196,29 +195,32 @@ func hullLibraries(rng *rand.Rand) []*buffers.Library {
 // and order after the sort, each winner's buffer type and source index,
 // the generated count and, once linked, every link.
 func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) error {
-	run := func(o vgOptions) ([]vgCand, []insWin, vgStats) {
+	type insWin struct{ buf, src int }
+	run := func(o vgOptions) ([]vgCand, *linkTab, []insWin, vgStats) {
 		var st vgStats
 		o.stats, o.scratch, o.ins = &st, &nodeScratch{}, newInsLib(lib)
 		list := slices.Clone(src)
-		list = insertBuffers(list, list, o)
+		list = insertBuffers(7, list, list, o)
+		tab := linkAll(o.scratch, list, nil, nil)
+		// A winner's buffer is its pending row's kind, and its source the
+		// node of the source row it is built on (hullSources).
 		var wins []insWin
 		for _, c := range list[len(src):] {
-			wins = append(wins, o.scratch.wins[c.ins-1])
+			wins = append(wins, insWin{int(c.kind) - 1, int(tab.row(c.sol).node)})
 		}
-		o.scratch.linkInserted(7, list, lib, nil, nil)
-		return list, wins, st
+		return list, tab, wins, st
 	}
 	full := opts
 	full.dp.classicMerge = true
-	got, gotWins, gotSt := run(opts)
-	want, wantWins, wantSt := run(full)
+	got, gotTab, gotWins, gotSt := run(opts)
+	want, wantTab, wantWins, wantSt := run(full)
 	if gotSt != wantSt {
 		return fmt.Errorf("stats %+v, full scan %+v", gotSt, wantSt)
 	}
 	if !slices.Equal(gotWins, wantWins) {
 		return fmt.Errorf("winners (buffer, source) %v, full scan %v", gotWins, wantWins)
 	}
-	return sameInsertion(got, want)
+	return sameInsertion(got, gotTab, want, wantTab)
 }
 
 // TestInsertWinnersMatchFullScan differences insertHull against the full
@@ -262,8 +264,8 @@ func TestInsertHullEmitsSortedRun(t *testing.T) {
 				noiseFields(rng, src, lib, iter%4 == 3)
 			}
 			slots := sc.index(src, opts.countIndexed)
-			sc.wins = sc.wins[:0]
 			tail := sc.insertHull(nil, src, opts, len(slots))
+			sc.srcs = sc.srcs[:0]
 			if runs := countRuns(tail, opts.countIndexed); runs > 1 {
 				t.Fatalf("%+v, iteration %d: %d winners arrive as %d runs", opts, iter, len(tail), runs)
 			}
@@ -378,7 +380,8 @@ func BenchmarkInsertBuffers(b *testing.B) {
 				list := make([]vgCand, 0, len(walk)+4*len(lib.Buffers))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					insertBuffers(list, sh.src, opts)
+					insertBuffers(7, list, sh.src, opts)
+					opts.scratch.srcs = opts.scratch.srcs[:0]
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"buffopt/internal/buffers"
@@ -14,12 +15,13 @@ import (
 
 // The oracle for buffer insertion: the map-keyed implementation that
 // insertBuffers' slot table replaced, kept here unchanged but for the
-// link's buffer field, which now points at the library entry, and for
-// its emission order, which is now the prune's (candCmp, then buffer
-// index). The slot table, with linkInserted making the links it defers,
-// must emit the same candidates, in the same order, with the same
-// witnesses — identical solLink (node, buffer, prev) — on every list, so
-// nothing downstream of Step 5 can tell the two apart.
+// link, which is now the winner's pending row (its buffer at the node)
+// built on its source's solution or the source's own row, and for its
+// emission order, which is now the prune's (candCmp, then buffer index).
+// The slot table, with the link pass writing the rows it defers, must
+// emit the same candidates, in the same order, with the same witnesses —
+// identical rows (node, kind, prev) — on every list, so nothing
+// downstream of Step 5 can tell the two apart.
 
 // insertBuffersRef appends buffered candidates at node v to list: for each
 // buffer type (and, in count-indexed mode, each resulting buffer count and
@@ -28,16 +30,21 @@ import (
 // — the boldface modification of Fig. 11, Step 5. The appended candidates
 // are emitted in a deterministic total order — candCmp, then buffer
 // index — never map order, so repeated runs and parallel schedules see
-// byte-identical lists.
-func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
+// byte-identical lists. Each winner's source row, when the source has a
+// pending one, is written to seg once per source.
+func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions, seg *linkSeg) []vgCand {
 	type key struct {
 		buf  int
 		pol  uint8
 		cost int
 	}
-	best := map[key]vgCand{}
+	type win struct {
+		c   vgCand
+		src int
+	}
+	best := map[key]win{}
 	for bi, b := range lib.Buffers {
-		for _, c := range list {
+		for si, c := range list {
 			if opts.noise && b.R*c.down > c.ns {
 				continue // inserting here would violate downstream noise
 			}
@@ -58,13 +65,13 @@ func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts
 			// emit candidates in different orders, so a first-wins rule
 			// would make the selected cost/nbuf depend on the engine.
 			cur, ok := best[k]
-			better := !ok || q > cur.q
-			if !better && q == cur.q {
+			better := !ok || q > cur.c.q
+			if !better && q == cur.c.q {
 				nc := c.cost + b.Cost()
-				better = nc < cur.cost || (nc == cur.cost && c.nbuf+1 < cur.nbuf)
+				better = nc < cur.c.cost || (nc == cur.c.cost && c.nbuf+1 < cur.c.nbuf)
 			}
 			if better {
-				best[k] = vgCand{
+				best[k] = win{vgCand{
 					load: b.Cin,
 					q:    q,
 					down: 0,
@@ -72,8 +79,9 @@ func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts
 					nbuf: c.nbuf + 1,
 					cost: c.cost + b.Cost(),
 					pol:  k.pol,
-					sol:  &solLink{node: v, buf: &lib.Buffers[bi], prev: [2]*solLink{c.sol, nil}},
-				}
+					kind: bufKind(bi),
+					node: v,
+				}, si}
 			}
 		}
 	}
@@ -85,14 +93,26 @@ func insertBuffersRef(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, func(a, b key) int {
-		ca, cb := best[a], best[b]
+		ca, cb := best[a].c, best[b].c
 		if c := candCmp(&ca, &cb, opts.countIndexed); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.buf, b.buf)
 	})
+	srcRow := map[int]int32{}
 	for _, k := range keys {
-		list = append(list, best[k])
+		w := best[k]
+		src := list[w.src]
+		w.c.sol = src.sol
+		if src.kind != 0 {
+			r, ok := srcRow[w.src]
+			if !ok {
+				r = seg.add(solRow{node: src.node, kind: src.kind, prev: [2]int32{src.sol, 0}})
+				srcRow[w.src] = r
+			}
+			w.c.sol = r
+		}
+		list = append(list, w.c)
 	}
 	if opts.stats != nil {
 		opts.stats.generated += int64(len(best))
@@ -159,7 +179,7 @@ func insertProfiles() []struct {
 // and slack — so every buffer type sees an exact post-buffer slack tie —
 // but change cost and buffer count, or keep them too (a full-value tie,
 // where only scan order separates the witnesses). Each copy gets its own
-// solution link.
+// pending row.
 func withForcedTies(rng *rand.Rand, list []vgCand) []vgCand {
 	n := len(list)
 	for k := 0; k < n/3; k++ {
@@ -170,17 +190,90 @@ func withForcedTies(rng *rand.Rand, list []vgCand) []vgCand {
 		case 1:
 			c.nbuf = rng.Intn(6)
 		}
-		c.sol = &solLink{buf: &buffers.Buffer{Name: fmt.Sprintf("tie%d", k)}}
+		c.kind, c.node = 1, rctree.NodeID(1<<24+k)
 		list = append(list, c)
 	}
 	rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 	return list
 }
 
+// headRow is candidate c's latest decision as a row: its pending row if
+// it has one, else the row its sol names (false for no row at all).
+func headRow(tab *linkTab, c vgCand) (solRow, bool) {
+	if c.kind != 0 {
+		return solRow{node: c.node, kind: c.kind, prev: [2]int32{c.sol, 0}}, true
+	}
+	if c.sol == 0 {
+		return solRow{}, false
+	}
+	return *tab.row(c.sol), true
+}
+
+// sameLink reports whether candidates a (rows in ta) and b (rows in tb)
+// carry the same decisions in the same shape, whether a decision is
+// still pending or written, and wherever in their tables the rows sit.
+func sameLink(ta *linkTab, a vgCand, tb *linkTab, b vgCand) bool {
+	var same func(x, y solRow) bool
+	sameRef := func(x, y int32) bool {
+		if x == 0 || y == 0 {
+			return x == y
+		}
+		return same(*ta.row(x), *tb.row(y))
+	}
+	same = func(x, y solRow) bool {
+		return x.node == y.node && x.kind == y.kind && sameRef(x.prev[0], y.prev[0]) && sameRef(x.prev[1], y.prev[1])
+	}
+	ra, oka := headRow(ta, a)
+	rb, okb := headRow(tb, b)
+	if !oka || !okb {
+		return oka == okb
+	}
+	return same(ra, rb)
+}
+
+// linkOf describes candidate c's solution as tab holds it, for failure
+// messages: its pending row, if it has one, then every row its sol
+// reaches, depth first, each written as a row would be.
+func linkOf(tab *linkTab, c vgCand) string {
+	var b strings.Builder
+	row := func(node rctree.NodeID, kind int16) { fmt.Fprintf(&b, "(%d:%d ", node, kind) }
+	var ref func(r int32)
+	ref = func(r int32) {
+		if r == 0 {
+			b.WriteString("-")
+			return
+		}
+		rw := tab.row(r)
+		row(rw.node, rw.kind)
+		ref(rw.prev[0])
+		b.WriteByte(' ')
+		ref(rw.prev[1])
+		b.WriteByte(')')
+	}
+	if c.kind != 0 {
+		row(c.node, c.kind)
+		ref(c.sol)
+		b.WriteString(" -)")
+		return b.String()
+	}
+	ref(c.sol)
+	return b.String()
+}
+
+// linkAll runs sc's link pass over list — a branch node's when left and
+// right are set — into a fresh table, and returns the table.
+func linkAll(sc *nodeScratch, list, left, right []vgCand) *linkTab {
+	tab := &linkTab{}
+	seg := tab.seg(0)
+	sc.link(list, left, right, &seg)
+	tab.segs[0] = seg
+	return tab
+}
+
 // sameInsertion reports the first difference between two insertion
-// outputs: every candidate bit-identical, and every link the insertion
-// created equal in node and buffer and pointing at the same prev.
-func sameInsertion(got, want []vgCand) error {
+// outputs, got's links in gotTab and want's in wantTab: every candidate
+// bit-identical, and every link the same decisions on the same sources.
+func sameInsertion(got []vgCand, gotTab *linkTab, want []vgCand, wantTab *linkTab) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("length %d, want %d", len(got), len(want))
 	}
@@ -190,15 +283,11 @@ func sameInsertion(got, want []vgCand) error {
 			math.Float64bits(g.q) != math.Float64bits(w.q) ||
 			math.Float64bits(g.down) != math.Float64bits(w.down) ||
 			math.Float64bits(g.ns) != math.Float64bits(w.ns) ||
-			g.nbuf != w.nbuf || g.cost != w.cost || g.pol != w.pol || g.ins != w.ins {
+			g.nbuf != w.nbuf || g.cost != w.cost || g.pol != w.pol || g.via != w.via {
 			return fmt.Errorf("candidate %d = %+v, want %+v", i, g, w)
 		}
-		if g.sol == w.sol {
-			continue // an input candidate, passed through
-		}
-		if g.sol == nil || w.sol == nil || g.sol.node != w.sol.node || g.sol.buf != w.sol.buf ||
-			g.sol.isWidth != w.sol.isWidth || g.sol.prev != w.sol.prev {
-			return fmt.Errorf("candidate %d link = %+v, want %+v", i, g.sol, w.sol)
+		if !sameLink(gotTab, g, wantTab, w) {
+			return fmt.Errorf("candidate %d link = %s, want %s", i, linkOf(gotTab, g), linkOf(wantTab, w))
 		}
 	}
 	return nil
@@ -231,13 +320,16 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 					var wantStats, gotStats vgStats
 					ref := pr.opts
 					ref.stats = &wantStats
-					want := insertBuffersRef(v, slices.Clone(list), lb.lib, ref)
+					wantTab := &linkTab{}
+					wantSeg := wantTab.seg(0)
+					want := insertBuffersRef(v, slices.Clone(list), lb.lib, ref, &wantSeg)
+					wantTab.segs[0] = wantSeg
 					opts := pr.opts
 					opts.stats, opts.scratch, opts.ins = &gotStats, sc, newInsLib(lb.lib)
 					got := slices.Clone(list)
-					got = insertBuffers(got, got, opts)
-					sc.linkInserted(v, got, lb.lib, nil, nil)
-					if err := sameInsertion(got, want); err != nil {
+					got = insertBuffers(v, got, got, opts)
+					gotTab := linkAll(sc, got, nil, nil)
+					if err := sameInsertion(got, gotTab, want, wantTab); err != nil {
 						t.Fatalf("iteration %d (%d candidates): %v", iter, len(list), err)
 					}
 					// The winners arrive as one sorted run, so a chain
@@ -256,41 +348,52 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 	}
 }
 
-// insertAllocSlack is what buffer insertion may allocate beyond one
-// solLink per emitted winner.
-const insertAllocSlack = 2
+// insertAllocSlack is what buffer insertion and the link pass may
+// allocate per call with warm scratch and a warm table segment: nothing,
+// however many winners they emit and link.
+const insertAllocSlack = 0
 
-// TestInsertBuffersAllocBudget pins buffer insertion's allocations to its
-// winners: on a fixed 200-candidate list with room for the winners and
-// the 11-type Section V library, with warm scratch, insertBuffers and
-// linkInserted together allocate one solLink per emitted candidate plus
-// at most insertAllocSlack — nothing per scanned candidate. (In a run,
-// linkInserted sees the list after the prune, so only the winners the
-// prune keeps get a link.)
+// TestInsertBuffersAllocBudget pins buffer insertion's allocations: on a
+// fixed 200-candidate list with room for the winners and the 11-type
+// Section V library, with warm scratch and a warm link table segment,
+// insertBuffers and the link pass together allocate at most
+// insertAllocSlack — nothing per scanned candidate, and nothing per
+// winner either: every source has a pending row, so each winner's
+// source row is written, into the segment's capacity. (In a run, the
+// link pass sees the list after the prune, so only the winners the prune
+// keeps get a row.)
 func TestInsertBuffersAllocBudget(t *testing.T) {
 	lib := buffers.DefaultLibrary(0.8)
 	for _, pr := range insertProfiles() {
 		t.Run(pr.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(200))
-			list := randCandList(rng, 200, "a")
-			for i := range list {
-				list[i].down *= 1e-3 // keep the noise profiles' scans busy
+			src := randCandList(rng, 200, "a")
+			for i := range src {
+				src[i].down *= 1e-3 // keep the noise profiles' scans busy
 			}
 			opts := pr.opts
 			opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
-			probe := slices.Clone(list)
-			winners := len(insertBuffers(probe, probe, opts)) - len(list)
+			probe := slices.Clone(src)
+			winners := len(insertBuffers(7, probe, probe, opts)) - len(src)
 			if winners < len(lib.Buffers) {
 				t.Fatalf("only %d winners for %d buffer types", winners, len(lib.Buffers))
 			}
-			// Room for the winners, so no call grows the list.
-			list = slices.Grow(list, winners)
+			opts.scratch.link(probe, nil, nil, &linkSeg{})
+			// Room for the winners, so no call grows the list; each call
+			// starts from the same sources, since insertion shares them.
+			list := slices.Grow(slices.Clone(src), winners)
+			seg := (&linkTab{}).seg(0)
 			got := testing.AllocsPerRun(100, func() {
-				opts.scratch.linkInserted(7, insertBuffers(list, list, opts), lib, nil, nil)
+				list = append(list[:0], src...)
+				seg.n = 0
+				opts.scratch.link(insertBuffers(7, list, list, opts), nil, nil, &seg)
 			})
-			if got > float64(winners+insertAllocSlack) {
-				t.Fatalf("insertBuffers allocates %v per call for %d winners, budget is %d",
-					got, winners, winners+insertAllocSlack)
+			if seg.n == 0 {
+				t.Fatal("the link pass wrote no row")
+			}
+			if got > insertAllocSlack {
+				t.Fatalf("insertBuffers and link allocate %v per call for %d winners, budget is %d",
+					got, winners, insertAllocSlack)
 			}
 		})
 	}

@@ -8,8 +8,9 @@ package core
 // which a delay-only run does in insertHull (vg.go) and without which
 // that step alone costs O(b·k) per node. Sink seeding, pruning and wire
 // charging are the code the cross product runs; the walk changes how
-// merge candidates are enumerated, never their arithmetic (pairSum and
-// joinSol are shared) and never which values survive pruning.
+// merge candidates are enumerated, never their arithmetic (pairSum is
+// shared, and every pair is a pending junction either way) and never
+// which values survive pruning.
 //
 // Why the walk loses nothing, exactly:
 //
@@ -78,7 +79,8 @@ package core
 // the test couples the sides through I_a + I_b against the smaller of
 // the two noise slacks — so no walk over per-side filtered frontiers
 // enumerates them. The scan costs O(b·L1·L2) comparisons, as insertion on
-// the cross product did, but makes no link, arena list or sort per pair.
+// the cross product did, but makes no junction, arena list or sort per
+// pair.
 //
 // The walk beats the cross product even at b = 1 (BENCH_2026-08-08-1).
 // The classic merge stays as safe pruning's merge and as the reference
@@ -132,21 +134,14 @@ func lishiGroups(list []vgCand, opts vgOptions, groups []candGroup, idx []int) (
 // lishiMerge combines two sibling candidate lists by walking Pareto
 // frontiers pairwise instead of forming the full cross product. Same
 // contract as mergeVG: parity-compatible pairs only, count-capped pairs
-// skipped, output from the arena (caller releases on error), budget
-// consulted as the output grows.
+// skipped, each a pending junction in the scratch, output from the arena
+// (caller releases on error), budget consulted as the output grows.
 func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	out := opts.arena.get(len(left) + len(right))
-	var lg, rg []candGroup
-	var idx []int
 	sc := opts.scratch
-	if sc != nil {
-		lg, rg, idx = sc.groups[0], sc.groups[1], sc.idx[:0]
-	}
-	lg, idx = lishiGroups(left, opts, lg, idx)
-	rg, idx = lishiGroups(right, opts, rg, idx)
-	if sc != nil {
-		sc.groups[0], sc.groups[1], sc.idx = lg, rg, idx
-	}
+	lg, idx := lishiGroups(left, opts, sc.groups[0], sc.idx[:0])
+	rg, idx := lishiGroups(right, opts, sc.groups[1], idx)
+	sc.groups[0], sc.groups[1], sc.idx = lg, rg, idx
 	tick := 0
 	for _, ga := range lg {
 		for _, gb := range rg {
@@ -161,9 +156,10 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 						return out, err
 					}
 				}
-				a, b := &left[ga.frontier[i]], &right[gb.frontier[j]]
+				l, r := ga.frontier[i], gb.frontier[j]
+				a, b := &left[l], &right[r]
 				c := pairSum(a, b)
-				c.sol = joinSol(a.sol, b.sol)
+				c.via = sc.join(l, r)
 				out = append(out, c)
 				// Advance past the branch that bounds this pair's slack:
 				// its later candidates can only raise the bound the other
@@ -213,12 +209,12 @@ func crossSize(lg, rg []candGroup, opts vgOptions) int {
 
 // pairSources fills the scratch's pair sums with the pairs of left and
 // right that mergeVG would emit, in its order — left outer, the right
-// list's mergeable groups inner — each summed by pairSum, without a link,
-// beside its two indices. It reads the right list's groups that
-// lishiMerge left in the scratch, and consults the budget's context as
-// the pairs are written (the cap has been charged their number already).
+// list's mergeable groups inner — each summed by pairSum and recorded as
+// a pending junction. It reads the right list's groups that lishiMerge
+// left in the scratch, and consults the budget's context as the pairs
+// are written (the cap has been charged their number already).
 func (sc *nodeScratch) pairSources(left, right []vgCand, opts vgOptions) error {
-	sc.pairs, sc.pairOf = sc.pairs[:0], sc.pairOf[:0]
+	sc.pairs = sc.pairs[:0]
 	pacer := opts.budget.Pacer(4096)
 	for i := range left {
 		a := &left[i]
@@ -230,8 +226,9 @@ func (sc *nodeScratch) pairSources(left, right []vgCand, opts vgOptions) error {
 				if err := pacer.Tick(); err != nil {
 					return err
 				}
-				sc.pairs = append(sc.pairs, pairSum(a, &right[j]))
-				sc.pairOf = append(sc.pairOf, [2]int32{int32(i), int32(j)})
+				p := pairSum(a, &right[j])
+				p.via = sc.join(i, j)
+				sc.pairs = append(sc.pairs, p)
 			}
 		}
 	}

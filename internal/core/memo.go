@@ -34,18 +34,26 @@ import (
 // O(depth) ancestors of the change — the ROADMAP's "Incremental (ECO)
 // re-solve engine".
 
-// subtreeMemo is one memoized per-subtree candidate list. Entries are
-// immutable once stored (the session cache runs with a nil Clone): the
-// cands slice and the solLink DAG behind it are never written after Put,
-// and loads copy the slice into the run's arena before the DP may mutate
-// it in place. ids records the subtree's preorder node numbering at store
-// time, so a load after a renumbering edit (prune) can relocate the
-// solution DAG instead of discarding the entry. It is a window of the
-// session topology's preorder (memoTopo), shared with every other entry
-// stored under that topology, never a copy of its own.
+// subtreeMemo is one memoized per-subtree candidate list: a plain
+// pointer-free slice whose refs name rows of the session's link table,
+// which every run of the session appends to and no run rewrites. A load
+// is one copy into the run's arena, before the DP may mutate the list in
+// place; only compaction, between runs under the session lock, rewrites
+// the refs (compactLinks). ids records the subtree's preorder node
+// numbering at store time, so a load after a renumbering edit (prune)
+// can relocate the solution rows instead of discarding the entry. It is
+// a window of the session topology's preorder (memoTopo), shared with
+// every other entry stored under that topology, never a copy of its own.
+//
+// rows is the entry's share of the table: rows its node's step or its
+// relocation wrote, or that the last compaction assigned to it — each
+// row attributed to one entry at most, and reached by it. So the rows
+// attributed to resident entries (Session.live) never exceed the rows
+// the memo reaches. −1 marks an entry the cache has dropped.
 type subtreeMemo struct {
 	ids   []rctree.NodeID
 	cands []vgCand
+	rows  atomic.Int64
 }
 
 // memoTopo is one session topology's preorder with every subtree's
@@ -88,8 +96,17 @@ func (m *memoTopo) window(v rctree.NodeID) []rctree.NodeID {
 type memoTable = cache.Cache[*subtreeMemo]
 
 // subtreeMemoSize approximates an entry's resident footprint: candidate
-// structs plus an amortized share of the solution DAG behind them, plus
-// the id list. Generous constants — the byte bound is a safety valve.
+// structs plus an amortized share of the session's link table, plus the
+// id list. Generous constants — the byte bound is a safety valve.
+//
+// A candidate is charged what it costs the process: the 64-byte vgCand
+// plus its share of the link table — the memo reaches 0.24–0.30 rows per
+// resident candidate on an eco_edit-like stream, so half a 16-byte row,
+// doubled for the table's compaction slack — and the sum doubled again,
+// since the collector lets the heap grow to twice its live bytes.
+// TestDeltaMemoFootprint holds a session's candidates and table within
+// half of what its memo is charged.
+//
 // An entry is charged 8 B per id of its window, twice a NodeID, as if it
 // held a private copy. The windows share the session's current preorder,
 // session state beside its subtree hashes, and a graft or prune copies
@@ -98,7 +115,7 @@ type memoTable = cache.Cache[*subtreeMemo]
 func subtreeMemoSize(e *subtreeMemo) int64 {
 	const (
 		base    = 96
-		perCand = 160 // vgCand (64 B) + amortized solLink share
+		perCand = 2 * (64 + 2*16/2)
 		perID   = 8
 	)
 	if e == nil {
@@ -120,6 +137,10 @@ type memoRun struct {
 	hashes []rctree.SubtreeHash
 	topo   *memoTopo
 	suffix string
+	// tab is the session's link table and live its attributed rows
+	// (subtreeMemo.rows).
+	tab  *linkTab
+	live *atomic.Int64
 
 	lookups  atomic.Int64
 	reused   atomic.Int64
@@ -200,16 +221,32 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 }
 
 // store memoizes node v's finished candidate list: a private plain copy
-// (never arena-backed — the arena zeroes returned backing) plus the
-// subtree's window of the topology preorder. Called from computeNode
-// after the list is final (pruned and wire-charged), so serial, parallel,
-// and subset walks all store through the same line.
-func (m *memoRun) store(v rctree.NodeID, list []vgCand) {
+// (never arena-backed, so the list's next owner cannot write it) plus the
+// subtree's window of the topology preorder and the rows v's step wrote.
+// Called from computeNode after the list is final (pruned, wire-charged
+// and linked), so serial, parallel, and subset walks all store through
+// the same line.
+func (m *memoRun) store(v rctree.NodeID, list []vgCand, rows int) {
 	m.resolved.Add(1)
-	m.table.Put(m.key(v), &subtreeMemo{
+	m.put(m.key(v), &subtreeMemo{
 		ids:   m.topo.window(v),
 		cands: append([]vgCand(nil), list...),
-	})
+	}, int64(rows))
+}
+
+// put stores e under key with rows attributed to it.
+func (m *memoRun) put(key string, e *subtreeMemo, rows int64) {
+	e.rows.Store(rows)
+	m.live.Add(rows)
+	m.table.Put(key, e)
+}
+
+// dropMemo is the session cache's Dropped hook: an entry leaving the
+// cache takes its attributed rows out of live.
+func dropMemo(live *atomic.Int64, e *subtreeMemo) {
+	if n := e.rows.Swap(-1); n > 0 {
+		live.Add(-n)
+	}
 }
 
 // load returns an arena-backed copy of node v's memoized list, if the
@@ -217,7 +254,8 @@ func (m *memoRun) store(v rctree.NodeID, list []vgCand) {
 // v's window itself. One from before a graft or prune is checked id by
 // id and re-stored on the current window — relocated first through the
 // positional old→new id map when the tree was renumbered (hash equality
-// guarantees the two preorders align node for node).
+// guarantees the two preorders align node for node). A relocation that
+// finds the link table's segment full is a miss.
 func (m *memoRun) load(v rctree.NodeID, ar *candArena) ([]vgCand, bool) {
 	key := m.key(v)
 	e, ok := m.table.Get(key)
@@ -227,11 +265,15 @@ func (m *memoRun) load(v rctree.NodeID, ar *candArena) ([]vgCand, bool) {
 	ids := m.topo.window(v)
 	if !sameWindow(e.ids, ids) {
 		if equalIDs(e.ids, ids) {
-			e = &subtreeMemo{ids: ids, cands: e.cands}
+			m.put(key, &subtreeMemo{ids: ids, cands: e.cands}, max(e.rows.Load(), 0))
 		} else {
-			e = remapMemo(e, ids)
+			ne, rows, ok := remapMemo(e, ids, m.tab)
+			if !ok {
+				return nil, false
+			}
+			m.put(key, ne, rows)
+			e = ne
 		}
-		m.table.Put(key, e)
 	}
 	m.reused.Add(1)
 	return append(ar.get(len(e.cands)), e.cands...), true
@@ -248,9 +290,13 @@ func sameWindow(a, b []rctree.NodeID) bool {
 // preorder. Replaying the entries oldest first keeps their recency, and
 // each replaced value counts as an eviction, so the cache books stay
 // balanced.
-func retireTopo(table *memoTable) {
+func retireTopo(table *memoTable, live *atomic.Int64) {
 	for _, e := range table.Entries() {
-		table.Put(e.Key, &subtreeMemo{ids: slices.Clone(e.Val.ids), cands: e.Val.cands})
+		ne := &subtreeMemo{ids: slices.Clone(e.Val.ids), cands: e.Val.cands}
+		rows := max(e.Val.rows.Load(), 0)
+		ne.rows.Store(rows)
+		live.Add(rows)
+		table.Put(e.Key, ne)
 	}
 }
 
@@ -266,38 +312,49 @@ func equalIDs(a, b []rctree.NodeID) bool {
 	return true
 }
 
-// remapMemo rebuilds an entry under a new node numbering. solLinks are
-// immutable, so relocation builds fresh links, memoized per old link to
-// preserve the DAG's sharing (and its size).
-func remapMemo(e *subtreeMemo, ids []rctree.NodeID) *subtreeMemo {
+// remapMemo rebuilds an entry under a new node numbering: its candidates'
+// pending rows renumbered, and a copy of every row they reach, appended
+// to segment 0 of tab — rows are write-once, and other entries still
+// read the old ones. It returns the entry and the rows it wrote, or
+// false if the segment filled up.
+func remapMemo(e *subtreeMemo, ids []rctree.NodeID, tab *linkTab) (*subtreeMemo, int64, bool) {
 	idMap := make(map[rctree.NodeID]rctree.NodeID, len(e.ids))
 	for i, old := range e.ids {
 		idMap[old] = ids[i]
 	}
-	seen := make(map[*solLink]*solLink)
+	seg := tab.seg(0)
+	seen := make(map[int32]int32)
 	cands := make([]vgCand, len(e.cands))
 	for i, c := range e.cands {
-		c.sol = remapSol(c.sol, idMap, seen)
+		c.sol = remapSol(tab, &seg, c.sol, idMap, seen)
+		if c.kind != 0 {
+			c.node = idMap[c.node]
+		}
 		cands[i] = c
 	}
-	return &subtreeMemo{ids: ids, cands: cands}
+	rows := seg.n - tab.segs[0].n
+	tab.segs[0] = seg
+	return &subtreeMemo{ids: ids, cands: cands}, int64(rows), !seg.full
 }
 
-func remapSol(l *solLink, idMap map[rctree.NodeID]rctree.NodeID, seen map[*solLink]*solLink) *solLink {
-	if l == nil {
-		return nil
+// remapSol copies row ref and every row it reaches into seg under idMap,
+// once per row (seen), and returns the copy's ref.
+func remapSol(tab *linkTab, seg *linkSeg, ref int32, idMap map[rctree.NodeID]rctree.NodeID, seen map[int32]int32) int32 {
+	if ref == 0 {
+		return 0
 	}
-	if r, ok := seen[l]; ok {
+	if r, ok := seen[ref]; ok {
 		return r
 	}
-	nl := *l
-	if nn, ok := idMap[l.node]; ok {
-		nl.node = nn
+	r := *tab.row(ref)
+	if r.kind != 0 {
+		r.node = idMap[r.node]
 	}
-	nl.prev[0] = remapSol(l.prev[0], idMap, seen)
-	nl.prev[1] = remapSol(l.prev[1], idMap, seen)
-	seen[l] = &nl
-	return &nl
+	r.prev[0] = remapSol(tab, seg, r.prev[0], idMap, seen)
+	r.prev[1] = remapSol(tab, seg, r.prev[1], idMap, seen)
+	nr := seg.add(r)
+	seen[ref] = nr
+	return nr
 }
 
 // memoGate is the top-down phase of a memoized run: starting at the root,

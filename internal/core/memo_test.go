@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"buffopt/internal/cache"
@@ -68,11 +69,13 @@ func TestMemoStoreLoadFlatAllocs(t *testing.T) {
 		table:  cache.New(cache.Config[*subtreeMemo]{Size: subtreeMemoSize}),
 		hashes: tr.SubtreeHashes(),
 		topo:   newMemoTopo(tr),
+		tab:    &linkTab{},
+		live:   new(atomic.Int64),
 	}
 	list := []vgCand{{load: 1, q: 2}, {load: 2, q: 3}}
 	ar := &candArena{}
 	allocs := func(v rctree.NodeID) (store, load float64) {
-		store = testing.AllocsPerRun(50, func() { run.store(v, list) })
+		store = testing.AllocsPerRun(50, func() { run.store(v, list, 0) })
 		load = testing.AllocsPerRun(50, func() {
 			l, ok := run.load(v, ar)
 			if !ok {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,7 +19,8 @@ import (
 
 // randCandList builds a raw candidate list as a subtree might hand it to
 // a parent: random values on a coarse grid (ties likely), each with a
-// distinct solution link so witness mix-ups are visible.
+// distinct pending row — buffer 0 at a node of its own, numbered by tag
+// and index — so witness mix-ups are visible.
 func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 	list := make([]vgCand, n)
 	for i := range list {
@@ -32,9 +32,8 @@ func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 			nbuf: rng.Intn(6),
 			cost: rng.Intn(6),
 			pol:  uint8(rng.Intn(2)),
-			sol: &solLink{
-				buf: &buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)},
-			},
+			kind: 1,
+			node: rctree.NodeID(int(tag[0])<<16 + i),
 		}
 	}
 	return list
@@ -131,7 +130,7 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(pruned, again); err != nil {
+				if err := candsEqual(pruned, nil, again, nil); err != nil {
 					t.Fatalf("trial %d: pruning not idempotent: %v", trial, err)
 				}
 				if !opts.safePruning {
@@ -163,10 +162,10 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 // The noise profiles difference the whole branch step at a buffer site,
 // mergeBranch with buffer insertion: prune(walk ∪ pair-scan winners)
 // against prune(cross ∪ insertBuffers(cross)) — the reference override —
-// bit for bit, links made by linkInserted included. Their lists carry
-// nonzero currents and noise slacks, every candidate has a link at a
-// node of its own, and the library mixes several output resistances and
-// an inverter, so the noise check admits different pairs per type.
+// bit for bit, the rows the link pass writes included. Their lists carry
+// nonzero currents and noise slacks, every candidate has a pending row at
+// a node of its own, and the library mixes several output resistances
+// and an inverter, so the noise check admits different pairs per type.
 func TestMergeDifferentialProperty(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
@@ -216,7 +215,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 						for i := range l {
 							l[i].ns -= r * (l[i].down + iw/2)
 							l[i].down += iw
-							l[i].sol = &solLink{node: rctree.NodeID(node + i), buf: &buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)}}
+							l[i].kind, l[i].node = 1, rctree.NodeID(node+i)
 						}
 					}
 					return l
@@ -225,17 +224,19 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				if opts.noise {
 					var refStats, walkStats vgStats
 					ref := opts
-					ref.dp.classicMerge, ref.stats = true, &refStats
-					want, err := mergeBranch(999, left, right, true, lib, ref)
+					ref.dp.classicMerge, ref.stats, ref.scratch = true, &refStats, &nodeScratch{}
+					want, err := mergeBranch(999, left, right, true, ref)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opts.stats = &walkStats
-					got, err := mergeBranch(999, left, right, true, lib, opts)
+					got, err := mergeBranch(999, left, right, true, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := candsEqual(want, got); err != nil {
+					wantTab := linkAll(ref.scratch, want, left, right)
+					gotTab := linkAll(opts.scratch, got, left, right)
+					if err := candsEqual(want, wantTab, got, gotTab); err != nil {
 						t.Fatalf("trial %d: the walk with pair-scan winners disagrees with the cross product: %v", trial, err)
 					}
 					if walkStats.merged < refStats.merged {
@@ -243,7 +244,9 @@ func TestMergeDifferentialProperty(t *testing.T) {
 					}
 					continue
 				}
-				cross, err := mergeVG(left, right, opts)
+				copts := opts
+				copts.scratch = &nodeScratch{}
+				cross, err := mergeVG(left, right, copts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,7 +260,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				if len(walk) < len(cross) {
 					savedEmits = true
 				}
-				pc, err := pruneVG(cross, opts)
+				pc, err := pruneVG(cross, copts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +268,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(pc, pw); err != nil {
+				if err := candsEqual(pc, linkAll(copts.scratch, pc, left, right), pw, linkAll(opts.scratch, pw, left, right)); err != nil {
 					t.Fatalf("trial %d: merge paths disagree after pruning: %v", trial, err)
 				}
 			}

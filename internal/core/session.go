@@ -10,6 +10,7 @@ import (
 	"buffopt/internal/cache"
 	"buffopt/internal/rctree"
 	"sync"
+	"sync/atomic"
 )
 
 // Session is one incremental-optimization conversation: a Problem whose
@@ -33,6 +34,12 @@ type Session struct {
 	// Delta and again after a graft or prune.
 	topo  *memoTopo
 	stats SessionStats
+	// tab holds the rows of every memo entry's solutions; every Delta
+	// appends to it, and compactLinks keeps it within twice the rows the
+	// memo reaches. live is the rows attributed to resident entries
+	// (subtreeMemo.rows).
+	tab  linkTab
+	live atomic.Int64
 }
 
 // SessionConfig bounds one session's memo table.
@@ -78,19 +85,18 @@ func NewSession(p Problem, cfg SessionConfig) (*Session, error) {
 		ns = "eco"
 	}
 	p.Tree = p.Tree.Clone()
-	return &Session{
-		p: p,
-		memo: cache.New(cache.Config[*subtreeMemo]{
-			MaxEntries: cfg.MemoEntries,
-			MaxBytes:   cfg.MemoBytes,
-			Size:       subtreeMemoSize,
-			// No Clone: entries are immutable by construction (stored
-			// copies are private, loads copy into the run's arena), so
-			// sharing the stored value is safe and allocation-free.
-			Namespace: ns,
-		}),
-		hashes: p.Tree.SubtreeHashes(),
-	}, nil
+	s := &Session{p: p, hashes: p.Tree.SubtreeHashes()}
+	s.memo = cache.New(cache.Config[*subtreeMemo]{
+		MaxEntries: cfg.MemoEntries,
+		MaxBytes:   cfg.MemoBytes,
+		Size:       subtreeMemoSize,
+		// No Clone: runs never write an entry (stored copies are
+		// private, loads copy into the run's arena), so sharing the
+		// stored value is safe and allocation-free.
+		Namespace: ns,
+		Dropped:   func(e *subtreeMemo) { dropMemo(&s.live, e) },
+	})
+	return s, nil
 }
 
 // Tree returns a private clone of the session's current tree (after all
@@ -311,7 +317,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 		s.p.Tree, s.hashes = t, h
 		s.stats.Edits += int64(len(edits))
 		if s.topo != nil && slices.ContainsFunc(edits, func(e Edit) bool { return e.Op == EditGraft || e.Op == EditPrune }) {
-			retireTopo(s.memo)
+			retireTopo(s.memo, &s.live)
 			s.topo = nil
 		}
 	}
@@ -319,9 +325,10 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 		s.topo = newMemoTopo(s.p.Tree)
 	}
 
-	run := &memoRun{table: s.memo, hashes: s.hashes, topo: s.topo}
+	run := &memoRun{table: s.memo, hashes: s.hashes, topo: s.topo, tab: &s.tab, live: &s.live}
 	opts.memo = run
 	res, err := gate(ctx, func() (*Result, error) { return solveProblem(ctx, "delta", s.p, opts) })
+	s.compactLinks()
 	if err != nil {
 		return nil, err
 	}
@@ -331,4 +338,85 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 	s.stats.Reused += ru
 	s.stats.Resolved += rs
 	return &DeltaResult{Result: res, Reused: ru, Resolved: rs, Lookups: lk}, nil
+}
+
+// linkSlack is how many rows a session's link table may hold beyond
+// twice its live rows before compactLinks copies it: 64 KiB, so a small
+// session never compacts.
+const linkSlack = 4096
+
+// compactLinks runs after every Delta. When the link table holds more
+// than twice the rows attributed to resident memo entries (live, never
+// more than the rows the memo reaches) plus linkSlack, it copies the rows
+// the memo reaches into a fresh table, rewrites every entry's refs to the
+// copies, and attributes each row to the most recently used entry that
+// reaches it, so live is exact again. The table so stays within twice the
+// rows the memo reaches plus linkSlack, and each compaction's cost, linear
+// in the rows kept, is paid once the table has doubled.
+func (s *Session) compactLinks() {
+	if s.tab.rows() <= 2*int(s.live.Load())+linkSlack {
+		return
+	}
+	entries := s.memo.Entries()
+	// at maps an old row to its copy's ref, 0 until reached; order lists
+	// the reached old rows in their copies' order.
+	var at [maxVGWorkers][]int32
+	for k := range s.tab.segs {
+		if n := s.tab.segs[k].n; n > 0 {
+			at[k] = make([]int32, n)
+		}
+	}
+	slot := func(ref int32) *int32 { return &at[ref>>segShift][ref&segRows-1] }
+	var order, stack []int32
+	for k := len(entries) - 1; k >= 0; k-- {
+		e := entries[k].Val
+		first := len(order)
+		for i := range e.cands {
+			c := &e.cands[i]
+			if c.sol == 0 {
+				continue
+			}
+			for stack = append(stack[:0], c.sol); len(stack) > 0; {
+				ref := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if ref == 0 || *slot(ref) != 0 {
+					continue
+				}
+				n := len(order)
+				*slot(ref) = int32(n/segRows)<<segShift | int32(n%segRows+1)
+				order = append(order, ref)
+				r := s.tab.row(ref)
+				stack = append(stack, r.prev[0], r.prev[1])
+			}
+			c.sol = *slot(c.sol)
+		}
+		n := int64(len(order) - first)
+		for {
+			old := e.rows.Load()
+			if old < 0 {
+				break // dropped meanwhile by a Purge
+			}
+			if e.rows.CompareAndSwap(old, n) {
+				s.live.Add(n - old)
+				break
+			}
+		}
+	}
+	var nt linkTab
+	seg := nt.seg(0)
+	for _, ref := range order {
+		r := *s.tab.row(ref)
+		for p, prev := range r.prev {
+			if prev != 0 {
+				r.prev[p] = *slot(prev)
+			}
+		}
+		if seg.add(r); seg.full {
+			nt.segs[seg.id] = seg
+			seg = nt.seg(int(seg.id) + 1)
+			seg.add(r)
+		}
+	}
+	nt.segs[seg.id] = seg
+	s.tab = nt
 }

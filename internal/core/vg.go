@@ -60,7 +60,10 @@ func (s *vgStats) flush() {
 
 // vgCand is an Algorithm 3 candidate: the five-tuple (C, q, I, NS, M) of
 // Section IV-A, plus the buffer count for the Lillis extension and the
-// inversion parity for libraries containing inverters.
+// inversion parity for libraries containing inverters. M, the partial
+// solution, is a ref into the run's link table: the candidate holds no Go
+// pointer, so sorting, merging, pruning, pooling and memoizing candidates
+// move plain bytes. It is 64 bytes.
 type vgCand struct {
 	load float64 // C: downstream capacitance seen at the node
 	q    float64 // slack at the node
@@ -69,50 +72,50 @@ type vgCand struct {
 	nbuf int     // buffers used in the subtree solution
 	cost int     // Problem 3 weight of those buffers (Lillis power function)
 	pol  uint8   // parity of inverting stages to every sink (0 = in phase)
-	// ins marks a candidate insertBuffers emitted whose link is not made
-	// yet: ins−1 is its entry in the node's winner table (inserted type and
-	// source), and sol is still the source's link (nil for a pair sum).
-	// linkInserted makes the link once the node's prune has kept the
-	// candidate.
-	ins int32
-	sol *solLink
+	// kind and node are the candidate's pending row: its latest decision
+	// (a buffer it inserted, a width it sized), not written to the table
+	// yet — solRow's kinds, 0 for none. sol is the ref that row would
+	// point back to, or with no pending row the candidate's solution
+	// itself. A pending row is written only once something kept builds on
+	// it, so the many candidates the prunes drop never cost one.
+	kind int16
+	node rctree.NodeID
+	sol  int32
+	// via defers sol, within one node step, to an entry of the node's
+	// pending tables: a junction (> 0) or a pending source (< 0). The
+	// step's link pass resolves it before the list leaves the node.
+	via int32
 }
 
-// solLink is one decision in a persistent solution list shared between
-// candidates: either a buffer assignment at a node, or (isWidth) a width
-// multiplier chosen for the node's parent wire.
-type solLink struct {
-	node    rctree.NodeID
-	isWidth bool
-	// buf is the inserted type: an entry of the run's library, shared
-	// rather than copied, so a link stays 40 bytes.
-	buf   *buffers.Buffer
-	width float64
-	prev  [2]*solLink
-}
-
-// collectSol flattens a solution DAG into a buffer assignment and a wire
-// width map.
-func collectSol(s *solLink) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID]float64) {
-	assign := make(map[rctree.NodeID]buffers.Buffer)
-	widths := make(map[rctree.NodeID]float64)
-	seen := map[*solLink]bool{}
-	stack := []*solLink{s}
+// collectSol flattens candidate c's solution — its pending row, then
+// every row of tab its sol reaches — into the library index of the
+// buffer at each node and the width index of each sized wire.
+func collectSol(tab *linkTab, c vgCand) (bufs, widths map[rctree.NodeID]int) {
+	bufs = make(map[rctree.NodeID]int)
+	widths = make(map[rctree.NodeID]int)
+	decide := func(node rctree.NodeID, kind int16) {
+		switch {
+		case kind > 0:
+			bufs[node] = int(kind) - 1
+		case kind < 0:
+			widths[node] = int(-kind) - 1
+		}
+	}
+	decide(c.node, c.kind)
+	seen := map[int32]bool{}
+	stack := []int32{c.sol}
 	for len(stack) > 0 {
-		l := stack[len(stack)-1]
+		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if l == nil || seen[l] {
+		if ref == 0 || seen[ref] {
 			continue
 		}
-		seen[l] = true
-		if l.isWidth {
-			widths[l.node] = l.width
-		} else {
-			assign[l.node] = *l.buf
-		}
-		stack = append(stack, l.prev[0], l.prev[1])
+		seen[ref] = true
+		r := tab.row(ref)
+		decide(r.node, r.kind)
+		stack = append(stack, r.prev[0], r.prev[1])
 	}
-	return assign, widths
+	return bufs, widths
 }
 
 // vgOptions configures one run of the dynamic program.
@@ -149,6 +152,14 @@ type vgOptions struct {
 	// ins is what buffer insertion reads of the run's library, computed
 	// once by runVG and shared read-only by every worker.
 	ins *insLib
+	// tab holds the rows the run's candidates refer to: a plain solve's
+	// pooled table, or a session's. The caller supplies it and reads the
+	// answer's solution out of it (collectSol).
+	tab *linkTab
+	// links is the segment of tab this walker appends to, installed like
+	// stats: segment 0 for a serial run, one per pool worker in parallel
+	// runs.
+	links *linkSeg
 	// memo, when non-nil, turns the run into a memoized (ECO) re-solve:
 	// the top-down gate (memoGate) loads finished candidate lists for
 	// every subtree whose entry is current, and only the remaining
@@ -244,6 +255,10 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	if math.IsNaN(opts.fringe) || opts.fringe < 0 || opts.fringe > 1 {
 		return nil, invalid(fmt.Errorf("core: sizing fringe fraction %g must lie in [0, 1]", opts.fringe))
 	}
+	if len(lib.Buffers) > maxKinds || len(opts.widths) > maxKinds {
+		return nil, invalid(fmt.Errorf("core: %d buffer types and %d wire widths; the dynamic program takes at most %d of each",
+			len(lib.Buffers), len(opts.widths), maxKinds))
+	}
 	if err := opts.budget.CheckTreeNodes(t.Len()); err != nil {
 		return nil, err
 	}
@@ -259,7 +274,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	var st vgStats
 	opts.stats = &st
 	// A failed run's scratch is dropped rather than pooled: a panic can
-	// leave it mid-sort, with links in its merge buffer.
+	// leave it mid-step, its pending tables half resolved.
 	opts.scratch = getScratch()
 	opts.ins = newInsLib(lib)
 	defer st.flush()
@@ -293,7 +308,10 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 		} else {
 			obs.Inc("vg.run.serial")
 			vgSpan.SetAttr("dp", "serial")
+			seg := opts.tab.seg(0)
+			opts.links = &seg
 			err = runVGSerial(t, lib, opts, lists, order)
+			opts.tab.segs[0] = seg
 		}
 	}
 	if opts.memo != nil {
@@ -359,11 +377,12 @@ func releaseLists(ar *candArena, lists [][]vgCand) {
 
 // computeNode performs the dynamic program's work for one tree node:
 // build the node's candidate list from its children's finished lists
-// (Steps 1–5 of Fig. 11), prune, and charge the parent wire. It is the
-// single code path shared by the serial walk and the parallel scheduler —
-// the computation depends only on the children's lists, never on
-// evaluation order, which is what makes parallel results bit-identical to
-// serial ones.
+// (Steps 1–5 of Fig. 11), prune, charge the parent wire, and write the
+// rows the kept candidates build on (nodeScratch.link). It is the single
+// code path shared by the serial walk and the parallel scheduler — the
+// computation depends only on the children's lists, never on evaluation
+// order, which is what makes parallel results bit-identical to serial
+// ones.
 //
 // List ownership: the node consumes (and releases to the arena) its
 // children's lists and owns its own list until its parent consumes it; on
@@ -381,7 +400,8 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 	node := t.Node(v)
 	// Step 5 considers inserting each buffer type at v.
 	inserting := node.BufferOK && v != t.Root()
-	var list []vgCand
+	start := opts.links.n
+	var list, left, right []vgCand
 	var err error
 	switch {
 	case node.Kind == rctree.Sink:
@@ -393,27 +413,31 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 			ns:   node.NoiseMargin,
 			pol:  0,
 		})
-		list, err = insertAndPrune(v, list, inserting, lib, opts)
+		list, err = insertAndPrune(v, list, inserting, opts)
 	case len(node.Children) == 1:
 		// Adopt the child's list wholesale: it is dead once the parent
 		// runs, so the chain node extends it in place (no copy).
 		c := node.Children[0]
 		list, lists[c] = lists[c], nil
-		list, err = insertAndPrune(v, list, inserting, lib, opts)
+		list, err = insertAndPrune(v, list, inserting, opts)
 	case len(node.Children) == 2:
+		// The children's lists live until the link pass has read the
+		// sides of the junctions it makes.
 		l, r := node.Children[0], node.Children[1]
-		list, err = mergeBranch(v, lists[l], lists[r], inserting, lib, opts)
-		ar.put(lists[l])
-		ar.put(lists[r])
+		left, right = lists[l], lists[r]
 		lists[l], lists[r] = nil, nil
+		defer func() {
+			ar.put(left)
+			ar.put(right)
+		}()
+		list, err = mergeBranch(v, left, right, inserting, opts)
 	default:
 		return fmt.Errorf("core: internal node %d has no children", v)
 	}
-	if err != nil {
-		ar.put(list)
-		return err
+	if err == nil {
+		err = opts.budget.CheckCandidates(len(list))
 	}
-	if err := opts.budget.CheckCandidates(len(list)); err != nil {
+	if err != nil {
 		ar.put(list)
 		return err
 	}
@@ -456,13 +480,22 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 			return err
 		}
 	}
+	opts.scratch.link(list, left, right, opts.links)
+	if opts.links.full {
+		ar.put(list)
+		return errLinksFull
+	}
 	st.list(len(list))
 	if opts.memo != nil {
-		opts.memo.store(v, list)
+		opts.memo.store(v, list, int(opts.links.n-start))
 	}
 	lists[v] = list
 	return nil
 }
+
+// errLinksFull is the budget error of a run whose link table segment
+// reached segRows rows.
+var errLinksFull = fmt.Errorf("core: a link table segment reached %d rows: %w", segRows, guard.ErrBudgetExceeded)
 
 // oneWidth is the default (no sizing) width set.
 var oneWidth = []float64{1}
@@ -471,9 +504,17 @@ var oneWidth = []float64{1}
 // with the parent wire w of node v at each width, width by width. The
 // charge adds the same capacitance to every load of a width, so each
 // width's block keeps list's candCmp order and the result reaches
-// pruneVG as at most len(widths) runs.
+// pruneVG as at most len(widths) runs. A candidate at a width other than
+// 1 carries the width as its pending row, built on the candidate it was
+// charged from; a candidate with a pending row of its own is first made
+// a shared source, so all its widths build on one row.
 func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64, widths []float64, opts vgOptions) []vgCand {
-	for _, wd := range widths {
+	if slices.ContainsFunc(widths, func(wd float64) bool { return wd != 1 }) {
+		for i := range list {
+			opts.scratch.share(&list[i])
+		}
+	}
+	for wi, wd := range widths {
 		r, cw := opts.wireVariant(w, wd)
 		for _, c := range list {
 			nc := c
@@ -482,7 +523,7 @@ func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64
 			nc.ns -= r * (c.down + iw/2)
 			nc.down += iw
 			if wd != 1 {
-				nc.sol = &solLink{node: v, width: wd, isWidth: true, prev: [2]*solLink{c.sol, nil}}
+				nc.kind, nc.node = widthKind(wi), v
 			}
 			dst = append(dst, nc)
 		}
@@ -492,22 +533,19 @@ func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64
 
 // insertAndPrune finishes a sink's or a chain node's list at v (Steps 5
 // and 7 of Fig. 11): buffer insertion on the list's own candidates when
-// inserting, the prune, and the links of the winners the prune keeps.
-func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
+// inserting, then the prune.
+func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, opts vgOptions) ([]vgCand, error) {
 	if inserting {
-		list = insertBuffers(list, list, opts)
+		list = insertBuffers(v, list, list, opts)
 	}
-	list, err := pruneVG(list, opts)
-	if err == nil && inserting {
-		opts.scratch.linkInserted(v, list, lib, nil, nil)
-	}
-	return list, err
+	return pruneVG(list, opts)
 }
 
 // mergeBranch builds branch node v's pruned list from its children's
 // finished lists left and right (Steps 3–5 and 7 of Fig. 11); it reads
-// them and leaves their release to the caller. The returned list comes
-// from the arena, and on error the caller releases it too.
+// them and leaves their release to the caller, after the node's link
+// pass. The returned list comes from the arena, and on error the caller
+// releases it too.
 //
 // Under safe pruning and the reference override the node prunes the
 // cross product (mergeVG) and inserts buffers on it. Everywhere else it
@@ -517,22 +555,23 @@ func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, lib *buffers
 // whose merged noise slack admits some buffer type. There insertion
 // reads the whole pair space instead — flat pair sums in the scratch
 // (pairSources), scanned in mergeVG's order under insertBuffers' rule, so
-// the winners are the cross product's — and the node makes the junction
-// link of a pair only for a winner its prune keeps.
-func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
+// the winners are the cross product's. Either way every pair is a
+// pending junction, made by the link pass only for a pair the prune keeps
+// or a kept winner builds on.
+func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgOptions) ([]vgCand, error) {
 	if !opts.walkOK() {
 		list, err := mergeVG(left, right, opts)
 		if err != nil {
 			return list, err
 		}
-		return insertAndPrune(v, list, inserting, lib, opts)
+		return insertAndPrune(v, list, inserting, opts)
 	}
 	list, err := lishiMerge(left, right, opts)
 	if err != nil {
 		return list, err
 	}
 	if !opts.noise {
-		return insertAndPrune(v, list, inserting, lib, opts)
+		return insertAndPrune(v, list, inserting, opts)
 	}
 	// The candidate cap is charged the cross product's size, as if it had
 	// been built, so the same nets trip the same caps on every merge path.
@@ -546,12 +585,8 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 	if err := sc.pairSources(left, right, opts); err != nil {
 		return list, err
 	}
-	list = insertBuffers(list, sc.pairs, opts)
-	list, err = pruneVG(list, opts)
-	if err == nil {
-		sc.linkInserted(v, list, lib, left, right)
-	}
-	return list, err
+	list = insertBuffers(v, list, sc.pairs, opts)
+	return pruneVG(list, opts)
 }
 
 // insertBuffers appends to list the buffered candidates of Step 5 that
@@ -572,12 +607,13 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 // the prune's own order and run merge — so the list reaches pruneVG as
 // the input's runs plus one more, and a chain node's prune is a single
 // linear merge. (buffer, parity, cost) makes the winners unique, so
-// repeated runs and parallel schedules see byte-identical lists. They
-// leave without their solLinks: each is marked with its entry in the
-// node's winner table (vgCand.ins) and keeps its source's link (nil for
-// a pair sum), and linkInserted makes the links of the ones the prune
-// keeps — most winners are dominated at once, and a link made for them
-// would only be garbage.
+// repeated runs and parallel schedules see byte-identical lists. A
+// winner leaves with its buffer at v as its pending row, built on its
+// source: on the source's solution, a pair's pending junction, or, when
+// the source has a pending row of its own, on that row — the source
+// becomes a shared source (nodeScratch.share), so every winner built on
+// it, and the source itself if kept, share one row. Nothing is written
+// to the link table here: most winners are dominated at once.
 //
 // Every run but the reference takes insertHull: the sources grouped by
 // slot, and the winners emitted already in candCmp order when they can
@@ -586,15 +622,21 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, lib *buf
 // noise-mode run scans its slots whole. The reference override scans
 // every source type by type (insertScan), so the enginetest differential
 // compares the two.
-func insertBuffers(list, src []vgCand, opts vgOptions) []vgCand {
+func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions) []vgCand {
 	sc := opts.scratch
 	n := len(list)
 	slots := sc.index(src, opts.countIndexed)
-	sc.wins = sc.wins[:0]
+	sc.at = v
+	// A chain node's sources are its own list; if emitting the winners
+	// moves the list, the sources shared since stay behind in src.
+	aliased := n > 0 && len(src) == n && &src[0] == &list[0]
 	if opts.dp.classicMerge {
 		list = sc.insertScan(list, src, opts.ins.lib, opts, slots)
 	} else {
 		list = sc.insertHull(list, src, opts, len(slots))
+	}
+	if aliased && &list[0] != &src[0] {
+		copy(list, src)
 	}
 	sc.sortCands(list[n:], opts.countIndexed)
 	if opts.stats != nil {
@@ -648,11 +690,11 @@ func displaces(c, w *vgCand, q, wq float64) bool {
 }
 
 // appendWin appends the winner s of buffer type b (library index bi) to
-// list and records it in the winner table.
+// list, with b at the insertion's node as its pending row.
 func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, s insSlot) []vgCand {
 	c := &src[s.src]
-	sc.wins = append(sc.wins, insWin{buf: bi, src: s.src})
-	return append(list, vgCand{
+	sc.share(c)
+	w := vgCand{
 		load: b.Cin,
 		q:    s.q,
 		down: 0,
@@ -660,9 +702,12 @@ func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, 
 		nbuf: c.nbuf + 1,
 		cost: c.cost + b.Cost(),
 		pol:  c.pol ^ inversion(b),
-		ins:  int32(len(sc.wins)),
+		kind: bufKind(bi),
+		node: sc.at,
 		sol:  c.sol,
-	})
+		via:  c.via,
+	}
+	return append(list, w)
 }
 
 // insertHull is insertBuffers' path in every run but the reference. It
@@ -738,7 +783,7 @@ func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int)
 		// candCmp cannot order a NaN slack, so the stable sort that
 		// follows need not put such a tail where it puts the full scan's:
 		// emit in the full scan's order instead.
-		list, sc.wins = list[:n], sc.wins[:0]
+		list = list[:n]
 	}
 	for bi := range in.lib.Buffers {
 		for o := range nslot {
@@ -951,32 +996,140 @@ func (sc *nodeScratch) hullKeep(src []vgCand, idx []int, h hullBounds) []int {
 	return kept
 }
 
-// linkInserted makes the solLink of every candidate insertBuffers emitted
-// at v that is still in list — the inserted type at v on top of the
-// source's link — and clears its mark. A pair sum's link is the pair's
-// junction (joinSol of its left and right candidates), made here, so
-// only kept winners cost one; left and right are the lists the pair sums
-// came from, nil when the sources were the list's own candidates. Called
-// after the prune, before the list leaves the node.
-func (sc *nodeScratch) linkInserted(v rctree.NodeID, list []vgCand, lib *buffers.Library, left, right []vgCand) {
+// pendJoin is a branch pair whose junction is not written yet: its left
+// and right candidates' indices, and once resolved (done) the junction's
+// ref.
+type pendJoin struct {
+	l, r int32
+	ref  int32
+	done bool
+}
+
+// pendSrc is a shared source: a candidate with a pending row that
+// something at the node builds on — an insertion source, or a candidate
+// sized to a wider wire. It holds the candidate's link fields and, once
+// resolved (done), the ref of its row.
+type pendSrc struct {
+	node     rctree.NodeID
+	kind     int16
+	sol, via int32
+	ref      int32
+	done     bool
+}
+
+// join records the pair (left[l], right[r]) as a pending junction and
+// returns the via that names it.
+func (sc *nodeScratch) join(l, r int) int32 {
+	sc.joins = append(sc.joins, pendJoin{l: int32(l), r: int32(r)})
+	return int32(len(sc.joins))
+}
+
+// share turns c, if it has a pending row, into a shared source: its link
+// fields move to a pendSrc entry and c names the entry (kind 0, via < 0),
+// as a candidate whose solution is that row. Everything then built on c
+// builds on the entry, and the link pass writes the row once, for all of
+// them and for c.
+func (sc *nodeScratch) share(c *vgCand) {
+	if c.kind == 0 {
+		return
+	}
+	sc.srcs = append(sc.srcs, pendSrc{node: c.node, kind: c.kind, sol: c.sol, via: c.via})
+	c.kind, c.node, c.sol, c.via = 0, 0, 0, -int32(len(sc.srcs))
+}
+
+// link is the node step's last pass: it resolves every via of the
+// finished list, writing to seg the rows the kept candidates build on —
+// a junction once per pair, a shared source's row once, and a branch
+// side's pending row once per side candidate — and empties the node's
+// pending tables. left and right are a branch node's children's lists,
+// nil elsewhere. Every row it writes is reached from the list, so a memo
+// entry reaches all the rows its node made.
+func (sc *nodeScratch) link(list, left, right []vgCand, seg *linkSeg) {
+	if left != nil {
+		sc.side[0] = zeroed(sc.side[0], len(left))
+		sc.side[1] = zeroed(sc.side[1], len(right))
+	}
+	// Everything built on the tables first, then the shared sources
+	// themselves: one whose row was written takes it as its solution,
+	// and one nothing kept built on gets its pending row back.
+	for i := range list {
+		if c := &list[i]; c.via > 0 || c.via < 0 && c.kind != 0 {
+			c.sol, c.via = sc.resolve(c.via, left, right, seg), 0
+		}
+	}
 	for i := range list {
 		c := &list[i]
-		if c.ins == 0 {
+		if c.via == 0 {
 			continue
 		}
-		w := sc.wins[c.ins-1]
-		if left != nil {
-			p := sc.pairOf[w.src]
-			c.sol = joinSol(left[p[0]].sol, right[p[1]].sol)
+		p := &sc.srcs[-c.via-1]
+		if p.done {
+			c.sol = p.ref
+		} else {
+			c.kind, c.node, c.sol = p.kind, p.node, p.sol
+			if p.via != 0 {
+				c.sol = sc.resolve(p.via, left, right, seg)
+			}
 		}
-		c.sol = &solLink{node: v, buf: &lib.Buffers[w.buf], prev: [2]*solLink{c.sol, nil}}
-		c.ins = 0
+		c.via = 0
 	}
+	sc.joins, sc.srcs = sc.joins[:0], sc.srcs[:0]
+}
+
+// zeroed returns s resized to n zeros.
+func zeroed(s []int32, n int) []int32 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// resolve returns the ref via names, writing the rows it needs.
+func (sc *nodeScratch) resolve(via int32, left, right []vgCand, seg *linkSeg) int32 {
+	if via > 0 {
+		j := &sc.joins[via-1]
+		if !j.done {
+			a := sc.sideRef(0, left, j.l, seg)
+			b := sc.sideRef(1, right, j.r, seg)
+			switch {
+			case a == 0:
+				j.ref = b
+			case b == 0:
+				j.ref = a
+			default:
+				j.ref = seg.add(solRow{prev: [2]int32{a, b}})
+			}
+			j.done = true
+		}
+		return j.ref
+	}
+	p := &sc.srcs[-via-1]
+	if !p.done {
+		prev := p.sol
+		if p.via != 0 {
+			prev = sc.resolve(p.via, left, right, seg)
+		}
+		p.ref = seg.add(solRow{node: p.node, kind: p.kind, prev: [2]int32{prev, 0}})
+		p.done = true
+	}
+	return p.ref
+}
+
+// sideRef returns the ref of candidate i of a branch node's side list k:
+// its solution, or its pending row, written once.
+func (sc *nodeScratch) sideRef(k int, list []vgCand, i int32, seg *linkSeg) int32 {
+	c := &list[i]
+	if c.kind == 0 {
+		return c.sol
+	}
+	if sc.side[k][i] == 0 {
+		sc.side[k][i] = seg.add(solRow{node: c.node, kind: c.kind, prev: [2]int32{c.sol, 0}})
+	}
+	return sc.side[k][i]
 }
 
 // nodeScratch is the reusable working memory of the node step: for
-// buffer insertion the pair sums, slot table, winner table and the hull
-// filter's index lists, for
+// buffer insertion the pair sums, slot table and the hull filter's index
+// lists, for the link pass the node's pending junctions and sources, for
 // sortCands the run boundaries and the merge buffer, for lishiMerge the
 // two lists' groups and frontier indices. runVG gives the serial walk one
 // and runVGParallel one per pool worker, next to its vgStats, both from
@@ -990,7 +1143,6 @@ type nodeScratch struct {
 	slotOf []int     // per source: its slot, 2·(cost rank) + parity
 	costs  []int     // the distinct costs, when too spread for a dense rank
 	slots  []insSlot // one per (cost rank, output parity)
-	wins   []insWin  // the node's winners, indexed by vgCand.ins − 1
 
 	slotAt  []int   // insertHull: each slot's end in bySlot
 	bySlot  []int   // insertHull: the source indices grouped by slot
@@ -999,11 +1151,15 @@ type nodeScratch struct {
 	hullOrd []int   // hullKeep: a slot's sources in (load, −slack) order
 	hull    []int   // hullKeep: the monotone chain
 
-	pairs  []vgCand   // pairSources: the pair sums, each without a link
-	pairOf [][2]int32 // pairSources: each pair's left and right indices
+	pairs []vgCand // pairSources: the pair sums, each a pending junction
+
+	at    rctree.NodeID // insertBuffers: the node the winners are inserted at
+	joins []pendJoin    // the node's pending junctions, via > 0
+	srcs  []pendSrc     // the node's shared sources, via < 0
+	side  [2][]int32    // link: a branch side candidate's written row, or 0
 
 	runs []int    // sortCands: the run boundaries
-	buf  []vgCand // sortCands: the merge buffer, cleared after every sort
+	buf  []vgCand // sortCands: the merge buffer
 
 	groups [2][]candGroup // the left and right lists' groups
 	idx    []int          // backing for both lists' frontiers
@@ -1012,21 +1168,12 @@ type nodeScratch struct {
 }
 
 // scratchPool carries node-step scratch from run to run, so a run starts
-// with the buffers earlier runs grew instead of growing its own. A
-// scratch goes back holding no solLink: sortCands clears its buffer after
-// every sort, pair sums never carry one, every other field is
-// pointer-free or indexes into one, and only successful runs return
-// theirs.
+// with the buffers earlier runs grew instead of growing its own. Only
+// successful runs return theirs.
 var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 
 func getScratch() *nodeScratch   { return scratchPool.Get().(*nodeScratch) }
 func putScratch(sc *nodeScratch) { scratchPool.Put(sc) }
-
-// insWin is one winner of the node's insertion: its buffer type's library
-// index and its source's index.
-type insWin struct {
-	buf, src int
-}
 
 // insSlot is one slot of the table: the index of the winning source (-1
 // while empty) and its post-buffer slack.
@@ -1116,9 +1263,7 @@ func candCmp(a, b *vgCand, countIndexed bool) int {
 // scan and nothing else; k runs cost O(n log k). Each merge first trims
 // the left run's prefix and the right run's suffix that are already in
 // place, then moves the shorter remainder into sc.buf and merges it back
-// — forward when that is the left run, backward when the right. The
-// buffer is cleared before returning, so it holds no solLink between
-// sorts.
+// — forward when that is the left run, backward when the right.
 func (sc *nodeScratch) sortCands(list []vgCand, countIndexed bool) {
 	runs := append(sc.runs[:0], 0)
 	for i := 1; i < len(list); i++ {
@@ -1126,7 +1271,6 @@ func (sc *nodeScratch) sortCands(list []vgCand, countIndexed bool) {
 			runs = append(runs, i)
 		}
 	}
-	used := 0
 	for len(runs) > 1 {
 		// runs holds the start of every run; the pass merges runs
 		// 2k and 2k+1 and keeps the start of each merged pair.
@@ -1137,7 +1281,7 @@ func (sc *nodeScratch) sortCands(list []vgCand, countIndexed bool) {
 				if i+2 < len(runs) {
 					hi = runs[i+2]
 				}
-				used = max(used, sc.mergeRuns(list, runs[i], runs[i+1], hi, countIndexed))
+				sc.mergeRuns(list, runs[i], runs[i+1], hi, countIndexed)
 			}
 			runs[k] = runs[i]
 			k++
@@ -1145,13 +1289,11 @@ func (sc *nodeScratch) sortCands(list []vgCand, countIndexed bool) {
 		runs = runs[:k]
 	}
 	sc.runs = runs
-	clear(sc.buf[:used])
 }
 
 // mergeRuns merges the sorted runs list[lo:mid] and list[mid:hi] in
-// place, stably — on a candCmp tie the left run's candidate goes first —
-// and returns how many entries of sc.buf it used.
-func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bool) int {
+// place, stably — on a candCmp tie the left run's candidate goes first.
+func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bool) {
 	// The left run's candidates not after list[mid] stay where they are,
 	// and so do the right run's not before list[mid-1]; both cuts are
 	// binary searches, since each run is sorted.
@@ -1165,7 +1307,7 @@ func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bo
 		}
 	}
 	if lo = l; lo == mid {
-		return 0 // already in order
+		return // already in order
 	}
 	last := &list[mid-1]
 	l, h = mid, hi
@@ -1193,7 +1335,7 @@ func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bo
 			d++
 		}
 		copy(list[d:], buf[i:])
-		return len(buf)
+		return
 	}
 	// Backward: the right remainder goes to the buffer.
 	buf := sc.grow(end - mid)
@@ -1210,7 +1352,6 @@ func (sc *nodeScratch) mergeRuns(list []vgCand, lo, mid, hi int, countIndexed bo
 		d--
 	}
 	copy(list[lo:], buf[:j+1])
-	return len(buf)
 }
 
 // grow returns sc.buf resized to n entries.
@@ -1233,7 +1374,8 @@ func firstIf(aFirst bool) int {
 
 // mergeVG combines the candidate lists of two sibling branches by the
 // full cross product: every parity-compatible pair within the count
-// bound, as pairSum and joinSol build it (Steps 3–4 of Fig. 11); pruning
+// bound, as pairSum builds it, each a pending junction (Steps 3–4 of
+// Fig. 11); pruning
 // immediately follows in the caller. It is the branch merge under 4-D
 // safe pruning, whose frontier the 2-D walk would cut (lishi.go), and the
 // reference the walk is differenced against (dpOverride.classicMerge).
@@ -1243,8 +1385,10 @@ func firstIf(aFirst bool) int {
 func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 	out := opts.arena.get(len(left) + len(right))
 	tick := 0
-	for _, a := range left {
-		for _, b := range right {
+	for i := range left {
+		a := &left[i]
+		for j := range right {
+			b := &right[j]
 			// Budget gate at stride boundaries: candidate cap and context
 			// together, so the common case costs two integer ops.
 			if tick++; tick >= 4096 {
@@ -1256,8 +1400,8 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 			if !opts.mergeable(a.pol, b.pol, a.cost, b.cost) {
 				continue
 			}
-			c := pairSum(&a, &b)
-			c.sol = joinSol(a.sol, b.sol)
+			c := pairSum(a, b)
+			c.via = opts.scratch.join(i, j)
 			out = append(out, c)
 		}
 	}
@@ -1273,11 +1417,12 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 
 // pairSum is the values of the pair (a, b) — a from the left child, b
 // from the right: loads and currents add, slacks take the minimum
-// (Steps 3–4 of Fig. 11). With joinSol for the pair's link it is the
-// single shared construction for every merge (classic cross product and
-// Li–Shi frontier walk) and for buffer insertion's pair sums
-// (pairSources), so none can drift from another in arithmetic or in
-// solution linking.
+// (Steps 3–4 of Fig. 11). It is the single shared construction for every
+// merge (classic cross product and Li–Shi frontier walk) and for buffer
+// insertion's pair sums (pairSources), so none can drift from another in
+// arithmetic; each caller records the pair as a pending junction
+// (nodeScratch.join), which the link pass writes as one row joining the
+// two sides' solutions.
 func pairSum(a, b *vgCand) vgCand {
 	return vgCand{
 		load: a.load + b.load,
@@ -1287,26 +1432,6 @@ func pairSum(a, b *vgCand) vgCand {
 		nbuf: a.nbuf + b.nbuf,
 		cost: a.cost + b.cost,
 		pol:  a.pol,
-	}
-}
-
-// joinSol is the solution link of a merged pair whose sides' links are a
-// and b.
-func joinSol(a, b *solLink) *solLink {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	// Junction link: reuse a's head with both prevs via a synthetic link
-	// carrying a's head assignment would double count; instead create a
-	// link that repeats a's head assignment — maps deduplicate identical
-	// (node, buf) pairs, so repeating is safe and keeps links binary.
-	return &solLink{
-		node: a.node, buf: a.buf,
-		width: a.width, isWidth: a.isWidth,
-		prev: [2]*solLink{a, b},
 	}
 }
 

@@ -27,7 +27,10 @@ import (
 // computes — parallel results are bit-identical to runVGSerial's, which
 // the differential suite asserts on every corpus net. Per-worker vgStats
 // and the shared arena keep the telemetry and pool accounting exact
-// without hot-path contention.
+// without hot-path contention. Each worker writes its rows to its own
+// segment of the run's link table, and no worker reads a row, so a row
+// needs no synchronization: a ref crosses to another worker inside a
+// finished list, which the pending counter publishes.
 //
 // Failure: the first error (budget trip, cancellation, or a panic caught
 // by guard.Safe) stops the run; workers notice the flag at node
@@ -116,15 +119,19 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 	// Per-worker stats keep the hot loops free of atomics; folded into the
 	// run's totals after Wait, when no worker touches them anymore. Each
 	// worker's node-step scratch is likewise its own, drawn from the pool
-	// and returned to it after Wait if the run succeeded (as in runVG).
+	// and returned to it after Wait if the run succeeded (as in runVG),
+	// and so is its link segment, stored back into the table after Wait.
 	workerStats := make([]vgStats, workers)
 	workerScratch := make([]*nodeScratch, workers)
+	workerLinks := make([]linkSeg, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		workerScratch[w] = getScratch()
+		workerLinks[w] = opts.tab.seg(w)
 		wopts := opts
 		wopts.stats = &workerStats[w]
 		wopts.scratch = workerScratch[w]
+		wopts.links = &workerLinks[w]
 		go func() {
 			defer wg.Done()
 			// Panic isolation: a crash on a pool goroutine would kill the
@@ -139,6 +146,7 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 
 	for w := range workerStats {
 		opts.stats.absorb(&workerStats[w])
+		opts.tab.segs[w] = workerLinks[w]
 		if runErr == nil {
 			putScratch(workerScratch[w])
 		}
