@@ -36,6 +36,11 @@ type candArena struct {
 // array pins nothing and goes back as it is.
 var candPool = sync.Pool{}
 
+// boxPool recycles the slice headers candPool carries its arrays in: get
+// empties a box and returns it here, and put fills one from here, so
+// pooling a list allocates nothing once both pools are warm.
+var boxPool = sync.Pool{New: func() any { return new([]vgCand) }}
+
 // arenaMinCap is the smallest backing array the arena hands out; merges
 // and sizing loops grow lists quickly, so tiny initial capacities only buy
 // extra growth copies.
@@ -51,7 +56,10 @@ func (a *candArena) get(capHint int) []vgCand {
 	}
 	if sp, _ := candPool.Get().(*[]vgCand); sp != nil {
 		if cap(*sp) >= capHint {
-			return (*sp)[:0]
+			s := (*sp)[:0]
+			*sp = nil
+			boxPool.Put(sp)
+			return s
 		}
 		// Too small for this request: put it back for a smaller one
 		// rather than dropping the array on the floor.
@@ -70,7 +78,7 @@ func (a *candArena) put(s []vgCand) {
 	if cap(s) == 0 {
 		return
 	}
-	sp := new([]vgCand)
+	sp := boxPool.Get().(*[]vgCand)
 	*sp = s[:0]
 	candPool.Put(sp)
 }

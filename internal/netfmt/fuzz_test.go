@@ -7,13 +7,19 @@ import (
 )
 
 // FuzzRead drives the parser with arbitrary input: it must never panic,
-// and anything it accepts must be a valid tree that survives a write/read
-// round trip. Run the full fuzzer with
+// it must agree with the reference reader (the same accept or reject, the
+// same error class, the same tree bit for bit) under the default limits
+// and under tight ones, and anything it accepts must be a valid tree that
+// survives a write/read round trip. Run the full fuzzer with
 //
 //	go test -fuzz=FuzzRead ./internal/netfmt
 //
 // (the seed corpus below runs on every ordinary `go test`).
 func FuzzRead(f *testing.F) {
+	const (
+		head = "net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\n"
+		sink = "node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s\n"
+	)
 	seeds := []string{
 		"",
 		"end\n",
@@ -59,12 +65,32 @@ func FuzzRead(f *testing.F) {
 			"node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s",
 		"net x\ndriver r=1 t=0\nnode 0 source x=0 y=0\n" +
 			"node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s aggr=0.5\nend\n",
+		// An empty and a ;-terminated aggressor list.
+		head + "node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s aggr=\nend\n",
+		head + "node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s aggr=0.5:1;\nend\n",
+		// CRLF line ends.
+		strings.ReplaceAll(head+sink+"end\n", "\n", "\r\n"),
+		// NEL and NBSP separate fields as strings.Fields splits them.
+		head + "node\u00851 sink\u00a0parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s\u0085\nend\n",
+		"\u00a0net x\ndriver r=1 t=0\n\u00a0# comment\nnode 0 source x=0 y=0\n" + sink + "end\n",
+		// A key given twice keeps its last value; an unknown key is
+		// ignored.
+		head + "node 1 sink parent=0 wire=1,1,1 x=1 y=0 cap=1 rat=0 nm=1 name=s cap=2 x=3 name=t\nend\n",
+		head + "node 1 sink parent=0 wire=1,1,1 x=0 y=0 cap=1 rat=0 nm=1 name=s color=red\nend\n",
+		// More than 16 fields on one line.
+		head + strings.TrimSuffix(sink, "\n") + strings.Repeat(" k=v", 12) + "\nend\n",
+		// One line just under, and one just over, the line cap.
+		head + strings.TrimSuffix(sink, "\n") + " pad=" + strings.Repeat("p", maxLine-len(sink)-5) + "\nend\n",
+		head + strings.TrimSuffix(sink, "\n") + " pad=" + strings.Repeat("p", maxLine-len(sink)+10) + "\nend\n",
+		// Text after end is never read.
+		head + sink + "end\nnode 2 widget\n\x00garbage",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		matchReference(t, data, Limits{MaxNodes: 3, MaxAggressors: 2})
+		tr, err := matchReference(t, data, Limits{})
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

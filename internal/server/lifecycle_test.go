@@ -221,9 +221,13 @@ func TestDrainRacesInflightBatch(t *testing.T) {
 	}()
 
 	// Wait until the batch is mid-flight: one item holding the worker,
-	// one parked in the queue (the overflow item has already been shed).
+	// one parked in the queue, and the overflow item shed as queue_full.
+	// The items reach admission concurrently, so the third may still be
+	// on its way after the first two have settled; drain would then shed
+	// it as draining instead.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() < 1 || s.queued.Load() < 1 {
+	for s.inflight.Load() < 1 || s.queued.Load() < 1 ||
+		obs.Default().Snapshot().Counters["server.batch.shed.queue_full"] < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("batch never settled mid-flight: inflight %d queued %d",
 				s.inflight.Load(), s.queued.Load())
