@@ -560,14 +560,14 @@ func deltaBenchNet(b testing.TB) *rctree.Tree {
 
 // optimizeAllocBudget pins a warm core.Optimize on deltaBenchNet (511
 // nodes, MaxSlack, the Section V library; serial, since AllocsPerRun
-// runs at GOMAXPROCS 1). It measured 468–682 allocations: the answer's
+// runs at GOMAXPROCS 1). It measured 109–430 allocations: the answer's
 // tree clone and maps, the run's bookkeeping and telemetry, and the
-// arena's misses — 787–810 under the race detector, whose sync.Pool
+// arena's misses — 523–563 under the race detector, whose sync.Pool
 // drops a quarter of what it is given. The budget is the race-detector
 // peak plus about a tenth; a solve writes 3,544 solution rows, so heap
-// allocation per row, per kept candidate or per pooled list would
-// overrun it several times over.
-const optimizeAllocBudget = 900
+// allocation per row, per kept candidate, per pooled list or per cloned
+// node would overrun it several times over.
+const optimizeAllocBudget = 620
 
 // TestOptimizeAllocBudget pins the pooled, pointer-free dynamic program
 // (candidate lists from the arena, solution rows in a pooled link table)

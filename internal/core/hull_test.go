@@ -193,14 +193,25 @@ func hullLibraries(rng *rand.Rand) []*buffers.Library {
 // diffInsertWinners runs insertBuffers filtered and as a full scan on
 // copies of src and reports the first difference: the winners' values
 // and order after the sort, each winner's buffer type and source index,
-// the generated count and, once linked, every link.
-func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) error {
+// the generated count and, once linked, every link. The filtered run
+// groups the sources as insertAndPrune would: by slot ranges when src is
+// one clean candCmp run (twoRuns), else by the counting sort; sorted
+// reports which. A sorted src is also grouped both ways, and each slot
+// must hold the same sources in the same order.
+func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) (sorted bool, err error) {
 	type insWin struct{ buf, src int }
+	mid, ok := twoRuns(src, opts.countIndexed)
+	sorted = ok && mid == len(src)
+	if sorted {
+		if err := sameSlots(src, opts.countIndexed); err != nil {
+			return sorted, err
+		}
+	}
 	run := func(o vgOptions) ([]vgCand, *linkTab, []insWin, vgStats) {
 		var st vgStats
 		o.stats, o.scratch, o.ins = &st, &nodeScratch{}, newInsLib(lib)
 		list := slices.Clone(src)
-		list = insertBuffers(7, list, list, o)
+		list = insertBuffers(7, list, list, o, sorted && !o.dp.classicMerge)
 		tab := linkAll(o.scratch, list, nil, nil)
 		// A winner's buffer is its pending row's kind, and its source the
 		// node of the source row it is built on (hullSources).
@@ -215,21 +226,90 @@ func diffInsertWinners(src []vgCand, lib *buffers.Library, opts vgOptions) error
 	got, gotTab, gotWins, gotSt := run(opts)
 	want, wantTab, wantWins, wantSt := run(full)
 	if gotSt != wantSt {
-		return fmt.Errorf("stats %+v, full scan %+v", gotSt, wantSt)
+		return sorted, fmt.Errorf("stats %+v, full scan %+v", gotSt, wantSt)
 	}
 	if !slices.Equal(gotWins, wantWins) {
-		return fmt.Errorf("winners (buffer, source) %v, full scan %v", gotWins, wantWins)
+		return sorted, fmt.Errorf("winners (buffer, source) %v, full scan %v", gotWins, wantWins)
 	}
-	return sameInsertion(got, gotTab, want, wantTab)
+	return sorted, sameInsertion(got, gotTab, want, wantTab)
+}
+
+// sameSlots checks slotRanges against the counting sort on src, which is
+// in candCmp order: every non-empty slot, in slot order, holds the same
+// sources in the same order.
+func sameSlots(src []vgCand, countIndexed bool) error {
+	slots := func(sc *nodeScratch, nslot int) [][]int {
+		var out [][]int
+		lo := 0
+		for s := range nslot {
+			if g := sc.bySlot[lo:sc.slotAt[s]]; len(g) > 0 {
+				out = append(out, slices.Clone(g))
+			}
+			lo = sc.slotAt[s]
+		}
+		return out
+	}
+	rs, gs := &nodeScratch{}, &nodeScratch{}
+	ranges := slots(rs, rs.slotRanges(src, countIndexed))
+	groups := slots(gs, gs.slotGroups(src, len(gs.index(src, countIndexed))))
+	if !slices.EqualFunc(ranges, groups, slices.Equal) {
+		return fmt.Errorf("slot ranges %v, counting sort %v", ranges, groups)
+	}
+	return nil
+}
+
+// candCmpSorted returns a copy of src in candCmp order.
+func candCmpSorted(src []vgCand, countIndexed bool) []vgCand {
+	out := slices.Clone(src)
+	slices.SortStableFunc(out, func(a, b vgCand) int { return candCmp(&a, &b, countIndexed) })
+	return out
+}
+
+// diffBothGroupings runs diffInsertWinners on src as it is and on its
+// candCmp-sorted copy, and checks which grouping each took: the sorted
+// copy the slot ranges unless nanSum rules them out, and src the counting
+// sort whenever it is out of order. It returns how many took the ranges.
+func diffBothGroupings(src []vgCand, lib *buffers.Library, opts vgOptions) (ranged int, err error) {
+	for _, in := range []struct {
+		name string
+		src  []vgCand
+	}{{"as built", src}, {"sorted", candCmpSorted(src, opts.countIndexed)}} {
+		sorted, err := diffInsertWinners(in.src, lib, opts)
+		if err != nil {
+			return ranged, fmt.Errorf("%s: %v", in.name, err)
+		}
+		if inOrder := countRuns(in.src, opts.countIndexed) <= 1; sorted && !inOrder {
+			return ranged, fmt.Errorf("%s: slot ranges on %d runs", in.name, countRuns(in.src, opts.countIndexed))
+		}
+		if in.name == "sorted" && !sorted && !nanSum(in.src) {
+			return ranged, fmt.Errorf("sorted: a clean sorted list took the counting sort")
+		}
+		if sorted {
+			ranged++
+		}
+	}
+	return ranged, nil
+}
+
+// nanSum reports whether the four float fields of some candidate of src
+// sum to NaN — a NaN among them, or infinities of both signs — which
+// keeps the list off the sorted sweep.
+func nanSum(src []vgCand) bool {
+	return slices.ContainsFunc(src, func(c vgCand) bool {
+		s := c.load + c.q + c.down + c.ns
+		return s != s
+	})
 }
 
 // TestInsertWinnersMatchFullScan differences insertHull against the full
-// scan on 400 lists per shape, library and profile; in the noise
-// profiles a quarter of the lists carry hostile currents or noise slacks.
+// scan on 400 lists per shape, library and profile, each as built and
+// sorted, so both groupings run; in the noise profiles a quarter of the
+// lists carry hostile currents or noise slacks.
 func TestInsertWinnersMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	libs := hullLibraries(rng)
 	for shape := 0; shape < 7; shape++ {
+		ranged := 0
 		for li, lib := range libs {
 			for pi, opts := range hullProfiles() {
 				for iter := 0; iter < 400; iter++ {
@@ -237,12 +317,17 @@ func TestInsertWinnersMatchFullScan(t *testing.T) {
 					if opts.noise {
 						noiseFields(rng, src, lib, iter%4 == 3)
 					}
-					if err := diffInsertWinners(src, lib, opts); err != nil {
+					r, err := diffBothGroupings(src, lib, opts)
+					if err != nil {
 						t.Fatalf("shape %d, library %d, profile %d, iteration %d (%d sources): %v",
 							shape, li, pi, iter, len(src), err)
 					}
+					ranged += r
 				}
 			}
+		}
+		if ranged == 0 {
+			t.Fatalf("shape %d: no list took the slot ranges", shape)
 		}
 	}
 }
@@ -263,8 +348,7 @@ func TestInsertHullEmitsSortedRun(t *testing.T) {
 			if opts.noise {
 				noiseFields(rng, src, lib, iter%4 == 3)
 			}
-			slots := sc.index(src, opts.countIndexed)
-			tail := sc.insertHull(nil, src, opts, len(slots))
+			tail := sc.insertHull(nil, src, opts, sc.slotGroups(src, len(sc.index(src, opts.countIndexed))), false)
 			sc.srcs = sc.srcs[:0]
 			if runs := countRuns(tail, opts.countIndexed); runs > 1 {
 				t.Fatalf("%+v, iteration %d: %d winners arrive as %d runs", opts, iter, len(tail), runs)
@@ -293,7 +377,7 @@ func TestHullKeepDrops(t *testing.T) {
 			idx = append(idx, i)
 		}
 	}
-	kept := sc.hullKeep(src, slices.Clone(idx), in.hb)
+	kept := sc.hullKeep(src, slices.Clone(idx), in.hb, false)
 	if len(kept) == 0 || len(kept) > len(idx)/2 {
 		t.Fatalf("hullKeep kept %d of %d sources", len(kept), len(idx))
 	}
@@ -312,7 +396,8 @@ func TestHullKeepDrops(t *testing.T) {
 }
 
 // FuzzInsertWinners differences insertHull against the full scan on
-// fuzzed shapes, sizes, libraries and profiles (make hullfuzz); in the
+// fuzzed shapes, sizes, libraries and profiles (make hullfuzz), each list
+// as built and sorted, so both groupings run; in the
 // noise profiles with adversarial currents and noise slacks, hostile on
 // odd seeds.
 func FuzzInsertWinners(f *testing.F) {
@@ -329,7 +414,7 @@ func FuzzInsertWinners(f *testing.F) {
 		if opts.noise {
 			noiseFields(rng, src, lib, seed%2 != 0)
 		}
-		if err := diffInsertWinners(src, lib, opts); err != nil {
+		if _, err := diffBothGroupings(src, lib, opts); err != nil {
 			t.Fatalf("%d sources: %v", len(src), err)
 		}
 	})
@@ -380,7 +465,7 @@ func BenchmarkInsertBuffers(b *testing.B) {
 				list := make([]vgCand, 0, len(walk)+4*len(lib.Buffers))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					insertBuffers(7, list, sh.src, opts)
+					insertBuffers(7, list, sh.src, opts, false)
 					opts.scratch.srcs = opts.scratch.srcs[:0]
 				}
 			})

@@ -327,7 +327,7 @@ func TestInsertBuffersMatchesReference(t *testing.T) {
 					opts := pr.opts
 					opts.stats, opts.scratch, opts.ins = &gotStats, sc, newInsLib(lb.lib)
 					got := slices.Clone(list)
-					got = insertBuffers(v, got, got, opts)
+					got = insertBuffers(v, got, got, opts, false)
 					gotTab := linkAll(sc, got, nil, nil)
 					if err := sameInsertion(got, gotTab, want, wantTab); err != nil {
 						t.Fatalf("iteration %d (%d candidates): %v", iter, len(list), err)
@@ -361,39 +361,47 @@ const insertAllocSlack = 0
 // winner either: every source has a pending row, so each winner's
 // source row is written, into the segment's capacity. (In a run, the
 // link pass sees the list after the prune, so only the winners the prune
-// keeps get a row.)
+// keeps get a row.) Both groupings are held to it: the counting sort on
+// the list as built, the slot ranges on its candCmp-sorted copy.
 func TestInsertBuffersAllocBudget(t *testing.T) {
 	lib := buffers.DefaultLibrary(0.8)
 	for _, pr := range insertProfiles() {
 		t.Run(pr.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(200))
-			src := randCandList(rng, 200, "a")
-			for i := range src {
-				src[i].down *= 1e-3 // keep the noise profiles' scans busy
-			}
-			opts := pr.opts
-			opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
-			probe := slices.Clone(src)
-			winners := len(insertBuffers(7, probe, probe, opts)) - len(src)
-			if winners < len(lib.Buffers) {
-				t.Fatalf("only %d winners for %d buffer types", winners, len(lib.Buffers))
-			}
-			opts.scratch.link(probe, nil, nil, &linkSeg{})
-			// Room for the winners, so no call grows the list; each call
-			// starts from the same sources, since insertion shares them.
-			list := slices.Grow(slices.Clone(src), winners)
-			seg := (&linkTab{}).seg(0)
-			got := testing.AllocsPerRun(100, func() {
-				list = append(list[:0], src...)
-				seg.n = 0
-				opts.scratch.link(insertBuffers(7, list, list, opts), nil, nil, &seg)
-			})
-			if seg.n == 0 {
-				t.Fatal("the link pass wrote no row")
-			}
-			if got > insertAllocSlack {
-				t.Fatalf("insertBuffers and link allocate %v per call for %d winners, budget is %d",
-					got, winners, insertAllocSlack)
+			for _, sorted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("sorted=%v", sorted), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(200))
+					src := randCandList(rng, 200, "a")
+					for i := range src {
+						src[i].down *= 1e-3 // keep the noise profiles' scans busy
+					}
+					if sorted {
+						src = candCmpSorted(src, pr.opts.countIndexed)
+					}
+					opts := pr.opts
+					opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
+					probe := slices.Clone(src)
+					winners := len(insertBuffers(7, probe, probe, opts, sorted)) - len(src)
+					if winners < len(lib.Buffers) {
+						t.Fatalf("only %d winners for %d buffer types", winners, len(lib.Buffers))
+					}
+					opts.scratch.link(probe, nil, nil, &linkSeg{})
+					// Room for the winners, so no call grows the list; each call
+					// starts from the same sources, since insertion shares them.
+					list := slices.Grow(slices.Clone(src), winners)
+					seg := (&linkTab{}).seg(0)
+					got := testing.AllocsPerRun(100, func() {
+						list = append(list[:0], src...)
+						seg.n = 0
+						opts.scratch.link(insertBuffers(7, list, list, opts, sorted), nil, nil, &seg)
+					})
+					if seg.n == 0 {
+						t.Fatal("the link pass wrote no row")
+					}
+					if got > insertAllocSlack {
+						t.Fatalf("insertBuffers and link allocate %v per call for %d winners, budget is %d",
+							got, winners, insertAllocSlack)
+					}
+				})
 			}
 		})
 	}

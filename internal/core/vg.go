@@ -174,7 +174,9 @@ type vgOptions struct {
 // every configuration but 4-D safe pruning, whose dominance the 2-D walk
 // cannot preserve, and the reference override. Under noise constraints
 // the walk's pairs are what the node prunes, and buffer insertion reads
-// the whole pair space from flat pair sums instead (mergeBranch).
+// the whole pair space from flat pair sums instead (mergeBranch). The
+// same runs take the node step's sorted sweep (insertAndPrune,
+// mergePrune).
 func (o vgOptions) walkOK() bool {
 	return !o.safePruning && !o.dp.classicMerge
 }
@@ -533,10 +535,29 @@ func chargeWidths(dst, list []vgCand, v rctree.NodeID, w rctree.Wire, iw float64
 
 // insertAndPrune finishes a sink's or a chain node's list at v (Steps 5
 // and 7 of Fig. 11): buffer insertion on the list's own candidates when
-// inserting, then the prune.
+// inserting, then the prune. A chain node's list nearly always arrives in
+// candCmp order — its child's pruned list, charged with a wire that
+// shifts every load alike — and then the node step is one sorted sweep:
+// one pass (twoRuns) confirms the order, every insertion slot is a
+// contiguous range of the list (slotRanges), the winners leave insertion
+// as one sorted run, and mergePrune merges the two runs and prunes in the
+// same pass. An unsorted list — a charge that rounds two loads equal, or
+// a NaN — and the runs walkOK excludes take the general path: the
+// counting sort into slots, and pruneVG.
 func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, opts vgOptions) ([]vgCand, error) {
-	if inserting {
-		list = insertBuffers(v, list, list, opts)
+	if !inserting {
+		return pruneVG(list, opts)
+	}
+	n, sorted := len(list), false
+	if opts.walkOK() {
+		mid, ok := twoRuns(list, opts.countIndexed)
+		sorted = ok && mid == n
+	}
+	list = insertBuffers(v, list, list, opts, sorted)
+	if sorted {
+		if mid, ok := twoRuns(list[n:], opts.countIndexed); ok && mid == len(list)-n {
+			return opts.scratch.mergePrune(list, n, opts), nil
+		}
 	}
 	return pruneVG(list, opts)
 }
@@ -585,7 +606,7 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgO
 	if err := sc.pairSources(left, right, opts); err != nil {
 		return list, err
 	}
-	list = insertBuffers(v, list, sc.pairs, opts)
+	list = insertBuffers(v, list, sc.pairs, opts, false)
 	return pruneVG(list, opts)
 }
 
@@ -604,9 +625,9 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgO
 // smaller, solution; only a full-value tie keeps the source scanned
 // first, so a scan of the pair sums in mergeVG's order picks what the
 // cross product would. The appended tail is sorted by candCmp, stably —
-// the prune's own order and run merge — so the list reaches pruneVG as
-// the input's runs plus one more, and a chain node's prune is a single
-// linear merge. (buffer, parity, cost) makes the winners unique, so
+// the prune's own order and run merge — so it is one run, and a sorted
+// chain node's prune is the fused merge-prune of its list and that run
+// (mergePrune). (buffer, parity, cost) makes the winners unique, so
 // repeated runs and parallel schedules see byte-identical lists. A
 // winner leaves with its buffer at v as its pending row, built on its
 // source: on the source's solution, a pair's pending junction, or, when
@@ -617,23 +638,27 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgO
 //
 // Every run but the reference takes insertHull: the sources grouped by
 // slot, and the winners emitted already in candCmp order when they can
-// be, so the sort is one linear check. A delay-only run first narrows each
-// slot to the sources that can win for some buffer type (hullKeep); a
-// noise-mode run scans its slots whole. The reference override scans
-// every source type by type (insertScan), so the enginetest differential
-// compares the two.
-func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions) []vgCand {
+// be, so the sort is one linear check. When sorted says src is in candCmp
+// order, with no NaN (twoRuns), each slot is a contiguous range of it
+// (slotRanges); otherwise a counting sort groups it (slotGroups). A
+// delay-only run first narrows each slot to the sources that can win for
+// some buffer type (hullKeep); a noise-mode run scans its slots whole.
+// The reference override scans every source type by type (insertScan),
+// so the enginetest differential compares the two.
+func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions, sorted bool) []vgCand {
 	sc := opts.scratch
 	n := len(list)
-	slots := sc.index(src, opts.countIndexed)
 	sc.at = v
 	// A chain node's sources are its own list; if emitting the winners
 	// moves the list, the sources shared since stay behind in src.
 	aliased := n > 0 && len(src) == n && &src[0] == &list[0]
-	if opts.dp.classicMerge {
-		list = sc.insertScan(list, src, opts.ins.lib, opts, slots)
-	} else {
-		list = sc.insertHull(list, src, opts, len(slots))
+	switch {
+	case opts.dp.classicMerge:
+		list = sc.insertScan(list, src, opts.ins.lib, opts, sc.index(src, opts.countIndexed))
+	case sorted:
+		list = sc.insertHull(list, src, opts, sc.slotRanges(src, opts.countIndexed), true)
+	default:
+		list = sc.insertHull(list, src, opts, sc.slotGroups(src, len(sc.index(src, opts.countIndexed))), false)
 	}
 	if aliased && &list[0] != &src[0] {
 		copy(list, src)
@@ -711,8 +736,10 @@ func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, 
 }
 
 // insertHull is insertBuffers' path in every run but the reference. It
-// groups the sources by slot, in src order, and in a delay-only run first
-// narrows each slot to the sources hullKeep cannot rule out; then it
+// takes the sources grouped by slot — nslot slots, slot s's sources
+// sc.bySlot[sc.slotAt[s-1]:sc.slotAt[s]] in src order, from slotRanges
+// when src is sorted and slotGroups otherwise — and in a delay-only run
+// first narrows each slot to the sources hullKeep cannot rule out; then it
 // scans each slot's remaining sources under the same winner rule (bestIn).
 // Every source the filter drops has, for every buffer type, another source
 // in its slot with strictly greater post-buffer slack as computed, so the
@@ -730,39 +757,25 @@ func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, 
 // scan, so the stable sort after this leaves the same list. Otherwise —
 // and when a winner's slack is NaN — the emission is the full scan's
 // (buffer index, slot) order.
-func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int) []vgCand {
+func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int, sorted bool) []vgCand {
 	in := opts.ins
-	// Group the sources by slot, in src order: a counting sort.
-	at := slices.Grow(sc.slotAt[:0], nslot+1)[:nslot+1]
-	clear(at)
-	for i := range src {
-		at[sc.slotOf[i]+1]++
-	}
-	for s := 1; s <= nslot; s++ {
-		at[s] += at[s-1]
-	}
-	by := slices.Grow(sc.bySlot[:0], len(src))[:len(src)]
-	for i := range src {
-		s := sc.slotOf[i]
-		by[at[s]] = i
-		at[s]++
-	}
+	at, by := sc.slotAt, sc.bySlot
 	filter := in.filter && !opts.noise
 	if filter {
 		sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
 		clear(sc.gone)
+		sc.keep = slices.Grow(sc.keep[:0], len(src))
 	}
 	sc.kept = slices.Grow(sc.kept[:0], nslot)[:nslot]
 	lo := 0
 	for s := range nslot {
 		group := by[lo:at[s]]
 		if filter {
-			group = sc.hullKeep(src, group, in.hb)
+			group = sc.hullKeep(src, group, in.hb, sorted)
 		}
 		sc.kept[s] = group
 		lo = at[s]
 	}
-	sc.slotAt, sc.bySlot = at, by
 
 	// A count-indexed slot holds one cost, so the count cap skips all of
 	// it or none.
@@ -791,6 +804,70 @@ func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int)
 		}
 	}
 	return list
+}
+
+// slotGroups groups the sources by slot, in src order, by a counting sort
+// of the slots index assigned: slot s's sources are
+// sc.bySlot[sc.slotAt[s-1]:sc.slotAt[s]]. It returns nslot.
+func (sc *nodeScratch) slotGroups(src []vgCand, nslot int) int {
+	at := slices.Grow(sc.slotAt[:0], nslot+1)[:nslot+1]
+	clear(at)
+	for i := range src {
+		at[sc.slotOf[i]+1]++
+	}
+	for s := 1; s <= nslot; s++ {
+		at[s] += at[s-1]
+	}
+	by := slices.Grow(sc.groupBy[:0], len(src))[:len(src)]
+	for i := range src {
+		s := sc.slotOf[i]
+		by[at[s]] = i
+		at[s]++
+	}
+	sc.slotAt, sc.groupBy, sc.bySlot = at, by, by
+	return nslot
+}
+
+// slotRanges groups src, which is in candCmp order, by slot without moving
+// a source: each slot — 2·(the rank of its cost among src's distinct
+// costs, 0 when not count-indexed) + parity — is a contiguous range of
+// src, found by binary search, so bySlot is the identity and slotAt holds
+// where each range ends. It returns the slot count. The ranks are not
+// index's, which may leave ranks of absent costs empty, but they number
+// the slots in the same order, and empty slots emit nothing, so the
+// winners are the same.
+func (sc *nodeScratch) slotRanges(src []vgCand, countIndexed bool) int {
+	at := sc.slotAt[:0]
+	rank := 0
+	for lo := 0; lo < len(src); {
+		g := &src[lo]
+		if countIndexed && lo > 0 && g.cost != src[lo-1].cost {
+			rank++
+		}
+		for s := 2*rank + int(g.pol); len(at) < s; {
+			at = append(at, lo)
+		}
+		// The slot ends at the first source of a later group.
+		l, h := lo+1, len(src)
+		for l < h {
+			if m := int(uint(l+h) >> 1); src[m].pol == g.pol && (!countIndexed || src[m].cost == g.cost) {
+				l = m + 1
+			} else {
+				h = m
+			}
+		}
+		at = append(at, l)
+		lo = l
+	}
+	nslot := 2 * (rank + 1)
+	for len(at) < nslot {
+		at = append(at, len(src))
+	}
+	for i := len(sc.iota); i < len(src); i++ {
+		sc.iota = append(sc.iota, i)
+	}
+	sc.slotAt, sc.bySlot = at, sc.iota[:len(src)]
+	return nslot
 }
 
 // hasNaNSlack reports whether any candidate of list has a NaN slack.
@@ -875,6 +952,9 @@ func newInsLib(lib *buffers.Library) *insLib {
 // NaN fails the bound. A slot or library outside it is scanned whole.
 const hullMag = 0x1p500
 
+// signBit is a float64's sign bit.
+const signBit = 1 << 63
+
 // hullBounds is what the filter reads of the library: the smallest and
 // largest output resistance and the largest intrinsic delay.
 type hullBounds struct {
@@ -893,7 +973,10 @@ func (h hullBounds) tau(m float64) float64 {
 }
 
 // hullKeep narrows one slot's sources idx (in src order) to those it
-// cannot certify as losers, returned in src order in idx's backing. With
+// cannot certify as losers, returned in src order — idx itself, or
+// appended to sc.keep, which insertHull sizes for every source;
+// sorted says src is in candCmp order, so idx is already in the chain's
+// (C ascending, q descending) order and is not checked again. With
 // f_R(i) = q_i − (T + R·C_i), for each buffer type's R, a source j is
 // dropped only on one of three certificates, each a gap δ > tau:
 //
@@ -915,26 +998,26 @@ func (h hullBounds) tau(m float64) float64 {
 // The certificates are found by one monotone-chain pass for the upper
 // convex hull of (C, q) in (C ascending, q descending) order, which pops
 // a vertex only when certified, and the two end trims.
-func (sc *nodeScratch) hullKeep(src []vgCand, idx []int, h hullBounds) []int {
+func (sc *nodeScratch) hullKeep(src []vgCand, idx []int, h hullBounds, sorted bool) []int {
 	if len(idx) < 2 {
 		return idx
 	}
-	sorted, mq, mc := true, 0.0, 0.0
-	for k, i := range idx {
+	// The largest |q| and |C|, taken on the bits: with the sign cleared,
+	// they order as the magnitudes do, and a NaN's above every number's,
+	// so the bound check below fails on it.
+	var bq, bc uint64
+	for _, i := range idx {
 		c := &src[i]
-		// max carries a NaN through, and the bound check below fails on it.
-		mq, mc = max(mq, math.Abs(c.q)), max(mc, math.Abs(c.load))
-		if k > 0 {
-			p := &src[idx[k-1]]
-			sorted = sorted && (p.load < c.load || p.load == c.load && p.q >= c.q)
-		}
+		bq = max(bq, math.Float64bits(c.q)&^signBit)
+		bc = max(bc, math.Float64bits(c.load)&^signBit)
 	}
+	mq, mc := math.Float64frombits(bq), math.Float64frombits(bc)
 	if !(mq <= hullMag && mc <= hullMag) {
 		return idx
 	}
 	tau := h.tau(mq + h.rmax*mc)
 	ord := idx
-	if !sorted {
+	if !sorted && !chainOrder(src, idx) {
 		ord = append(sc.hullOrd[:0], idx...)
 		slices.SortFunc(ord, func(i, k int) int {
 			a, b := &src[i], &src[k]
@@ -987,13 +1070,24 @@ func (sc *nodeScratch) hullKeep(src []vgCand, idx []int, h hullBounds) []int {
 		gone[hull[len(hull)-1]] = true
 		hull = hull[:len(hull)-1]
 	}
-	kept := idx[:0]
+	start := len(sc.keep)
 	for _, i := range idx {
 		if !gone[i] {
-			kept = append(kept, i)
+			sc.keep = append(sc.keep, i)
 		}
 	}
-	return kept
+	return sc.keep[start:]
+}
+
+// chainOrder reports whether the sources idx are in the hull chain's
+// order: load ascending, and slack descending at equal loads.
+func chainOrder(src []vgCand, idx []int) bool {
+	for k := 1; k < len(idx); k++ {
+		if p, c := &src[idx[k-1]], &src[idx[k]]; !(p.load < c.load || p.load == c.load && p.q >= c.q) {
+			return false
+		}
+	}
+	return true
 }
 
 // pendJoin is a branch pair whose junction is not written yet: its left
@@ -1130,8 +1224,9 @@ func (sc *nodeScratch) sideRef(k int, list []vgCand, i int32, seg *linkSeg) int3
 // nodeScratch is the reusable working memory of the node step: for
 // buffer insertion the pair sums, slot table and the hull filter's index
 // lists, for the link pass the node's pending junctions and sources, for
-// sortCands the run boundaries and the merge buffer, for lishiMerge the
-// two lists' groups and frontier indices. runVG gives the serial walk one
+// sortCands the run boundaries and the merge buffer (mergePrune's too),
+// for lishiMerge the two lists' groups and frontier indices. runVG gives
+// the serial walk one
 // and runVGParallel one per pool worker, next to its vgStats, both from
 // scratchPool; it is never shared between goroutines.
 type nodeScratch struct {
@@ -1145,7 +1240,10 @@ type nodeScratch struct {
 	slots  []insSlot // one per (cost rank, output parity)
 
 	slotAt  []int   // insertHull: each slot's end in bySlot
-	bySlot  []int   // insertHull: the source indices grouped by slot
+	bySlot  []int   // insertHull: the source indices grouped by slot, groupBy or iota
+	groupBy []int   // slotGroups: the counting sort's output
+	iota    []int   // slotRanges: 0, 1, 2, …, never written but to grow
+	keep    []int   // hullKeep: every slot's kept sources, slot after slot
 	kept    [][]int // insertHull: per slot, the sources bestIn scans
 	gone    []bool  // hullKeep: per source, certified a loser
 	hullOrd []int   // hullKeep: a slot's sources in (load, −slack) order
@@ -1159,7 +1257,7 @@ type nodeScratch struct {
 	side  [2][]int32    // link: a branch side candidate's written row, or 0
 
 	runs []int    // sortCands: the run boundaries
-	buf  []vgCand // sortCands: the merge buffer
+	buf  []vgCand // sortCands, mergePrune: the merge buffer
 
 	groups [2][]candGroup // the left and right lists' groups
 	idx    []int          // backing for both lists' frontiers
@@ -1443,18 +1541,22 @@ func pairSum(a, b *vgCand) vgCand {
 // in Section IV-C). Safe pruning is quadratic in the group size, so the
 // dominance scan honors the budget's context.
 //
-// The scan works entirely in place: sortCands orders the list by candCmp
-// — (buffer count,) parity, load ascending, slack descending, then the
-// remaining fields as tiebreakers — which groups it, and survivors are
-// compacted into the front of the same backing array. The sort merges
-// the list's ascending runs, and the lists reaching a prune are mostly
-// sorted already: a pruned list stays sorted through the parent-wire
-// charge (one run per width when sizing, see chargeWidths),
-// insertBuffers appends its winners as one sorted run, and the
-// merges emit one run per left candidate or group pair. The sort is
-// stable, so of candidates equal in every compared field the one earlier
-// in the input survives. No maps, no per-group slices, no allocation
-// with warm scratch; the returned slice aliases the input.
+// The prune orders the list by candCmp — (buffer count,) parity, load
+// ascending, slack descending, then the remaining fields as tiebreakers —
+// which groups it and puts each group's dominators first; survivors are
+// compacted into the front of the same backing array. The lists reaching
+// a prune are mostly sorted already: a pruned list stays sorted through
+// the parent-wire charge (one run per width when sizing, see
+// chargeWidths), insertBuffers appends its winners as one sorted run, and
+// the merges emit one run per left candidate or group pair. So a list of
+// at most two runs, under the 2-D rule, is pruned by mergePrune in the
+// same pass that merges it; any other list — more runs, a NaN, safe
+// pruning or the reference override — is sorted by sortCands, a stable
+// merge of its runs, and then scanned: by mergePrune's staircase as one
+// run, or under safe pruning by the 4-D scan. Either way, of candidates
+// equal in every compared field the one earlier in the input survives.
+// No maps, no per-group slices, no allocation with warm scratch; the
+// returned slice aliases the input.
 func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if len(list) <= 1 {
 		return list, nil
@@ -1463,15 +1565,24 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if sc == nil {
 		sc = &nodeScratch{}
 	}
+	if opts.walkOK() {
+		if mid, ok := twoRuns(list, opts.countIndexed); ok {
+			return sc.mergePrune(list, mid, opts), nil
+		}
+	}
 	sc.sortCands(list, opts.countIndexed)
+	if !opts.safePruning {
+		return sc.mergePrune(list, len(list), opts), nil // one run now
+	}
 
+	// Safe pruning: each candidate against its group's survivors so far,
+	// in all four dimensions.
 	sameGroup := func(a, b *vgCand) bool {
 		if a.pol != b.pol {
 			return false
 		}
 		return !opts.countIndexed || a.cost == b.cost
 	}
-
 	origLen := len(list)
 	out := list[:0]
 	pacer := opts.budget.Pacer(1024)
@@ -1481,31 +1592,21 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 			j++
 		}
 		groupStart := len(out)
-		if !opts.safePruning {
-			bestQ := math.Inf(-1)
-			for k := i; k < j; k++ {
-				if c := list[k]; c.q > bestQ {
-					out = append(out, c)
-					bestQ = c.q
+		for k := i; k < j; k++ {
+			if err := pacer.Tick(); err != nil {
+				return list[:origLen], err
+			}
+			c := list[k]
+			dominated := false
+			for gi := groupStart; gi < len(out); gi++ {
+				g := &out[gi]
+				if g.load <= c.load && g.q >= c.q && g.down <= c.down && g.ns >= c.ns {
+					dominated = true
+					break
 				}
 			}
-		} else {
-			for k := i; k < j; k++ {
-				if err := pacer.Tick(); err != nil {
-					return list[:origLen], err
-				}
-				c := list[k]
-				dominated := false
-				for gi := groupStart; gi < len(out); gi++ {
-					g := &out[gi]
-					if g.load <= c.load && g.q >= c.q && g.down <= c.down && g.ns >= c.ns {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					out = append(out, c)
-				}
+			if !dominated {
+				out = append(out, c)
 			}
 		}
 		i = j
@@ -1514,4 +1615,124 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 		opts.stats.pruned += int64(origLen - len(out))
 	}
 	return out, nil
+}
+
+// twoRuns reports whether list is at most two candCmp runs with no NaN
+// among the fields candCmp compares as floats, and where the second run
+// starts (len(list) when there is one run). Without a NaN, candCmp is a
+// total preorder, so a stable merge of the two runs is the one stable sort
+// of the list — what sortCands makes of it, and what mergePrune relies on.
+func twoRuns(list []vgCand, countIndexed bool) (mid int, ok bool) {
+	mid = len(list)
+	for i := range list {
+		c := &list[i]
+		// A NaN in any of the four makes the sum NaN; so do infinities of
+		// both signs, which only send the list down the general path.
+		if s := c.load + c.q + c.down + c.ns; s != s {
+			return 0, false
+		}
+		if i == 0 {
+			continue
+		}
+		// c descends iff candCmp(c, p) < 0: in the common case, one group
+		// and distinct loads, iff its load is smaller.
+		p := &list[i-1]
+		if c.load != p.load && c.pol == p.pol && (!countIndexed || c.cost == p.cost) {
+			if c.load > p.load {
+				continue
+			}
+		} else if candCmp(c, p, countIndexed) >= 0 {
+			continue
+		}
+		if mid < len(list) {
+			return 0, false
+		}
+		mid = i
+	}
+	return mid, true
+}
+
+// mergePrune is pruneVG's 2-D prune of a list made of two candCmp runs,
+// list[:mid] and list[mid:], with no NaN among the fields candCmp compares
+// (twoRuns): it merges the runs stably and applies the staircase rule to
+// the merged order as it goes, writing each survivor once. The first run
+// moves to sc.buf, and the merge writes the survivors from the front of
+// list, never past the second run's next unread candidate. One run
+// (mid == len(list)) is pruned in place, and needs no NaN check: the
+// staircase compares only groups and slacks, and a NaN slack never
+// survives. The result is the sort-then-scan prune's, candidate for
+// candidate; the returned slice aliases list.
+func (sc *nodeScratch) mergePrune(list []vgCand, mid int, opts vgOptions) []vgCand {
+	ci := opts.countIndexed
+	n := len(list)
+	if n <= 1 {
+		return list // as pruneVG leaves it, even with a slack of −∞
+	}
+	st := stair{ci: ci, best: math.Inf(-1)}
+	d, i := 0, 0 // the next survivor's place, the next unread candidate
+	if mid < n {
+		a := sc.grow(mid)
+		copy(a, list[:mid])
+		k := 0
+		for i = mid; k < len(a) && i < n; {
+			// The second run's w goes first iff candCmp(w, c) < 0 — in the
+			// common case, one group and distinct loads, iff its load is
+			// smaller — so on a tie the first run's c does.
+			c, w := &a[k], &list[i]
+			var wFirst bool
+			if w.load != c.load && w.pol == c.pol && (!ci || w.cost == c.cost) {
+				wFirst = w.load < c.load
+			} else {
+				wFirst = candCmp(w, c, ci) < 0
+			}
+			if wFirst {
+				c = w
+				i++
+			} else {
+				k++
+			}
+			if st.keeps(c) {
+				list[d] = *c
+				d++
+			}
+		}
+		for ; k < len(a); k++ {
+			if st.keeps(&a[k]) {
+				list[d] = a[k]
+				d++
+			}
+		}
+	}
+	for ; i < n; i++ {
+		if st.keeps(&list[i]) {
+			list[d] = list[i]
+			d++
+		}
+	}
+	if opts.stats != nil {
+		opts.stats.pruned += int64(n - d)
+	}
+	return list[:d]
+}
+
+// stair is the 2-D prune's state as a list passes it in candCmp order:
+// the current (parity[, cost]) group and the best slack seen in it. A
+// candidate survives iff its slack beats every earlier one in its group.
+type stair struct {
+	ci   bool
+	pol  uint8
+	cost int
+	best float64
+}
+
+// keeps reports whether c, the next candidate in candCmp order, survives.
+func (s *stair) keeps(c *vgCand) bool {
+	if c.pol != s.pol || s.ci && c.cost != s.cost {
+		s.pol, s.cost, s.best = c.pol, c.cost, math.Inf(-1)
+	}
+	if c.q > s.best {
+		s.best = c.q
+		return true
+	}
+	return false
 }

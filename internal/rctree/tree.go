@@ -175,7 +175,11 @@ func (t *Tree) InsertBelow(u NodeID) (NodeID, error) {
 }
 
 // Clone returns a deep copy of the tree. Mutating the copy never affects
-// the original.
+// the original. It allocates the same four blocks whatever the tree's
+// size: the tree, its nodes, and one backing array each for every child
+// list and every aggressor list. Each list is a capacity-limited window
+// of its array, so an append to one (addNode, an edit's graft) moves it
+// rather than writing over the next node's list.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		DriverResistance: t.DriverResistance,
@@ -183,12 +187,23 @@ func (t *Tree) Clone() *Tree {
 		nodes:            make([]Node, len(t.nodes)),
 	}
 	copy(c.nodes, t.nodes)
+	nch, nag := 0, 0
+	for i := range t.nodes {
+		nch += len(t.nodes[i].Children)
+		nag += len(t.nodes[i].Wire.Aggressors)
+	}
+	chs, ags := make([]NodeID, 0, nch), make([]Coupling, 0, nag)
 	for i := range c.nodes {
-		if ch := c.nodes[i].Children; ch != nil {
-			c.nodes[i].Children = append([]NodeID(nil), ch...)
+		n := &c.nodes[i]
+		if n.Children != nil {
+			a := len(chs)
+			chs = append(chs, n.Children...)
+			n.Children = chs[a:len(chs):len(chs)]
 		}
-		if ag := c.nodes[i].Wire.Aggressors; ag != nil {
-			c.nodes[i].Wire.Aggressors = append([]Coupling(nil), ag...)
+		if n.Wire.Aggressors != nil {
+			a := len(ags)
+			ags = append(ags, n.Wire.Aggressors...)
+			n.Wire.Aggressors = ags[a:len(ags):len(ags)]
 		}
 	}
 	return c
