@@ -17,13 +17,15 @@ loc:
 	@printf 'non-test %s\n' "$$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@printf 'test     %s\n' "$$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 
-# Differential/determinism gate on the parallel dynamic program and the
-# batch endpoint: serial-vs-parallel bit identity over the seeded corpus,
-# order/concurrency independence of /solve/batch, pool-leak accounting.
+# Differential/determinism gate on the parallel dynamic program, the
+# batch endpoint and the solve cache: serial-vs-parallel bit identity over
+# the seeded corpus, order/concurrency independence of /solve/batch,
+# pool-leak accounting, and cache on/off identity (TestSolveCache*: a hit
+# and a coalesced waiter serve the stored answer, byte for byte).
 # The tier-1 gate (scripts/check.sh) runs these tests once in its full
 # race pass; this target re-runs just them, uncached.
 difftest:
-	go test -race -count=1 -run 'TestDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves' ./internal/core ./internal/server
+	go test -race -count=1 -run 'TestDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache' ./internal/core ./internal/server
 
 # Cross-engine equivalence gate: every core.EngineTable row (the default
 # configuration, serial and forced-parallel) against the reference row

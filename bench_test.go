@@ -29,7 +29,7 @@ import (
 // representative, small enough for -bench iterations.
 const benchNets = 40
 
-func benchSuite(b *testing.B) *experiments.Suite {
+func benchSuite(b testing.TB) *experiments.Suite {
 	b.Helper()
 	s, err := experiments.NewSuite(experiments.Config{Seed: 1, NumNets: benchNets})
 	if err != nil {
@@ -141,7 +141,7 @@ func BenchmarkEq17(b *testing.B) {
 // -------------------------------------------------- subsystem benchmarks
 
 // benchNet returns one representative segmented multi-sink net.
-func benchNet(b *testing.B) (*rctree.Tree, *buffers.Library, noise.Params) {
+func benchNet(b testing.TB) (*rctree.Tree, *buffers.Library, noise.Params) {
 	b.Helper()
 	s := benchSuite(b)
 	// Pick the largest net for a meaty workload.
@@ -220,8 +220,9 @@ func BenchmarkSolveUncached(b *testing.B) {
 }
 
 // BenchmarkSolveCached measures a cache hit on the path bufferd runs:
-// the canonical hash of the problem (SolveCacheKey) plus one deep copy of
-// the stored result, no DP at all.
+// the canonical hash of the problem (SolveCacheKey) plus the lookup,
+// which hands out the stored result itself. No DP runs and nothing is
+// copied.
 func BenchmarkSolveCached(b *testing.B) {
 	tr, lib, p := benchNet(b)
 	c := core.NewSolveCache(64, 0, "bench")
@@ -248,6 +249,61 @@ func BenchmarkSolveCached(b *testing.B) {
 		if !out.Hit {
 			b.Fatal("prewarmed solve missed the cache")
 		}
+	}
+}
+
+// solveCacheHitAllocBudget pins a warm SolveCache hit (the lookup, key
+// precomputed). It measured 2 allocations on the bench net and on a net
+// 11 times its size, with and without the race detector. A deep copy of
+// the answer costs a few blocks for the tree and one per map, plus map
+// buckets that grow with the answer.
+const solveCacheHitAllocBudget = 4
+
+// solveCacheHitAllocs is a warm SolveCache hit's allocations on tr,
+// key precomputed: the lookup alone, as every cached read pays it.
+func solveCacheHitAllocs(t *testing.T, tr *rctree.Tree, lib *buffers.Library, p noise.Params) float64 {
+	t.Helper()
+	c := core.NewSolveCache(64, 0, "test")
+	key := core.SolveCacheKey(core.Problem{Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise}, core.Options{})
+	fill := func() (*core.SolveResult, bool, error) {
+		res, err := core.Solve(context.Background(), tr, lib, p, core.Options{})
+		if err != nil {
+			return nil, false, err
+		}
+		return res, core.Cacheable(res), nil
+	}
+	if _, _, err := c.Do(context.Background(), key, fill); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(100, func() {
+		if _, out, err := c.Do(context.Background(), key, fill); err != nil || !out.Hit {
+			t.Fatalf("warm lookup: %+v, %v", out, err)
+		}
+	})
+}
+
+// TestSolveCacheHitAllocBudget holds a SolveCache hit to a handful of
+// allocations that do not grow with the net: the bench net and a copy
+// with every wire split in 15 (at least ten times the nodes) read the
+// same. A per-read copy of the answer (its tree, buffer map or tier
+// list) would cost several blocks per read and grow with the net, and
+// fails this.
+func TestSolveCacheHitAllocBudget(t *testing.T) {
+	tr, lib, p := benchNet(t)
+	large := tr.Clone()
+	if _, err := segment.ByCount(large, 15); err != nil {
+		t.Fatal(err)
+	}
+	if large.Len() < 10*tr.Len() {
+		t.Fatalf("witness net has %d nodes against %d; the comparison needs ten times as many", large.Len(), tr.Len())
+	}
+	small, big := solveCacheHitAllocs(t, tr, lib, p), solveCacheHitAllocs(t, large, lib, p)
+	t.Logf("hit allocations: %v on %d nodes, %v on %d", small, tr.Len(), big, large.Len())
+	if big > small {
+		t.Fatalf("a hit allocates %v on %d nodes but %v on %d: reads copy the answer", small, tr.Len(), big, large.Len())
+	}
+	if small > solveCacheHitAllocBudget {
+		t.Fatalf("a hit allocates %v, budget is %d", small, solveCacheHitAllocBudget)
 	}
 }
 

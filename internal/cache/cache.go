@@ -17,12 +17,11 @@
 // follower retries from the top — one of them becomes the new leader — so
 // one caller's cancellation or injected fault never fails a bystander.
 //
-// Ownership discipline: values handed to the cache (Put, or a Filler
-// return) are owned by the cache from then on and must not be mutated by
-// the caller; values handed out (Get, Do) pass through Config.Clone, so
-// readers receive private copies and cannot corrupt cached state. With a
-// nil Clone the cache hands out the stored value itself, which is only
-// safe for immutable values.
+// Ownership discipline: a value is read-only once the cache has it. Put
+// and a Filler return hand the value over; Get, Do, Peek and Entries hand
+// out that same value to every reader, with no copy. Neither the caller
+// that handed it in nor any reader may mutate it afterwards; a reader that
+// wants to change something copies first.
 //
 // Accounting: every operation maintains the equalities the soak tests
 // assert —
@@ -59,9 +58,6 @@ type Config[V any] struct {
 	// Size reports a value's approximate resident size in bytes. Nil
 	// means every value counts as 1 byte (entry-count bounding only).
 	Size func(V) int64
-	// Clone returns a private copy of a stored value for a reader. Nil
-	// means values are handed out as-is (only safe for immutable values).
-	Clone func(V) V
 	// Namespace prefixes the obs metric names: namespace "server" yields
 	// "server.cache.hits" and friends. Empty means "cache.hits".
 	Namespace string
@@ -115,7 +111,7 @@ type entry[V any] struct {
 // flight is one in-progress fill that followers may join.
 type flight[V any] struct {
 	done chan struct{} // closed when the leader finishes
-	val  V             // leader's value, private to the flight (clone of the return)
+	val  V             // leader's value, shared with every waiter
 	err  error         // leader's error (or ErrLeaderAborted on panic)
 }
 
@@ -149,14 +145,6 @@ func New[V any](cfg Config[V]) *Cache[V] {
 	}
 }
 
-// clone applies Config.Clone (identity when nil).
-func (c *Cache[V]) clone(v V) V {
-	if c.cfg.Clone == nil {
-		return v
-	}
-	return c.cfg.Clone(v)
-}
-
 // size applies Config.Size (1 when nil).
 func (c *Cache[V]) size(v V) int64 {
 	if c.cfg.Size == nil {
@@ -165,24 +153,13 @@ func (c *Cache[V]) size(v V) int64 {
 	return c.cfg.Size(v)
 }
 
-// Get returns a private copy of the value stored under key.
+// Get returns the value stored under key. It is the stored value
+// itself, read-only like every value the cache hands out.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.stats.Lookups++
 	obs.Inc(c.ns + "lookups")
-	v, ok := c.getLocked(key)
-	c.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return c.clone(v), true
-}
-
-// getLocked is the hit/miss bookkeeping shared by Get and Do. It returns
-// the stored value itself; the caller clones outside the lock (stored
-// values are immutable by the ownership discipline, so this is safe).
-func (c *Cache[V]) getLocked(key string) (V, bool) {
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		c.stats.Hits++
@@ -281,15 +258,17 @@ type Filler[V any] func() (v V, store bool, err error)
 // Do returns the value for key, running fill at most once across all
 // concurrent callers of the same key (request coalescing):
 //
-//   - resident key: a private copy is returned immediately (Outcome.Hit);
+//   - resident key: the stored value is returned immediately
+//     (Outcome.Hit);
 //   - miss with no flight in progress: the caller leads, runs fill, and
-//     returns its value directly (the cache keeps a private copy when
-//     store is true);
+//     returns its value, which the cache also stores when store is true;
 //   - miss with a flight in progress: the caller waits for the leader —
-//     honoring ctx — and returns a copy of the leader's value
-//     (Outcome.Coalesced). If the leader failed, the caller retries from
-//     the top and may become the new leader, so fill errors are never
-//     shared across requests.
+//     honoring ctx — and returns the leader's value (Outcome.Coalesced).
+//     If the leader failed, the caller retries from the top and may
+//     become the new leader, so fill errors are never shared across
+//     requests.
+//
+// Every caller of one key gets the same value, read-only.
 //
 // A fill that panics completes the flight with ErrLeaderAborted before
 // the panic unwinds (waiters retry; the panic propagates to the leader's
@@ -312,7 +291,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 				obs.Inc(c.ns + "hits")
 				c.mu.Unlock()
 				obs.Annotate(ctx, "cache", "hit")
-				return c.clone(v), Outcome{Hit: true}, nil
+				return v, Outcome{Hit: true}, nil
 			}
 			// Retrying waiter whose replacement leader stored the value
 			// between wakeup and re-lock: it never ran fill, so the miss
@@ -321,7 +300,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 			obs.Inc(c.ns + "coalesced")
 			c.mu.Unlock()
 			obs.Annotate(ctx, "cache", "coalesced")
-			return c.clone(v), Outcome{Coalesced: true}, nil
+			return v, Outcome{Coalesced: true}, nil
 		}
 		if first {
 			c.stats.Misses++
@@ -342,7 +321,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 				obs.Inc(c.ns + "coalesced")
 				c.mu.Unlock()
 				obs.Annotate(ctx, "cache", "coalesced")
-				return c.clone(f.val), Outcome{Coalesced: true}, nil
+				return f.val, Outcome{Coalesced: true}, nil
 			}
 			// Leader failed (or aborted): retry; this caller may lead.
 			continue
@@ -380,17 +359,13 @@ func (c *Cache[V]) lead(key string, f *flight[V], fill Filler[V]) (v V, err erro
 }
 
 // finishFlight publishes the leader's result to waiters and, when asked,
-// installs a private copy as the resident entry.
+// installs it as the resident entry.
 func (c *Cache[V]) finishFlight(key string, f *flight[V], v V, store bool, err error) {
 	if err == nil {
-		// One private copy serves both the resident entry and the
-		// flight's waiters; the leader's own return value stays with the
-		// leader, so neither side can mutate the other's bytes.
-		priv := c.clone(v)
-		f.val = priv
+		f.val = v
 		c.mu.Lock()
 		if store {
-			c.putLocked(key, priv)
+			c.putLocked(key, v)
 		}
 		delete(c.flights, key)
 		c.mu.Unlock()
@@ -403,25 +378,20 @@ func (c *Cache[V]) finishFlight(key string, f *flight[V], v V, store bool, err e
 	close(f.done)
 }
 
-// Peek returns a private copy of the value stored under key without
-// touching the LRU order or the hit/miss books. The peer read-through
-// layer uses it to answer sibling peeks: a remote replica's curiosity
-// must neither keep an entry alive here nor skew the local
-// hits+misses==lookups ledger. Counted under "<ns>.peeks".
+// Peek returns the value stored under key, read-only, without touching
+// the LRU order or the hit/miss books. The peer read-through layer uses
+// it to answer sibling peeks: a remote replica's curiosity must neither
+// keep an entry alive here nor skew the local hits+misses==lookups
+// ledger. Counted under "<ns>.peeks".
 func (c *Cache[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	obs.Inc(c.ns + "peeks")
-	el, ok := c.byKey[key]
-	var v V
-	if ok {
-		v = el.Value.(*entry[V]).val
+	if el, ok := c.byKey[key]; ok {
+		return el.Value.(*entry[V]).val, true
 	}
-	c.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return c.clone(v), true
+	var zero V
+	return zero, false
 }
 
 // Entry is one (key, value) pair exported by Entries and restored by
@@ -431,9 +401,9 @@ type Entry[V any] struct {
 	Val V
 }
 
-// Entries returns private copies of every resident entry, least recently
-// used first, so replaying them through Put reconstructs both the
-// contents and the recency order.
+// Entries returns every resident entry, read-only, least recently used
+// first, so replaying them through Put reconstructs both the contents and
+// the recency order.
 func (c *Cache[V]) Entries() []Entry[V] {
 	c.mu.Lock()
 	out := make([]Entry[V], 0, c.ll.Len())
@@ -442,9 +412,6 @@ func (c *Cache[V]) Entries() []Entry[V] {
 		out = append(out, Entry[V]{Key: e.key, Val: e.val})
 	}
 	c.mu.Unlock()
-	for i := range out {
-		out[i].Val = c.clone(out[i].Val)
-	}
 	return out
 }
 

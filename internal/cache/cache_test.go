@@ -13,26 +13,13 @@ import (
 	"buffopt/internal/obs"
 )
 
-// val is a mutable test value so clone isolation is observable.
+// val is a pointer test value, so sharing is observable by identity.
 type val struct {
 	n    int
 	blob []byte
 }
 
-func cloneVal(v *val) *val {
-	c := *v
-	c.blob = append([]byte(nil), v.blob...)
-	return &c
-}
-
 func sizeVal(v *val) int64 { return int64(len(v.blob)) }
-
-func newTestCache(cfg Config[*val]) *Cache[*val] {
-	if cfg.Clone == nil {
-		cfg.Clone = cloneVal
-	}
-	return New(cfg)
-}
 
 // checkBooks asserts the accounting equalities every cache must maintain.
 func checkBooks(t *testing.T, c *Cache[*val]) {
@@ -53,7 +40,7 @@ func checkBooks(t *testing.T, c *Cache[*val]) {
 }
 
 func TestLRUEntryBound(t *testing.T) {
-	c := newTestCache(Config[*val]{MaxEntries: 3})
+	c := New(Config[*val]{MaxEntries: 3})
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &val{n: i})
 	}
@@ -80,7 +67,7 @@ func TestLRUEntryBound(t *testing.T) {
 }
 
 func TestByteBoundAndRejection(t *testing.T) {
-	c := newTestCache(Config[*val]{MaxBytes: 100, Size: sizeVal})
+	c := New(Config[*val]{MaxBytes: 100, Size: sizeVal})
 	c.Put("a", &val{blob: make([]byte, 40)})
 	c.Put("b", &val{blob: make([]byte, 40)})
 	if got := c.Bytes(); got != 80 {
@@ -110,27 +97,41 @@ func TestByteBoundAndRejection(t *testing.T) {
 	checkBooks(t, c)
 }
 
-func TestCloneIsolation(t *testing.T) {
-	c := newTestCache(Config[*val]{})
+// TestReadsShareStoredValue: the cache copies nothing. Get, a Do hit,
+// Peek and Entries all hand out the pointer that was stored, and a
+// leader's fill return is the pointer the cache keeps.
+func TestReadsShareStoredValue(t *testing.T) {
+	c := New(Config[*val]{})
 	orig := &val{n: 1, blob: []byte("abc")}
 	c.Put("k", orig)
-	// Mutating the value we handed in must not corrupt the cache: Put
-	// takes ownership, but the defensive copy on read still protects
-	// against readers.
-	got1, _ := c.Get("k")
-	got1.n = 99
-	got1.blob[0] = 'X'
-	got2, _ := c.Get("k")
-	if got2.n != 1 || string(got2.blob) != "abc" {
-		t.Errorf("reader mutation leaked into cache: %+v %q", got2.n, got2.blob)
+	if got, ok := c.Get("k"); !ok || got != orig {
+		t.Errorf("Get = %p, %v; want the stored %p", got, ok, orig)
 	}
-	if got1 == got2 {
-		t.Error("Get returned the same pointer twice")
+	if got, out, err := c.Do(context.Background(), "k", func() (*val, bool, error) {
+		t.Error("hit ran fill")
+		return nil, false, nil
+	}); err != nil || !out.Hit || got != orig {
+		t.Errorf("Do hit = %p, %+v, %v; want the stored %p", got, out, err, orig)
 	}
+	if got, ok := c.Peek("k"); !ok || got != orig {
+		t.Errorf("Peek = %p, %v; want the stored %p", got, ok, orig)
+	}
+	if es := c.Entries(); len(es) != 1 || es[0].Val != orig {
+		t.Errorf("Entries = %+v; want one entry holding %p", es, orig)
+	}
+
+	filled := &val{n: 2}
+	if got, _, err := c.Do(context.Background(), "f", func() (*val, bool, error) { return filled, true, nil }); err != nil || got != filled {
+		t.Errorf("leader got %p, %v; want its own fill %p", got, err, filled)
+	}
+	if got, _ := c.Get("f"); got != filled {
+		t.Errorf("stored fill = %p; want the leader's %p", got, filled)
+	}
+	checkBooks(t, c)
 }
 
 func TestDoHitMissAccounting(t *testing.T) {
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	fills := 0
 	fill := func() (*val, bool, error) { fills++; return &val{n: fills}, true, nil }
 	v, out, err := c.Do(context.Background(), "k", fill)
@@ -152,7 +153,7 @@ func TestDoHitMissAccounting(t *testing.T) {
 }
 
 func TestDoStoreFalse(t *testing.T) {
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	fills := 0
 	fill := func() (*val, bool, error) { fills++; return &val{n: 7}, false, nil }
 	for i := 0; i < 2; i++ {
@@ -185,7 +186,7 @@ func waitMisses(t *testing.T, c *Cache[*val], n int64) {
 
 func TestCoalescing(t *testing.T) {
 	const callers = 8
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	var fills atomic.Int64
 	release := make(chan struct{})
 	fill := func() (*val, bool, error) {
@@ -217,15 +218,13 @@ func TestCoalescing(t *testing.T) {
 		t.Fatalf("fill ran %d times for %d concurrent callers", got, callers)
 	}
 	var coalesced int
-	seen := map[*val]bool{}
 	for i, v := range results {
 		if v == nil || v.n != 42 || string(v.blob) != "payload" {
 			t.Fatalf("caller %d got %+v", i, v)
 		}
-		if seen[v] {
-			t.Error("two callers share one value pointer")
+		if v != results[0] {
+			t.Errorf("caller %d got %p, caller 0 %p: waiters must share the leader's value", i, v, results[0])
 		}
-		seen[v] = true
 		if outs[i].Coalesced {
 			coalesced++
 		}
@@ -241,7 +240,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 func TestCoalescedWaitCancellation(t *testing.T) {
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	release := make(chan struct{})
 	defer close(release)
 	go c.Do(context.Background(), "k", func() (*val, bool, error) {
@@ -269,7 +268,7 @@ func TestCoalescedWaitCancellation(t *testing.T) {
 
 func TestLeaderFailureFollowerRetries(t *testing.T) {
 	const callers = 5
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	var fills atomic.Int64
 	release := make(chan struct{})
 	sentinel := errors.New("boom")
@@ -316,7 +315,7 @@ func TestLeaderFailureFollowerRetries(t *testing.T) {
 
 func TestLeaderPanicFailsFlightNotFollowers(t *testing.T) {
 	const followers = 3
-	c := newTestCache(Config[*val]{})
+	c := New(Config[*val]{})
 	var fills atomic.Int64
 	release := make(chan struct{})
 	fill := func() (*val, bool, error) {
@@ -366,7 +365,7 @@ func TestObsCounterNames(t *testing.T) {
 	obs.SetDefault(obs.NewRegistry())
 	t.Cleanup(func() { obs.SetDefault(old) })
 
-	c := newTestCache(Config[*val]{MaxEntries: 1, Namespace: "server", Size: sizeVal})
+	c := New(Config[*val]{MaxEntries: 1, Namespace: "server", Size: sizeVal})
 	c.Put("a", &val{blob: []byte("xy")})
 	c.Put("b", &val{blob: []byte("z")}) // evicts a
 	c.Get("b")
@@ -394,7 +393,7 @@ func TestObsCounterNames(t *testing.T) {
 }
 
 func TestDoConcurrentDistinctKeys(t *testing.T) {
-	c := newTestCache(Config[*val]{MaxEntries: 64})
+	c := New(Config[*val]{MaxEntries: 64})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -417,7 +416,7 @@ func TestDoConcurrentDistinctKeys(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	c := newTestCache(Config[*val]{MaxEntries: 8})
+	c := New(Config[*val]{MaxEntries: 8})
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &val{n: i, blob: []byte{1, 2}})
 	}
@@ -448,7 +447,7 @@ func TestPurge(t *testing.T) {
 // never is.
 func TestDroppedHook(t *testing.T) {
 	dropped := map[int]int{}
-	c := newTestCache(Config[*val]{MaxEntries: 2, MaxBytes: 100, Size: sizeVal,
+	c := New(Config[*val]{MaxEntries: 2, MaxBytes: 100, Size: sizeVal,
 		Dropped: func(v *val) { dropped[v.n]++ }})
 	c.Put("a", &val{n: 1, blob: make([]byte, 10)})
 	c.Put("b", &val{n: 2, blob: make([]byte, 10)})

@@ -12,6 +12,10 @@ import (
 // copy of the input, possibly augmented with wire-split nodes where buffers
 // were placed mid-wire) and the buffer assignment on it. Feed Tree and
 // Buffers straight into elmore.Analyze and noise.Analyze.
+//
+// A Solution is read-only once the answer gate returns it: caches,
+// coalesced waiters, peers and snapshots all share the one value, so no
+// holder may write to Tree, Buffers or Widths. Clone the tree to edit it.
 type Solution struct {
 	Tree    *rctree.Tree
 	Buffers map[rctree.NodeID]buffers.Buffer

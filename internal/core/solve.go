@@ -330,7 +330,8 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 // candidate list surviving the DP — and holds every answer to
 // validateResult, so a structurally broken or numerically poisoned
 // result becomes guard.ErrInternal instead of reaching a caller, a
-// cache or a session's books.
+// cache or a session's books. The answer it returns is read-only from
+// then on: every later holder shares it and none copies it.
 func gate(ctx context.Context, run func() (*Result, error)) (*Result, error) {
 	slowFault(ctx)
 	res, err := run()

@@ -7,10 +7,8 @@ import (
 	"io"
 	"math"
 
-	"buffopt/internal/buffers"
 	"buffopt/internal/cache"
 	"buffopt/internal/guard"
-	"buffopt/internal/rctree"
 )
 
 // SolveCache memoizes whole-net SolveResults by canonical problem hash.
@@ -23,22 +21,25 @@ type SolveCache = cache.Cache[*SolveResult]
 
 // NewSolveCache builds a cache for SolveResults bounded by entries and
 // bytes (0 disables the respective bound), reporting its counters under
-// "<namespace>.cache.*" in the obs registry. Values are deep-copied on
-// every read, so callers may freely mutate what they get back.
+// "<namespace>.cache.*" in the obs registry. Every read hands out the
+// stored *SolveResult itself: an answer is read-only once the solver's
+// answer gate returns it, so callers must not mutate what they get back.
+// A caller that stamps per-request fields (Cached, Coalesced) copies the
+// header first (r := *res) and writes to the copy.
 func NewSolveCache(entries int, bytes int64, namespace string) *SolveCache {
 	return cache.New(cache.Config[*SolveResult]{
 		MaxEntries: entries,
 		MaxBytes:   bytes,
 		Size:       solveResultSize,
-		Clone:      (*SolveResult).Clone,
 		Namespace:  namespace,
 	})
 }
 
-// solveResultSize approximates a result's resident footprint: the cloned
-// tree dominates, then the assignment maps and tier metadata. The
-// constants are deliberately generous — the byte bound is a memory
-// safety valve, not an accounting ledger.
+// solveResultSize approximates a result's resident footprint: the
+// answer's own tree (finishVG's compact copy, one per solve) dominates,
+// then the assignment maps and tier metadata. The constants are
+// deliberately generous — the byte bound is a memory safety valve, not
+// an accounting ledger.
 func solveResultSize(r *SolveResult) int64 {
 	const (
 		base      = 256 // SolveResult + Result + Solution headers
@@ -60,55 +61,6 @@ func solveResultSize(r *SolveResult) int64 {
 	}
 	sz += int64(len(r.TierErrors)) * perTier
 	return sz
-}
-
-// Clone deep-copies the result: the solution tree, the assignment maps,
-// and the tier metadata. Mutating the copy never affects the original,
-// which is what makes cached results safe to hand to many callers.
-func (r *SolveResult) Clone() *SolveResult {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	if r.Result != nil {
-		c.Result = r.Result.Clone()
-	}
-	if r.TierErrors != nil {
-		c.TierErrors = make([]*TierError, len(r.TierErrors))
-		for i, te := range r.TierErrors {
-			t := *te
-			c.TierErrors[i] = &t
-		}
-	}
-	return &c
-}
-
-// Clone deep-copies the result and its solution.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	if r.Solution != nil {
-		sol := &Solution{}
-		if r.Solution.Tree != nil {
-			sol.Tree = r.Solution.Tree.Clone()
-		}
-		if r.Solution.Buffers != nil {
-			sol.Buffers = make(map[rctree.NodeID]buffers.Buffer, len(r.Solution.Buffers))
-			for k, v := range r.Solution.Buffers {
-				sol.Buffers[k] = v
-			}
-		}
-		if r.Solution.Widths != nil {
-			sol.Widths = make(map[rctree.NodeID]float64, len(r.Solution.Widths))
-			for k, v := range r.Solution.Widths {
-				sol.Widths[k] = v
-			}
-		}
-		c.Solution = sol
-	}
-	return &c
 }
 
 // Cacheable reports whether a SolveResult may be stored: exact results

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +19,8 @@ import (
 
 // cachedSolve runs Solve through c the way bufferd does: keyed by
 // SolveCacheKey, stored only when Cacheable, with the lookup's outcome
-// stamped on the result.
+// stamped on a copy of the result's header (the cache hands out its
+// stored answer, which is read-only).
 func cachedSolve(ctx context.Context, c *SolveCache, tr *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*SolveResult, error) {
 	key := SolveCacheKey(Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
 	res, out, err := c.Do(ctx, key, func() (*SolveResult, bool, error) {
@@ -29,8 +33,9 @@ func cachedSolve(ctx context.Context, c *SolveCache, tr *rctree.Tree, lib *buffe
 	if err != nil {
 		return nil, err
 	}
-	res.Cached, res.Coalesced = out.Hit, out.Coalesced
-	return res, nil
+	r := *res
+	r.Cached, r.Coalesced = out.Hit, out.Coalesced
+	return &r, nil
 }
 
 // TestSolveCacheByteIdentity is the cache on/off identity gate: over the
@@ -83,38 +88,103 @@ func TestSolveCacheByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSolveCacheHitIsolation: mutating a hit's solution must not corrupt
-// the cached entry — each read is a deep copy.
-func TestSolveCacheHitIsolation(t *testing.T) {
+// servedUnchanged fails the test unless the stored answer still encodes
+// to want and carries no per-request flags: a door that served it wrote
+// nothing to it.
+func servedUnchanged(t *testing.T, door, key string, stored *SolveResult, want []byte) {
+	t.Helper()
+	got, err := EncodeSolveResult(key, stored)
+	if err != nil {
+		t.Fatalf("%s: %v", door, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s changed the stored answer's encoding", door)
+	}
+	if stored.Cached || stored.Coalesced {
+		t.Fatalf("%s stamped the stored answer: cached=%v coalesced=%v", door, stored.Cached, stored.Coalesced)
+	}
+}
+
+// TestSolveCacheHitSharesStored: the cache copies no answer. A hit
+// returns the stored *SolveResult, and serving it through every cache
+// door (hit, coalesced waiter, Peek, Entries via a snapshot save) leaves
+// its encoding and flags as the solve left them.
+func TestSolveCacheHitSharesStored(t *testing.T) {
 	nets, lib, p := diffCorpus(t, 1)
 	c := NewSolveCache(0, 0, "test")
-	first, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
+	key := SolveCacheKey(Problem{Tree: nets[0], Library: lib, Params: p, Objective: MinBuffersNoise}, Options{})
+	if _, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := c.Peek(key)
+	if !ok {
+		t.Fatal("exact answer was not stored")
+	}
+	want, err := EncodeSolveResult(key, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(resultJSON(t, first.Result))
+	servedUnchanged(t, "Peek", key, stored, want)
 
-	hit1, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
-	if err != nil {
-		t.Fatal(err)
+	hit, out, err := c.Do(context.Background(), key, func() (*SolveResult, bool, error) {
+		t.Error("hit ran the fill")
+		return nil, false, nil
+	})
+	if err != nil || !out.Hit || hit != stored {
+		t.Fatalf("hit = %p (%+v, %v), want the stored %p", hit, out, err, stored)
 	}
-	// Vandalize everything reachable from the hit.
-	hit1.Slack = -12345
-	for id := range hit1.Buffers {
-		delete(hit1.Buffers, id)
+	stamped, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
+	if err != nil || !stamped.Cached || stamped.Result != stored.Result {
+		t.Fatalf("stamped hit: cached=%v, shares the stored Result=%v, err %v", stamped.Cached, stamped.Result == stored.Result, err)
 	}
-	hit1.Solution.Tree.Node(hit1.Solution.Tree.Root()).Wire.R = 1e30
-	hit1.Tier = TierUnbuffered
+	servedUnchanged(t, "hit", key, stored, want)
 
-	hit2, err := cachedSolve(context.Background(), c, nets[0], lib, p, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Coalesced waiters: a second cache whose one fill hands out the
+	// stored answer once every caller has joined the flight.
+	const callers = 8
+	c2 := NewSolveCache(0, 0, "test")
+	fill := func() (*SolveResult, bool, error) {
+		for c2.Stats().Misses < callers {
+			time.Sleep(time.Millisecond)
+		}
+		return stored, true, nil
 	}
-	if got := string(resultJSON(t, hit2.Result)); got != want {
-		t.Fatalf("mutating one hit corrupted the cache:\nwant %s\ngot  %s", want, got)
+	var wg sync.WaitGroup
+	got := make([]*SolveResult, callers)
+	var coalesced atomic.Int64
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, out, err := c2.Do(context.Background(), key, fill)
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+				return
+			}
+			if out.Coalesced {
+				coalesced.Add(1)
+			}
+			got[i] = r
+		}(i)
 	}
-	if hit2.Tier != first.Tier {
-		t.Fatalf("tier corrupted: %v vs %v", hit2.Tier, first.Tier)
+	wg.Wait()
+	for i, r := range got {
+		if r != stored {
+			t.Fatalf("caller %d got %p, want the shared %p", i, r, stored)
+		}
+	}
+	if n := coalesced.Load(); n != callers-1 {
+		t.Fatalf("%d callers coalesced, want %d", n, callers-1)
+	}
+	servedUnchanged(t, "coalesced waiters", key, stored, want)
+
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if saved, _, err := c.SaveSnapshot(path, EncodeSolveResult); err != nil || saved != 1 {
+		t.Fatalf("snapshot save: %d saved, %v", saved, err)
+	}
+	servedUnchanged(t, "Entries", key, stored, want)
+	if es := c.Entries(); len(es) != 1 || es[0].Val != stored {
+		t.Fatal("Entries did not hand out the stored answer")
 	}
 }
 

@@ -1,8 +1,12 @@
 package netfmt
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,9 +22,9 @@ func spefRoundtrip(t *testing.T, tr *rctree.Tree) *rctree.Tree {
 	if err := WriteSPEF(&buf, tr); err != nil {
 		t.Fatalf("WriteSPEF: %v", err)
 	}
-	got, err := ReadSPEF(&buf)
+	got, err := readSPEF(&buf)
 	if err != nil {
-		t.Fatalf("ReadSPEF: %v\n%s", err, buf.String())
+		t.Fatalf("readSPEF: %v\n%s", err, buf.String())
 	}
 	return got
 }
@@ -109,7 +113,7 @@ func TestReadSPEFErrors(t *testing.T) {
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ReadSPEF(strings.NewReader(in)); err == nil {
+			if _, err := readSPEF(strings.NewReader(in)); err == nil {
 				t.Errorf("%s accepted", name)
 			}
 		})
@@ -117,4 +121,190 @@ func TestReadSPEFErrors(t *testing.T) {
 	if err := WriteSPEF(&bytes.Buffer{}, rctree.New("x", 1, 0)); err == nil {
 		t.Errorf("invalid tree accepted by WriteSPEF")
 	}
+}
+
+// readSPEF parses a fragment produced by WriteSPEF back into a tree: the
+// round trip's oracle, which reads exactly the shape WriteSPEF produces
+// (a single D_NET whose RC network is a tree rooted at the driver pin).
+// Explicit aggressor lists are not representable in this subset, so all
+// wires come back in estimation mode.
+func readSPEF(r io.Reader) (*rctree.Tree, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+
+	type sinkInfo struct {
+		cap, rat, nm float64
+	}
+	type resEdge struct {
+		a, b   string
+		r, len float64
+	}
+	var (
+		netName          string
+		driverPin        string
+		driverR, driverT float64
+		sinks            = map[string]sinkInfo{}
+		edges            []resEdge
+		nodeCap          = map[string]float64{}
+		section          string
+		sawEnd           bool
+	)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "//") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch {
+		case fields[0] == "*D_NET":
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("netfmt: spef line %d: malformed D_NET", lineNo)
+			}
+			netName = fields[1]
+		case fields[0] == "*CONN" || fields[0] == "*CAP" || fields[0] == "*RES":
+			section = fields[0]
+		case fields[0] == "*END":
+			sawEnd = true
+		case fields[0] == "*I" && section == "*CONN":
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("netfmt: spef line %d: malformed pin", lineNo)
+			}
+			pin, dir := fields[1], fields[2]
+			attrs, err := spefAttrs(fields[3:], lineNo)
+			if err != nil {
+				return nil, err
+			}
+			if dir == "O" {
+				driverPin = pin
+				driverR = attrs["R"]
+				driverT = attrs["T"]
+			} else {
+				sinks[pin] = sinkInfo{cap: attrs["*L"], rat: attrs["*RAT"], nm: attrs["*NM"]}
+			}
+		case section == "*RES" && len(fields) >= 4:
+			rv, err := strconv.ParseFloat(fields[3], 64)
+			if err != nil {
+				return nil, fmt.Errorf("netfmt: spef line %d: resistance %q", lineNo, fields[3])
+			}
+			e := resEdge{a: fields[1], b: fields[2], r: rv}
+			for i := 4; i+1 < len(fields); i += 2 {
+				if fields[i] == "*LEN" {
+					if e.len, err = strconv.ParseFloat(fields[i+1], 64); err != nil {
+						return nil, fmt.Errorf("netfmt: spef line %d: length %q", lineNo, fields[i+1])
+					}
+				}
+			}
+			edges = append(edges, e)
+		case section == "*CAP" && len(fields) >= 3:
+			cv, err := strconv.ParseFloat(fields[2], 64)
+			if err != nil {
+				return nil, fmt.Errorf("netfmt: spef line %d: capacitance %q", lineNo, fields[2])
+			}
+			nodeCap[fields[1]] = cv
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if !sawEnd {
+		return nil, fmt.Errorf("netfmt: spef missing *END")
+	}
+	if driverPin == "" {
+		return nil, fmt.Errorf("netfmt: spef has no driver pin")
+	}
+	if len(edges) == 0 {
+		return nil, fmt.Errorf("netfmt: spef has no RES section")
+	}
+
+	// Build adjacency and orient from the driver.
+	adj := map[string][]resEdge{}
+	for _, e := range edges {
+		adj[e.a] = append(adj[e.a], e)
+		adj[e.b] = append(adj[e.b], resEdge{a: e.b, b: e.a, r: e.r, len: e.len})
+	}
+	tr := rctree.New(strings.TrimSuffix(netName, ":drv"), driverR, driverT)
+	ids := map[string]rctree.NodeID{driverPin: tr.Root()}
+	stack := []string{driverPin}
+	visited := map[string]bool{driverPin: true}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range adj[cur] {
+			if visited[e.b] {
+				continue
+			}
+			visited[e.b] = true
+			w := rctree.Wire{R: e.r, Length: e.len}
+			var id rctree.NodeID
+			var err error
+			if s, isSink := sinks[e.b]; isSink {
+				nm := strings.TrimPrefix(e.b, netName+":")
+				id, err = tr.AddSink(ids[cur], w, nm, s.cap, s.rat, s.nm)
+			} else {
+				id, err = tr.AddInternal(ids[cur], w, true)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("netfmt: spef: %w", err)
+			}
+			ids[e.b] = id
+			stack = append(stack, e.b)
+		}
+	}
+
+	// Wire capacitance reconstruction: the writer lumped C/2 of every
+	// wire at each end, so on a tree the system solves leaf-up — a
+	// leaf's grounded cap is half its own wire, and each internal node's
+	// residue after subtracting its children's halves is half its parent
+	// wire.
+	pinOf := map[rctree.NodeID]string{}
+	for pin, id := range ids {
+		pinOf[id] = pin
+	}
+	for _, v := range tr.Postorder() {
+		if v == tr.Root() {
+			continue
+		}
+		c := nodeCap[pinOf[v]]
+		for _, ch := range tr.Node(v).Children {
+			c -= tr.Node(ch).Wire.C / 2
+		}
+		if c < 0 {
+			c = 0
+		}
+		tr.Node(v).Wire.C = 2 * c
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("netfmt: spef produced an invalid tree: %w", err)
+	}
+	return tr, nil
+}
+
+// spefAttrs parses KEY=VALUE and *KEY VALUE attribute runs.
+func spefAttrs(fields []string, lineNo int) (map[string]float64, error) {
+	out := map[string]float64{}
+	for i := 0; i < len(fields); i++ {
+		f := fields[i]
+		if k, v, ok := strings.Cut(f, "="); ok {
+			fv, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return nil, fmt.Errorf("netfmt: spef line %d: attr %q", lineNo, f)
+			}
+			out[k] = fv
+			continue
+		}
+		if strings.HasPrefix(f, "*") && i+1 < len(fields) {
+			fv, err := strconv.ParseFloat(fields[i+1], 64)
+			if err != nil {
+				// A bare flag token (like the *D driver marker) whose
+				// neighbor is not a value; leave the neighbor for the
+				// next iteration.
+				continue
+			}
+			out[f] = fv
+			i++
+		}
+	}
+	return out, nil
 }

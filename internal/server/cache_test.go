@@ -1,18 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"buffopt/internal/core"
 	"buffopt/internal/faultinject"
 	"buffopt/internal/guard"
 	"buffopt/internal/obs"
@@ -525,4 +528,109 @@ func TestCacheSoakUnderChaos(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// onlyEntry returns s's one resident cache entry and its encoding.
+func onlyEntry(t *testing.T, s *Server) (string, *core.SolveResult, []byte) {
+	t.Helper()
+	es := s.cache.Entries()
+	if len(es) != 1 {
+		t.Fatalf("%d resident entries, want 1", len(es))
+	}
+	data, err := core.EncodeSolveResult(es[0].Key, es[0].Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es[0].Key, es[0].Val, data
+}
+
+// checkStored fails the test unless the stored answer still encodes to
+// want and carries no per-request flags.
+func checkStored(t *testing.T, door, key string, stored *core.SolveResult, want []byte) {
+	t.Helper()
+	got, err := core.EncodeSolveResult(key, stored)
+	if err != nil {
+		t.Fatalf("%s: %v", door, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s changed the stored answer's encoding", door)
+	}
+	if stored.Cached || stored.Coalesced {
+		t.Fatalf("%s stamped the stored answer: cached=%v coalesced=%v", door, stored.Cached, stored.Coalesced)
+	}
+}
+
+// TestCachedAnswerReadOnly: the server serves its one stored answer to
+// every door without writing to it. After a hit, a peer's fill from this
+// replica, the peer's own hit and a snapshot save, the stored answer
+// encodes to the same bytes and carries no Cached/Coalesced stamp.
+func TestCachedAnswerReadOnly(t *testing.T) {
+	sA, tsA := newTestServer(t, Config{CacheEntries: 16})
+	solveOK(t, tsA, "text/plain", sampleNet)
+	key, stored, want := onlyEntry(t, sA)
+
+	if hit, _ := solveOK(t, tsA, "text/plain", sampleNet); !hit.Cached {
+		t.Fatal("repeat solve missed the cache")
+	}
+	checkStored(t, "hit", key, stored, want)
+
+	sB, tsB := newTestServer(t, Config{
+		CacheEntries: 16,
+		Self:         "replica-b.test:1",
+		Peers:        []string{hostPort(tsA.URL)},
+	})
+	solveOK(t, tsB, "text/plain", sampleNet)
+	if got := obs.Default().Snapshot().Counters["fleet.peerfill.hits"]; got != 1 {
+		t.Fatalf("peerfill.hits = %d, want 1", got)
+	}
+	checkStored(t, "peer fill (peek side)", key, stored, want)
+	keyB, storedB, wantB := onlyEntry(t, sB)
+	if keyB != key || !bytes.Equal(wantB, want) {
+		t.Fatal("peer-filled entry differs from the peer's")
+	}
+	if hit, _ := solveOK(t, tsB, "text/plain", sampleNet); !hit.Cached {
+		t.Fatal("peer-filled entry was not served as a hit")
+	}
+	checkStored(t, "peer-filled hit", keyB, storedB, wantB)
+
+	if _, _, err := sA.cache.SaveSnapshot(filepath.Join(t.TempDir(), "snap"), core.EncodeSolveResult); err != nil {
+		t.Fatal(err)
+	}
+	checkStored(t, "snapshot save", key, stored, want)
+}
+
+// TestBuildResponseSharedAnswer runs buildResponse on one cached answer
+// from 8 goroutines at once: under -race this proves the response path
+// only reads the shared answer, and every response is the same.
+func TestBuildResponseSharedAnswer(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 16})
+	solveOK(t, ts, "text/plain", sampleNet)
+	key, stored, want := onlyEntry(t, s)
+	req, err := s.decodeSolve("text/plain", nil, []byte(sampleNet))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 8
+	out := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, err := json.Marshal(buildResponse(req, stored, 0))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out[i] = b
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range out {
+		if !bytes.Equal(b, out[0]) {
+			t.Fatalf("worker %d built a different response:\n%s\n%s", i, b, out[0])
+		}
+	}
+	checkStored(t, "buildResponse", key, stored, want)
 }

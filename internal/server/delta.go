@@ -183,7 +183,7 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 		SessionID:     sess.id,
 		Created:       created,
 		EditsApplied:  len(req.edits),
-		Nodes:         sess.sess.Tree().Len(),
+		Nodes:         res.Tree.Len(),
 		Reused:        res.Reused,
 		Resolved:      res.Resolved,
 		Lookups:       res.Lookups,

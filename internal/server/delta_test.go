@@ -14,6 +14,7 @@ import (
 
 	"buffopt/internal/faultinject"
 	"buffopt/internal/obs"
+	"buffopt/internal/rctree"
 )
 
 // postDelta posts one JSON body to /solve/delta.
@@ -132,6 +133,48 @@ func TestDeltaBitIdentity(t *testing.T) {
 	if nr.Lookups != 1 || nr.Reused != 1 || nr.Resolved != 0 {
 		t.Fatalf("no-edit ledger = %d/%d/%d (reused/resolved/lookups), want 1/0/1",
 			nr.Reused, nr.Resolved, nr.Lookups)
+	}
+}
+
+// TestDeltaNodesTracksTree: a response's "nodes" is the session's worked
+// tree length after its edits, through a graft that grows the tree and a
+// prune that shrinks it back.
+func TestDeltaNodesTracksTree(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	cr, _ := deltaOK(t, ts, createBody(t, sampleNet, ""))
+	ss, err := s.sessions.get(cr.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ss.sess.Tree()
+	if cr.Nodes != tr.Len() {
+		t.Fatalf("create: nodes = %d, session tree has %d", cr.Nodes, tr.Len())
+	}
+	// Graft below the first non-root node with one child: the binary
+	// form has room there.
+	parent := -1
+	for v := 1; v < tr.Len() && parent < 0; v++ {
+		if len(tr.Node(rctree.NodeID(v)).Children) == 1 {
+			parent = v
+		}
+	}
+	if parent < 0 {
+		t.Fatal("worked tree has no one-child node to graft below")
+	}
+	const sub = "net sub\ndriver r=0 t=0\nnode 0 source x=0 y=0\n" +
+		"node 1 sink parent=0 wire=100,2e-13,0.001 x=0 y=0 cap=1e-14 rat=1.5e-9 nm=0.8 name=g\nend\n"
+	gr, gb := deltaOK(t, ts, fmt.Sprintf(
+		`{"v": 2, "session": {"id": %q}, "edits": [{"op": "graft", "node": %d, "sub": %s, "wire": {"r": 50, "c": 1e-13, "length": 5e-4}}]}`,
+		cr.SessionID, parent, mustJSON(t, sub)))
+	if want := ss.sess.Tree().Len(); gr.Nodes != want || gr.Nodes != cr.Nodes+2 {
+		t.Fatalf("graft: nodes = %d, session tree has %d, created with %d: %s", gr.Nodes, want, cr.Nodes, gb)
+	}
+	// The graft's source took the first new ID; pruning it undoes the
+	// graft.
+	pr, pb := deltaOK(t, ts, fmt.Sprintf(
+		`{"v": 2, "session": {"id": %q}, "edits": [{"op": "prune", "node": %d}]}`, cr.SessionID, cr.Nodes))
+	if want := ss.sess.Tree().Len(); pr.Nodes != want || pr.Nodes != cr.Nodes {
+		t.Fatalf("prune: nodes = %d, session tree has %d, created with %d: %s", pr.Nodes, want, cr.Nodes, pb)
 	}
 }
 

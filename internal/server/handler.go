@@ -205,9 +205,11 @@ func (s *Server) solveCached(ctx context.Context, req *solveRequest) (*core.Solv
 	if err != nil {
 		return nil, err
 	}
-	res.Cached = out.Hit
-	res.Coalesced = out.Coalesced
-	return res, nil
+	// The cache hands every caller the one stored answer, read-only: the
+	// per-request flags go on a copy of its header.
+	r := *res
+	r.Cached, r.Coalesced = out.Hit, out.Coalesced
+	return &r, nil
 }
 
 // cacheKey derives the request's content-addressed cache key. It hashes
