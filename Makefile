@@ -18,14 +18,20 @@ loc:
 	@printf 'test     %s\n' "$$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 
 # Differential/determinism gate on the parallel dynamic program, the
-# batch endpoint and the solve cache: serial-vs-parallel bit identity over
-# the seeded corpus, order/concurrency independence of /solve/batch,
-# pool-leak accounting, and cache on/off identity (TestSolveCache*: a hit
-# and a coalesced waiter serve the stored answer, byte for byte).
-# The tier-1 gate (scripts/check.sh) runs these tests once in its full
-# race pass; this target re-runs just them, uncached.
+# incremental re-solve, the batch endpoint, the solve cache and the
+# analyzers: serial-vs-parallel bit identity over the seeded corpus, Delta
+# answers bit-identical to a from-scratch solve (TestDeltaDifferential),
+# order/concurrency independence of /solve/batch, pool-leak accounting,
+# cache on/off identity (TestSolveCache*: a hit and a coalesced waiter
+# serve the stored answer, byte for byte), the read-only answer doors
+# (*ReadOnly, TestDeltaEditNotRetained: no later solve, edit or caller
+# write changes an answer or a session's tree), and the Elmore and Devgan
+# analyzers against their reference forms, bit for bit
+# (TestAnalyzeMatchesReference). The tier-1 gate (scripts/check.sh) runs
+# these tests once in its full race pass; this target re-runs just them,
+# uncached.
 difftest:
-	go test -race -count=1 -run 'TestDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache' ./internal/core ./internal/server
+	go test -race -count=1 -run 'TestDifferential|TestDeltaDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache|ReadOnly|TestDeltaEditNotRetained|TestAnalyzeMatchesReference' ./internal/core ./internal/server ./internal/elmore ./internal/noise
 
 # Cross-engine equivalence gate: every core.EngineTable row (the default
 # configuration, serial and forced-parallel) against the reference row

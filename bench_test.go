@@ -11,6 +11,7 @@ package buffopt_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"buffopt/internal/buffers"
@@ -18,6 +19,7 @@ import (
 	"buffopt/internal/core"
 	"buffopt/internal/elmore"
 	"buffopt/internal/experiments"
+	"buffopt/internal/netgen"
 	"buffopt/internal/noise"
 	"buffopt/internal/noisesim"
 	"buffopt/internal/rctree"
@@ -253,11 +255,12 @@ func BenchmarkSolveCached(b *testing.B) {
 }
 
 // solveCacheHitAllocBudget pins a warm SolveCache hit (the lookup, key
-// precomputed). It measured 2 allocations on the bench net and on a net
+// precomputed). It measured 0 allocations on the bench net and on a net
 // 11 times its size, with and without the race detector. A deep copy of
 // the answer costs a few blocks for the tree and one per map, plus map
-// buckets that grow with the answer.
-const solveCacheHitAllocBudget = 4
+// buckets that grow with the answer; a counter name built per bump costs
+// one block per counter.
+const solveCacheHitAllocBudget = 0
 
 // solveCacheHitAllocs is a warm SolveCache hit's allocations on tr,
 // key precomputed: the lookup alone, as every cached read pays it.
@@ -282,11 +285,11 @@ func solveCacheHitAllocs(t *testing.T, tr *rctree.Tree, lib *buffers.Library, p 
 	})
 }
 
-// TestSolveCacheHitAllocBudget holds a SolveCache hit to a handful of
-// allocations that do not grow with the net: the bench net and a copy
-// with every wire split in 15 (at least ten times the nodes) read the
-// same. A per-read copy of the answer (its tree, buffer map or tier
-// list) would cost several blocks per read and grow with the net, and
+// TestSolveCacheHitAllocBudget holds a SolveCache hit to no allocation
+// at all, on the bench net and on a copy with every wire split in 15 (at
+// least ten times the nodes). A per-read copy of the answer (its tree,
+// buffer map or tier list) would cost several blocks per read and grow
+// with the net, and a counter name built per read would cost one; either
 // fails this.
 func TestSolveCacheHitAllocBudget(t *testing.T) {
 	tr, lib, p := benchNet(t)
@@ -358,6 +361,139 @@ func BenchmarkElmoreAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if r := elmore.Analyze(tr, nil); r.MaxDelay <= 0 {
 			b.Fatal("no delay")
+		}
+	}
+}
+
+// ecoNet is a net of the eco_edit workload's shape, with its answer: 150
+// sinks in a 9 mm box routed by the rectilinear MST, segmented to
+// 0.25 mm, a root buffer site inserted and binarized (~690 nodes), solved
+// for the best slack under the noise constraints.
+func ecoNet(tb testing.TB) (*core.Result, noise.Params) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	tech := netgen.SectionVTech()
+	net := steiner.Net{Name: "eco", DriverR: 300, DriverT: 50e-12}
+	for i := 0; i < 150; i++ {
+		net.Sinks = append(net.Sinks, steiner.Sink{
+			Name:        fmt.Sprintf("s%d", i),
+			At:          steiner.Point{X: (rng.Float64() - 0.5) * 9e-3, Y: (rng.Float64() - 0.5) * 9e-3},
+			Cap:         (10 + 40*rng.Float64()) * 1e-15,
+			RAT:         2.5e-9,
+			NoiseMargin: tech.NoiseMargin,
+		})
+	}
+	tr, err := steiner.Route(net, tech.Wire, steiner.RectilinearMST)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := segment.ByLength(tr, 0.25e-3); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tr.InsertBelow(tr.Root()); err != nil {
+		tb.Fatal(err)
+	}
+	tr.Binarize()
+	res, err := core.Optimize(context.Background(), core.Problem{
+		Tree: tr, Library: buffers.DefaultLibrary(tech.NoiseMargin), Params: tech.Noise, Objective: core.MaxSlackNoise,
+	}, core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, tech.Noise
+}
+
+// BenchmarkAnalyzeECO runs both analyzers, as every /solve/delta reply
+// does, on an eco_edit-shaped net and its answer.
+func BenchmarkAnalyzeECO(b *testing.B) {
+	res, p := ecoNet(b)
+	b.ReportMetric(float64(res.Tree.Len()), "nodes")
+	b.ReportMetric(float64(res.NumBuffers()), "buffers")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !noise.Analyze(res.Tree, res.Buffers, p).Clean() {
+			b.Fatal("the answer violates a noise margin")
+		}
+		if r := elmore.Analyze(res.Tree, res.Buffers); r.MaxDelay <= 0 {
+			b.Fatal("no delay")
+		}
+	}
+}
+
+// analyzeAllocBudget caps each analyzer's allocations. Both measured 12,
+// with and without the race detector, on every answer below: the result
+// and its per-node slices, the buffered-node table, the preorder, and the
+// obs timer's span.
+const analyzeAllocBudget = 12
+
+// TestAnalyzeAllocBudget holds each analyzer to a fixed number of
+// allocations, whatever the tree's size or its buffer count: the bench
+// net's answer, the ECO net's answer and a copy of the ECO net split to
+// over three times its nodes with its own answer all read the same, and
+// so does the timing analyzer on the ECO net unbuffered and with a buffer
+// at every node. The answers are noise-clean, so no violation list grows.
+// An allocation per node or per buffer, such as a buffered-node set kept
+// in a map, fails this.
+func TestAnalyzeAllocBudget(t *testing.T) {
+	res, p := ecoNet(t)
+	tr, lib, bp := benchNet(t)
+	small, err := core.Optimize(context.Background(), core.Problem{
+		Tree: tr, Library: lib, Params: bp, Objective: core.MaxSlackNoise,
+	}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := res.Tree.Clone()
+	if _, err := segment.ByCount(large, 4); err != nil {
+		t.Fatal(err)
+	}
+	if large.Len() < 3*res.Tree.Len() {
+		t.Fatalf("witness net has %d nodes against %d", large.Len(), res.Tree.Len())
+	}
+	big, err := core.Optimize(context.Background(), core.Problem{
+		Tree: large, Library: buffers.DefaultLibrary(0.8), Params: p, Objective: core.MaxSlackNoise,
+	}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := map[rctree.NodeID]buffers.Buffer{}
+	for v := 0; v < res.Tree.Len(); v++ {
+		every[rctree.NodeID(v)] = buffers.DefaultLibrary(0.8).Buffers[0]
+	}
+	type answer struct {
+		name   string
+		tree   *rctree.Tree
+		assign map[rctree.NodeID]buffers.Buffer
+		params noise.Params
+	}
+	answers := []answer{
+		{"bench net answer", small.Tree, small.Buffers, bp},
+		{"eco net answer", res.Tree, res.Buffers, p},
+		{"split eco net answer", big.Tree, big.Buffers, p},
+	}
+	var first [2]float64
+	for i, a := range answers {
+		if !noise.Analyze(a.tree, a.assign, a.params).Clean() {
+			t.Fatalf("%s: not noise-clean", a.name)
+		}
+		got := [2]float64{
+			testing.AllocsPerRun(20, func() { elmore.Analyze(a.tree, a.assign) }),
+			testing.AllocsPerRun(20, func() { noise.Analyze(a.tree, a.assign, a.params) }),
+		}
+		t.Logf("%s (%d nodes, %d buffers): elmore %v, noise %v allocations", a.name, a.tree.Len(), len(a.assign), got[0], got[1])
+		if got[0] > analyzeAllocBudget || got[1] > analyzeAllocBudget {
+			t.Fatalf("%s: allocations %v, budget is %d", a.name, got, analyzeAllocBudget)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("%s: allocations %v, against %v on the %s", a.name, got, first, answers[0].name)
+		}
+	}
+	for _, assign := range []map[rctree.NodeID]buffers.Buffer{nil, every} {
+		if got := testing.AllocsPerRun(20, func() { elmore.Analyze(res.Tree, assign) }); got != first[0] {
+			t.Fatalf("elmore on the eco net under %d buffers allocates %v, against %v", len(assign), got, first[0])
 		}
 	}
 }

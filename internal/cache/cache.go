@@ -127,7 +127,15 @@ type Cache[V any] struct {
 	bytes   int64
 	stats   Stats
 
-	ns string // metric name prefix, "<namespace>.cache."
+	ns string      // metric name prefix, "<namespace>.cache."
+	m  metricNames // the hot paths' names, prefixed once
+}
+
+// metricNames are a cache's obs metric names, "<namespace>.cache.<what>",
+// built once in New so that counting allocates nothing.
+type metricNames struct {
+	lookups, hits, misses, coalesced, peeks   string
+	stored, rejected, evicted, entries, bytes string
 }
 
 // New builds a Cache from cfg.
@@ -142,6 +150,12 @@ func New[V any](cfg Config[V]) *Cache[V] {
 		byKey:   make(map[string]*list.Element),
 		flights: make(map[string]*flight[V]),
 		ns:      ns,
+		m: metricNames{
+			lookups: ns + "lookups", hits: ns + "hits", misses: ns + "misses",
+			coalesced: ns + "coalesced", peeks: ns + "peeks",
+			stored: ns + "stored", rejected: ns + "rejected", evicted: ns + "evicted",
+			entries: ns + "entries", bytes: ns + "bytes",
+		},
 	}
 }
 
@@ -159,15 +173,15 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Lookups++
-	obs.Inc(c.ns + "lookups")
+	obs.Inc(c.m.lookups)
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		c.stats.Hits++
-		obs.Inc(c.ns + "hits")
+		obs.Inc(c.m.hits)
 		return el.Value.(*entry[V]).val, true
 	}
 	c.stats.Misses++
-	obs.Inc(c.ns + "misses")
+	obs.Inc(c.m.misses)
 	var zero V
 	return zero, false
 }
@@ -186,7 +200,7 @@ func (c *Cache[V]) putLocked(key string, v V) {
 	sz := c.size(v)
 	if c.cfg.MaxBytes > 0 && sz > c.cfg.MaxBytes {
 		c.stats.Rejected++
-		obs.Inc(c.ns + "rejected")
+		obs.Inc(c.m.rejected)
 		c.drop(v)
 		return
 	}
@@ -197,7 +211,7 @@ func (c *Cache[V]) putLocked(key string, v V) {
 		c.bytes -= old.size
 		c.stats.Evicted++
 		c.stats.EvictedBytes += old.size
-		obs.Inc(c.ns + "evicted")
+		obs.Inc(c.m.evicted)
 		c.drop(old.val)
 		old.val, old.size = v, sz
 		c.bytes += sz
@@ -208,7 +222,7 @@ func (c *Cache[V]) putLocked(key string, v V) {
 	}
 	c.stats.Stored++
 	c.stats.StoredBytes += sz
-	obs.Inc(c.ns + "stored")
+	obs.Inc(c.m.stored)
 	for c.overLocked() {
 		c.evictOldestLocked()
 	}
@@ -233,7 +247,7 @@ func (c *Cache[V]) evictOldestLocked() {
 	c.bytes -= e.size
 	c.stats.Evicted++
 	c.stats.EvictedBytes += e.size
-	obs.Inc(c.ns + "evicted")
+	obs.Inc(c.m.evicted)
 	c.drop(e.val)
 }
 
@@ -245,8 +259,8 @@ func (c *Cache[V]) drop(v V) {
 }
 
 func (c *Cache[V]) publishGaugesLocked() {
-	obs.Set(c.ns+"entries", int64(c.ll.Len()))
-	obs.Set(c.ns+"bytes", c.bytes)
+	obs.Set(c.m.entries, int64(c.ll.Len()))
+	obs.Set(c.m.bytes, c.bytes)
 }
 
 // Filler computes a value on a miss. store reports whether the value may
@@ -281,14 +295,14 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 		c.mu.Lock()
 		if first {
 			c.stats.Lookups++
-			obs.Inc(c.ns + "lookups")
+			obs.Inc(c.m.lookups)
 		}
 		if el, ok := c.byKey[key]; ok {
 			c.ll.MoveToFront(el)
 			v := el.Value.(*entry[V]).val
 			if first {
 				c.stats.Hits++
-				obs.Inc(c.ns + "hits")
+				obs.Inc(c.m.hits)
 				c.mu.Unlock()
 				obs.Annotate(ctx, "cache", "hit")
 				return v, Outcome{Hit: true}, nil
@@ -297,14 +311,14 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 			// between wakeup and re-lock: it never ran fill, so the miss
 			// it recorded on first check resolves as coalesced.
 			c.stats.Coalesced++
-			obs.Inc(c.ns + "coalesced")
+			obs.Inc(c.m.coalesced)
 			c.mu.Unlock()
 			obs.Annotate(ctx, "cache", "coalesced")
 			return v, Outcome{Coalesced: true}, nil
 		}
 		if first {
 			c.stats.Misses++
-			obs.Inc(c.ns + "misses")
+			obs.Inc(c.m.misses)
 			first = false
 		}
 		if f, ok := c.flights[key]; ok {
@@ -318,7 +332,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill Filler[V]) (V, Outco
 			if f.err == nil {
 				c.mu.Lock()
 				c.stats.Coalesced++
-				obs.Inc(c.ns + "coalesced")
+				obs.Inc(c.m.coalesced)
 				c.mu.Unlock()
 				obs.Annotate(ctx, "cache", "coalesced")
 				return f.val, Outcome{Coalesced: true}, nil
@@ -386,7 +400,7 @@ func (c *Cache[V]) finishFlight(key string, f *flight[V], v V, store bool, err e
 func (c *Cache[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	obs.Inc(c.ns + "peeks")
+	obs.Inc(c.m.peeks)
 	if el, ok := c.byKey[key]; ok {
 		return el.Value.(*entry[V]).val, true
 	}

@@ -114,7 +114,8 @@ type Result struct {
 // MinBuffersNoise. MinBuffersNoise searches the count (minBuffers); the
 // other objectives answer with the best slack within the count bound.
 // Optimize, Delta and Solve's DP tiers all run through here, under a
-// span named span. Inputs are pre-validated.
+// span named span. The tree is pre-validated at its door (Optimize,
+// Solve, NewSession, Delta).
 //
 // The budget is reconciled against the caller's ctx (not the span's
 // child context) so callers keep their exact Budget object and its usage
@@ -228,20 +229,39 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 	return best, found
 }
 
-// finishVG materializes a chosen candidate into a Result with a private
-// tree copy, applying any chosen wire widths to the copy's parasitics so
-// the standard analyzers see exactly what the dynamic program computed.
+// finishVG materializes a chosen candidate into a Result. The answer's
+// Buffers and Widths maps are sized exactly from the solution. Its tree is
+// t itself when the run is a session's (vo.memo set) and chose no widths:
+// a session never writes a tree it has solved on, because every edit
+// batch edits a fresh copy, so the answer shares that snapshot. Otherwise
+// it is a private copy: a plain solve's t belongs to the caller (or is
+// the server's work tree, which a cached answer should not keep), and
+// chosen widths are applied to the copy's parasitics so the standard
+// analyzers see exactly what the dynamic program computed.
 func finishVG(t *rctree.Tree, lib *buffers.Library, c vgCand, vo vgOptions) (*Result, error) {
-	bufs, wis := collectSol(vo.tab, c)
-	assign := make(map[rctree.NodeID]buffers.Buffer, len(bufs))
-	for v, bi := range bufs {
-		assign[v] = lib.Buffers[bi]
+	picks := collectSol(vo.tab, c)
+	nb := 0
+	for _, p := range picks {
+		if p.kind > 0 {
+			nb++
+		}
 	}
-	widths := make(map[rctree.NodeID]float64, len(wis))
-	for v, wi := range wis {
-		widths[v] = vo.widths[wi]
+	assign := make(map[rctree.NodeID]buffers.Buffer, nb)
+	var widths map[rctree.NodeID]float64
+	if nw := len(picks) - nb; nw > 0 {
+		widths = make(map[rctree.NodeID]float64, nw)
 	}
-	work := t.Clone()
+	for _, p := range picks {
+		if p.kind > 0 {
+			assign[p.node] = lib.Buffers[p.kind-1]
+		} else {
+			widths[p.node] = vo.widths[-p.kind-1]
+		}
+	}
+	work := t
+	if vo.memo == nil || widths != nil {
+		work = t.Clone()
+	}
 	for v, wd := range widths {
 		node := work.Node(v)
 		w := node.Wire
@@ -257,9 +277,6 @@ func finishVG(t *rctree.Tree, lib *buffers.Library, c vgCand, vo vgOptions) (*Re
 			}}
 		}
 		node.Wire = w
-	}
-	if len(widths) == 0 {
-		widths = nil
 	}
 	sol := &Solution{Tree: work, Buffers: assign, Widths: widths}
 	return &Result{Solution: sol, Slack: c.q, Cost: c.cost}, nil

@@ -130,6 +130,10 @@ const (
 // relocation after a prune renumbering read them.
 type linkTab struct {
 	segs [maxVGWorkers]linkSeg
+	// picks and stack are collectSol's scratch, kept with the table so a
+	// pooled or session table reads answers out without allocating.
+	picks []solPick
+	stack []int32
 }
 
 func (t *linkTab) row(ref int32) *solRow {

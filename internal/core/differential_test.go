@@ -74,8 +74,8 @@ func candsEqual(a []vgCand, ta *linkTab, b []vgCand, tb *linkTab) error {
 		if x.nbuf != y.nbuf || x.cost != y.cost || x.pol != y.pol {
 			return fmt.Errorf("candidate %d counts differ: %+v vs %+v", i, x, y)
 		}
-		ax, wx := collectSol(ta, x)
-		ay, wy := collectSol(tb, y)
+		ax, wx := solMaps(ta, x)
+		ay, wy := solMaps(tb, y)
 		if !maps.Equal(ax, ay) {
 			return fmt.Errorf("candidate %d solutions differ: %v vs %v", i, ax, ay)
 		}
@@ -84,6 +84,24 @@ func candsEqual(a []vgCand, ta *linkTab, b []vgCand, tb *linkTab) error {
 		}
 	}
 	return nil
+}
+
+// solMaps is candidate c's solution as maps: the library index of the
+// buffer at each node and the width index of each sized wire. A nil tab
+// stands for an empty one.
+func solMaps(tab *linkTab, c vgCand) (bufs, widths map[rctree.NodeID]int) {
+	if tab == nil {
+		tab = &linkTab{}
+	}
+	bufs, widths = map[rctree.NodeID]int{}, map[rctree.NodeID]int{}
+	for _, p := range collectSol(tab, c) {
+		if p.kind > 0 {
+			bufs[p.node] = int(p.kind) - 1
+		} else {
+			widths[p.node] = int(-p.kind) - 1
+		}
+	}
+	return bufs, widths
 }
 
 func assignEqual(a, b map[rctree.NodeID]buffers.Buffer) error {

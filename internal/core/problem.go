@@ -85,10 +85,11 @@ type Problem struct {
 }
 
 // Validate checks the request's structure. All errors wrap
-// guard.ErrInvalidInput, so servers map them to 400, not 500. Electrical
-// validation (tree parasitics, noise params) stays at the Solve/netfmt
-// boundary; here only the shape of the request is checked, preserving the
-// solver's long-standing behavior exactly.
+// guard.ErrInvalidInput, so servers map them to 400, not 500. The tree
+// itself is checked at the doors (Optimize, Solve, NewSession run
+// Tree.Validate once each; a Delta checks what its edits touched) and the
+// noise parameters by the dynamic program; here only the shape of the
+// request is checked.
 func (p Problem) Validate() error {
 	if p.Tree == nil {
 		return fmt.Errorf("core: Problem.Tree is nil: %w", guard.ErrInvalidInput)
@@ -135,7 +136,14 @@ func Optimize(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return gate(ctx, func() (*Result, error) { return solveProblem(ctx, "optimize", p, opts) })
+	return gate(ctx, func() (*Result, error) {
+		// Inside run, so gate burns an injected slow fault first
+		// whatever the tree.
+		if err := p.Tree.Validate(); err != nil {
+			return nil, invalid(err)
+		}
+		return solveProblem(ctx, "optimize", p, opts)
+	})
 }
 
 // budgetFor reconciles the caller's context with the caller's budget.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"buffopt/internal/cache"
@@ -21,7 +20,9 @@ import (
 //
 // The session owns a private clone of the problem tree — callers can
 // never reach in and desynchronize the incremental subtree hashes from
-// the topology. The objective, library, and noise parameters are pinned
+// the topology. Every edit batch edits a fresh copy of it, so a tree the
+// session has solved on is never written again, and Delta answers share
+// it read-only. The objective, library, and noise parameters are pinned
 // at creation; the per-call Options (budget, safe pruning, sizing) may
 // vary freely between Delta calls, because they are part of the memo key
 // where they matter.
@@ -187,17 +188,24 @@ func ParseEditOp(s string) (EditOp, error) {
 
 // Edit is one step of an edit stream. Node addresses the session's
 // current tree (IDs as renumbered by any earlier prunes in the stream).
+// Delta retains nothing of an Edit: what it keeps, it copies in, so the
+// caller may reuse or overwrite an edit once Delta returns.
 type Edit struct {
 	Op    EditOp
 	Node  rctree.NodeID
 	Value float64      // EditSetCap, EditSetRAT
-	Wire  rctree.Wire  // EditSetWire, EditGraft
-	Sub   *rctree.Tree // EditGraft; never retained (deep-copied in)
+	Wire  rctree.Wire  // EditSetWire, EditGraft; Aggressors copied in
+	Sub   *rctree.Tree // EditGraft; deep-copied in
 }
 
 // applyEdit mutates t in place and returns the incrementally refreshed
-// hash slice. Errors wrap guard.ErrInvalidInput; the caller discards the
-// tree on error, so partial mutation is harmless.
+// hash slice. A value edit (set-cap, set-rat, set-wire) runs
+// rctree.CheckNode on the node it touched, exactly Validate's check of
+// that node, so a value-only batch keeps a valid tree valid without a
+// whole-tree Validate; a graft or prune leaves that to Delta. The edit
+// keeps nothing of the caller's: a set-wire's aggressor list is copied in,
+// as a graft's subtree is. Errors wrap guard.ErrInvalidInput; the caller
+// discards the tree on error, so partial mutation is harmless.
 func applyEdit(t *rctree.Tree, h []rctree.SubtreeHash, e Edit) ([]rctree.SubtreeHash, error) {
 	valid := e.Node >= 0 && int(e.Node) < t.Len()
 	switch e.Op {
@@ -205,13 +213,13 @@ func applyEdit(t *rctree.Tree, h []rctree.SubtreeHash, e Edit) ([]rctree.Subtree
 		if !valid || t.Node(e.Node).Kind != rctree.Sink {
 			return h, invalid(fmt.Errorf("core: %s target %d is not a sink", e.Op, e.Node))
 		}
-		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) || (e.Op == EditSetCap && e.Value < 0) {
-			return h, invalid(fmt.Errorf("core: %s value %g invalid", e.Op, e.Value))
-		}
 		if e.Op == EditSetCap {
 			t.Node(e.Node).Cap = e.Value
 		} else {
 			t.Node(e.Node).RAT = e.Value
+		}
+		if err := t.CheckNode(e.Node); err != nil {
+			return h, invalid(fmt.Errorf("core: %s value %g invalid: %w", e.Op, e.Value, err))
 		}
 		return t.RehashPath(h, e.Node), nil
 	case EditSetWire:
@@ -219,11 +227,11 @@ func applyEdit(t *rctree.Tree, h []rctree.SubtreeHash, e Edit) ([]rctree.Subtree
 			return h, invalid(fmt.Errorf("core: set-wire target %d has no parent wire", e.Node))
 		}
 		w := e.Wire
-		if w.R < 0 || w.C < 0 || w.Length < 0 ||
-			math.IsNaN(w.R+w.C+w.Length) || math.IsInf(w.R+w.C+w.Length, 0) {
-			return h, invalid(fmt.Errorf("core: set-wire parameters %+v invalid", w))
-		}
+		w.Aggressors = slices.Clone(w.Aggressors) // nil stays nil: it selects estimation mode
 		t.Node(e.Node).Wire = w
+		if err := t.CheckNode(e.Node); err != nil {
+			return h, invalid(fmt.Errorf("core: set-wire parameters %+v invalid: %w", e.Wire, err))
+		}
 		return t.RehashPath(h, e.Node), nil
 	case EditGraft:
 		if !valid {
@@ -287,9 +295,13 @@ type DeltaResult struct {
 // edit is invalid, the session is unchanged and the error wraps
 // guard.ErrInvalidInput. A solve failure (budget, cancellation) keeps
 // the applied edits — the session stays consistent and a later Delta
-// with an empty edit list retries the solve.
+// with an empty edit list retries the solve. Each set-cap, set-rat or
+// set-wire edit is checked where it lands (rctree.CheckNode on its
+// node); a batch with a graft or prune validates the whole tree.
 //
 // opts follows Optimize's contract, and the answer passes the same gate.
+// Its tree is the session's post-edit snapshot, shared and read-only,
+// unless sizing chose wire widths, which a private copy carries.
 func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaResult, error) {
 	if s == nil {
 		return nil, invalid(errors.New("core: Delta on a nil session"))
@@ -311,12 +323,17 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 				return nil, fmt.Errorf("core: delta edit %d (%s at node %d): %w", i, e.Op, e.Node, err)
 			}
 		}
-		if err := t.Validate(); err != nil {
-			return nil, invalid(fmt.Errorf("core: edit stream left an invalid tree: %w", err))
+		// Value edits checked the one node each touched; only a graft or
+		// prune changes what Validate's tree-wide checks cover.
+		reshaped := slices.ContainsFunc(edits, func(e Edit) bool { return e.Op == EditGraft || e.Op == EditPrune })
+		if reshaped {
+			if err := t.Validate(); err != nil {
+				return nil, invalid(fmt.Errorf("core: edit stream left an invalid tree: %w", err))
+			}
 		}
 		s.p.Tree, s.hashes = t, h
 		s.stats.Edits += int64(len(edits))
-		if s.topo != nil && slices.ContainsFunc(edits, func(e Edit) bool { return e.Op == EditGraft || e.Op == EditPrune }) {
+		if s.topo != nil && reshaped {
 			retireTopo(s.memo, &s.live)
 			s.topo = nil
 		}

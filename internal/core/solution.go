@@ -8,14 +8,17 @@ import (
 	"buffopt/internal/rctree"
 )
 
-// Solution is the output of every insertion algorithm: a tree (a private
-// copy of the input, possibly augmented with wire-split nodes where buffers
-// were placed mid-wire) and the buffer assignment on it. Feed Tree and
-// Buffers straight into elmore.Analyze and noise.Analyze.
+// Solution is the output of every insertion algorithm: a tree and the
+// buffer assignment on it. The tree is a private copy of the input
+// (possibly augmented with wire-split nodes where buffers were placed
+// mid-wire), except in a Delta answer that sized no wire, where it is the
+// session's tree snapshot itself. Feed Tree and Buffers straight into
+// elmore.Analyze and noise.Analyze.
 //
 // A Solution is read-only once the answer gate returns it: caches,
-// coalesced waiters, peers and snapshots all share the one value, so no
-// holder may write to Tree, Buffers or Widths. Clone the tree to edit it.
+// coalesced waiters, peers, snapshots and a session's later answers all
+// share what it holds, so no holder may write to Tree, Buffers or Widths.
+// Clone the tree to edit it.
 type Solution struct {
 	Tree    *rctree.Tree
 	Buffers map[rctree.NodeID]buffers.Buffer

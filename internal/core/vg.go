@@ -87,35 +87,39 @@ type vgCand struct {
 	via int32
 }
 
+// solPick is one decision of a solution: a buffer (kind > 0) or a width
+// (kind < 0) at node, in solRow's kinds.
+type solPick struct {
+	node rctree.NodeID
+	kind int16
+}
+
 // collectSol flattens candidate c's solution — its pending row, then
-// every row of tab its sol reaches — into the library index of the
-// buffer at each node and the width index of each sized wire.
-func collectSol(tab *linkTab, c vgCand) (bufs, widths map[rctree.NodeID]int) {
-	bufs = make(map[rctree.NodeID]int)
-	widths = make(map[rctree.NodeID]int)
-	decide := func(node rctree.NodeID, kind int16) {
-		switch {
-		case kind > 0:
-			bufs[node] = int(kind) - 1
-		case kind < 0:
-			widths[node] = int(-kind) - 1
-		}
+// every row of tab its sol reaches — into its decisions, in the table's
+// scratch slice, valid until the next collectSol on tab. The walk keeps
+// no visited set because no row is reached twice: a junction joins the
+// solutions of two disjoint subtrees, and a buffer or width row at node v
+// builds only on a solution of v's subtree, so the rows one solution
+// reaches form a tree (TestCollectSolReachesRowsOnce).
+func collectSol(tab *linkTab, c vgCand) []solPick {
+	picks, stack := tab.picks[:0], tab.stack[:0]
+	if c.kind != 0 {
+		picks = append(picks, solPick{c.node, c.kind})
 	}
-	decide(c.node, c.kind)
-	seen := map[int32]bool{}
-	stack := []int32{c.sol}
-	for len(stack) > 0 {
+	for stack = append(stack, c.sol); len(stack) > 0; {
 		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if ref == 0 || seen[ref] {
+		if ref == 0 {
 			continue
 		}
-		seen[ref] = true
 		r := tab.row(ref)
-		decide(r.node, r.kind)
+		if r.kind != 0 {
+			picks = append(picks, solPick{r.node, r.kind})
+		}
 		stack = append(stack, r.prev[0], r.prev[1])
 	}
-	return bufs, widths
+	tab.picks, tab.stack = picks, stack
+	return picks
 }
 
 // vgOptions configures one run of the dynamic program.
@@ -234,10 +238,11 @@ func (o vgOptions) wireVariant(w rctree.Wire, wd float64) (r, c float64) {
 // computation (computeNode) on the identical inputs, so their outputs are
 // bit-identical; the differential suite in differential_test.go enforces
 // exactly that.
+//
+// t must have passed Tree.Validate at its door (Optimize, Solve,
+// NewSession, or a Delta's edit checks); runVG checks only what the DP
+// itself needs: a binary tree, the library, the widths and the budget.
 func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, error) {
-	if err := t.Validate(); err != nil {
-		return nil, invalid(err)
-	}
 	if !t.IsBinary() {
 		return nil, invalid(fmt.Errorf("core: the dynamic program requires a binary tree; call Binarize first"))
 	}

@@ -51,7 +51,10 @@ type Result struct {
 }
 
 // Analyze runs a full timing analysis of tree t with the given buffer
-// assignment (nil for the unbuffered tree).
+// assignment (nil for the unbuffered tree). It walks one preorder twice:
+// reversed for the bottom-up loads (each node's children are summed in
+// order, as in any postorder), then forward for the arrival times. The
+// assignment is read only at buffered nodes, through a per-node table.
 func Analyze(t *rctree.Tree, assign Assignment) *Result {
 	defer obs.Timer("elmore.analyze")()
 	n := t.Len()
@@ -63,9 +66,12 @@ func Analyze(t *rctree.Tree, assign Assignment) *Result {
 		WorstSlack: math.Inf(1),
 		WorstSink:  rctree.None,
 	}
+	buffered := rctree.Marked(t, assign)
+	root := t.Root()
 
-	post := t.Postorder()
-	for _, v := range post {
+	pre := t.Preorder()
+	for i := len(pre) - 1; i >= 0; i-- {
+		v := pre[i]
 		node := t.Node(v)
 		drive := 0.0
 		if node.Kind == rctree.Sink {
@@ -75,28 +81,29 @@ func Analyze(t *rctree.Tree, assign Assignment) *Result {
 			drive += t.Node(c).Wire.C + r.Cap[c]
 		}
 		r.Drive[v] = drive
-		if b, ok := assign[v]; ok {
-			r.Cap[v] = b.Cin
+		if buffered[v] {
+			r.Cap[v] = assign[v].Cin
 		} else {
 			r.Cap[v] = drive
 		}
 	}
 
-	for _, v := range t.Preorder() {
+	for _, v := range pre {
 		node := t.Node(v)
-		if v == t.Root() {
+		if v == root {
 			r.Arrival[v] = 0
 		} else {
-			w := node.Wire
+			w := &node.Wire
 			u := node.Parent
 			// Arrival at v's input: the parent's output-side arrival plus
 			// the wire delay. The parent's output-side time is its stored
-			// input arrival plus its gate delay (driver at the root,
-			// buffer if one is assigned there, nothing otherwise).
+			// input arrival plus its gate delay (a buffer if one is
+			// assigned there, else the driver at the root, nothing
+			// otherwise).
 			parentOut := r.Arrival[u]
-			if b, ok := assign[u]; ok {
-				parentOut += b.Delay(r.Drive[u])
-			} else if u == t.Root() {
+			if buffered[u] {
+				parentOut += assign[u].Delay(r.Drive[u])
+			} else if u == root {
 				parentOut += t.DriverDelay + t.DriverResistance*r.Drive[u]
 			}
 			r.Arrival[v] = parentOut + w.R*(w.C/2+r.Cap[v])

@@ -117,6 +117,10 @@ func (r *Result) Clean() bool { return len(r.Violations) == 0 }
 
 // Analyze runs a full noise analysis of tree t with the given buffer
 // assignment (nil for the unbuffered tree) under estimation parameters p.
+// It walks one preorder twice: reversed for the bottom-up currents (each
+// node's children are summed in order, as in any postorder), then forward
+// for the noise. The assignment is read only at buffered nodes, through a
+// per-node table.
 func Analyze(t *rctree.Tree, assign Assignment, p Params) *Result {
 	defer obs.Timer("noise.analyze")()
 	n := t.Len()
@@ -125,15 +129,19 @@ func Analyze(t *rctree.Tree, assign Assignment, p Params) *Result {
 		Downstream:  make([]float64, n),
 		Noise:       make([]float64, n),
 	}
+	buffered := rctree.Marked(t, assign)
+	root := t.Root()
 
-	for _, v := range t.Postorder() {
+	pre := t.Preorder()
+	for i := len(pre) - 1; i >= 0; i-- {
+		v := pre[i]
 		node := t.Node(v)
-		if v != t.Root() {
+		if v != root {
 			r.WireCurrent[v] = p.WireCurrent(node.Wire)
 		}
 		sum := 0.0
 		for _, c := range node.Children {
-			if _, buffered := assign[c]; buffered {
+			if buffered[c] {
 				// The child's parent wire still injects upstream of the
 				// buffer input, but the buffer stops everything below it.
 				sum += r.WireCurrent[c]
@@ -147,19 +155,19 @@ func Analyze(t *rctree.Tree, assign Assignment, p Params) *Result {
 	// Top-down accumulation. out[v] is the noise at v's output side: zero
 	// right after any restoring stage, pass-through otherwise.
 	out := make([]float64, n)
-	for _, v := range t.Preorder() {
+	for _, v := range pre {
 		node := t.Node(v)
-		if v == t.Root() {
+		if v == root {
 			r.Noise[v] = 0
 			out[v] = t.DriverResistance * r.Downstream[v]
 		} else {
-			w := node.Wire
 			through := r.WireCurrent[v] / 2
-			if _, buffered := assign[v]; !buffered {
+			if !buffered[v] {
 				through += r.Downstream[v]
 			}
-			r.Noise[v] = out[node.Parent] + w.R*through
-			if b, buffered := assign[v]; buffered {
+			r.Noise[v] = out[node.Parent] + node.Wire.R*through
+			if buffered[v] {
+				b := assign[v]
 				if r.Noise[v] > b.NoiseMargin {
 					r.Violations = append(r.Violations, Violation{Node: v, Noise: r.Noise[v], Margin: b.NoiseMargin})
 				}
@@ -173,11 +181,7 @@ func Analyze(t *rctree.Tree, assign Assignment, p Params) *Result {
 				r.Violations = append(r.Violations, Violation{Node: v, Noise: r.Noise[v], Margin: node.NoiseMargin})
 			}
 		}
-		isInput := node.Kind == rctree.Sink
-		if _, buffered := assign[v]; buffered {
-			isInput = true
-		}
-		if isInput && r.Noise[v] > r.MaxNoise {
+		if (node.Kind == rctree.Sink || buffered[v]) && r.Noise[v] > r.MaxNoise {
 			r.MaxNoise = r.Noise[v]
 		}
 	}

@@ -5,13 +5,13 @@ import (
 	"fmt"
 )
 
-// Graft deep-copies the tree sub below parent, connected through wire w:
-// sub's source becomes an Internal node (a legal buffer site, like the
-// nodes SplitWire and InsertBelow create) and every descendant keeps its
-// kind and electricals. Grafted nodes receive fresh IDs in preorder of
-// sub, appended after the existing nodes, so existing IDs — and the memo
-// entries keyed under them — are untouched. Returns the grafted root's
-// new ID.
+// Graft deep-copies the tree sub below parent, connected through a copy
+// of wire w: sub's source becomes an Internal node (a legal buffer site,
+// like the nodes SplitWire and InsertBelow create) and every descendant
+// keeps its kind and electricals. Grafted nodes receive fresh IDs in
+// preorder of sub, appended after the existing nodes, so existing IDs —
+// and the memo entries keyed under them — are untouched. Returns the
+// grafted root's new ID.
 //
 // Graft preserves Validate-cleanliness of the host but not binariness:
 // callers feeding the dynamic program keep parent's child count ≤ 2
@@ -52,6 +52,9 @@ func (t *Tree) Graft(parent NodeID, sub *Tree, w Wire) (NodeID, error) {
 			n.BufferOK = true
 			n.Parent = parent
 			n.Wire = w
+			if w.Aggressors != nil {
+				n.Wire.Aggressors = append([]Coupling(nil), w.Aggressors...)
+			}
 		} else {
 			n.Parent = remap[n.Parent]
 		}

@@ -2,10 +2,14 @@ package rctree
 
 // Preorder returns all node IDs in a parent-before-children order, starting
 // at the root. The traversal is iterative, so arbitrarily deep trees (for
-// example, finely segmented two-pin nets) are safe.
+// example, finely segmented two-pin nets) are safe. The pending stack
+// (the unvisited right siblings along the current path) starts in a local
+// array, so while it stays under 64 entries the order is the walk's one
+// allocation.
 func (t *Tree) Preorder() []NodeID {
 	order := make([]NodeID, 0, len(t.nodes))
-	stack := []NodeID{t.Root()}
+	var local [64]NodeID
+	stack := append(local[:0], t.Root())
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -70,4 +74,18 @@ func (t *Tree) DownstreamSinks(v NodeID) []NodeID {
 		}
 	}
 	return sinks
+}
+
+// Marked returns a per-node table of t that is true at every node m has
+// a key for; keys naming no node of t are ignored. Per-node passes test
+// the table instead of hashing every node into m, and read m only where
+// it is true.
+func Marked[V any](t *Tree, m map[NodeID]V) []bool {
+	marks := make([]bool, len(t.nodes))
+	for v := range m {
+		if t.valid(v) {
+			marks[v] = true
+		}
+	}
+	return marks
 }
