@@ -25,13 +25,15 @@ loc:
 # cache on/off identity (TestSolveCache*: a hit and a coalesced waiter
 # serve the stored answer, byte for byte), the read-only answer doors
 # (*ReadOnly, TestDeltaEditNotRetained: no later solve, edit or caller
-# write changes an answer or a session's tree), and the Elmore and Devgan
+# write changes an answer or a session's tree), the Elmore and Devgan
 # analyzers against their reference forms, bit for bit
-# (TestAnalyzeMatchesReference). The tier-1 gate (scripts/check.sh) runs
-# these tests once in its full race pass; this target re-runs just them,
-# uncached.
+# (TestAnalyzeMatchesReference), and every reply of a replica and of the
+# router byte for byte the compacted form of the indented encoding it
+# replaced, sent with its length (*RepliesAreCompact). The tier-1 gate
+# (scripts/check.sh) runs these tests once in its full race pass; this
+# target re-runs just them, uncached.
 difftest:
-	go test -race -count=1 -run 'TestDifferential|TestDeltaDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache|ReadOnly|TestDeltaEditNotRetained|TestAnalyzeMatchesReference' ./internal/core ./internal/server ./internal/elmore ./internal/noise
+	go test -race -count=1 -run 'TestDifferential|TestDeltaDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache|ReadOnly|TestDeltaEditNotRetained|TestAnalyzeMatchesReference|RepliesAreCompact' ./internal/core ./internal/server ./internal/fleet ./internal/elmore ./internal/noise
 
 # Cross-engine equivalence gate: every core.EngineTable row (the default
 # configuration, serial and forced-parallel) against the reference row

@@ -421,11 +421,11 @@ func BenchmarkAnalyzeECO(b *testing.B) {
 	}
 }
 
-// analyzeAllocBudget caps each analyzer's allocations. Both measured 12,
+// analyzeAllocBudget caps each analyzer's allocations. Both measured 9,
 // with and without the race detector, on every answer below: the result
 // and its per-node slices, the buffered-node table, the preorder, and the
-// obs timer's span.
-const analyzeAllocBudget = 12
+// obs timer's handle and its End closure.
+const analyzeAllocBudget = 9
 
 // TestAnalyzeAllocBudget holds each analyzer to a fixed number of
 // allocations, whatever the tree's size or its buffer count: the bench
@@ -828,6 +828,49 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			reused += res.Reused
+			lookups += res.Lookups
+		}
+		b.StopTimer()
+		if lookups > 0 {
+			b.ReportMetric(float64(reused)/float64(lookups), "reuse_rate")
+		}
+	})
+
+	// delta-bounded is the server's session: its memo bounds (bufferd's
+	// defaults, 8192 entries / 16 MiB) and edits that rotate over every
+	// sink, edit k moving sink k mod n to (1 + 2e-6·(k+1)) times its
+	// starting cap. The memo is filled until it evicts before the timer
+	// starts, so every timed edit pays eviction and link-table compaction
+	// as a full eco_edit session does.
+	b.Run("delta-bounded", func(b *testing.B) {
+		s, err := core.NewSession(prob, core.SessionConfig{MemoEntries: 8192, MemoBytes: 16 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinks := tr.Sinks()
+		k := 0
+		edit := func() *core.DeltaResult {
+			v := sinks[k%len(sinks)]
+			res, err := core.Delta(context.Background(), s,
+				[]core.Edit{{Op: core.EditSetCap, Node: v, Value: tr.Node(v).Cap * (1 + 2e-6*float64(k+1))}}, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			k++
+			return res
+		}
+		for s.MemoStats().Evicted == 0 {
+			if k > 100_000 {
+				b.Fatal("the memo never filled")
+			}
+			edit()
+		}
+		var reused, lookups int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res := edit()
 			reused += res.Reused
 			lookups += res.Lookups
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"io"
 	"math"
 	"slices"
@@ -136,7 +135,7 @@ type memoRun struct {
 	table  *memoTable
 	hashes []rctree.SubtreeHash
 	topo   *memoTopo
-	suffix string
+	suffix [sha256.Size]byte
 	// tab is the session's link table and live its attributed rows
 	// (subtreeMemo.rows).
 	tab  *linkTab
@@ -161,10 +160,14 @@ func (m *memoRun) flush(sp *obs.SpanHandle) {
 	sp.SetAttr("memo", "on")
 }
 
-// key is the memo key for node v: the subtree's content hash plus the
-// options slice.
+// key is the memo key for node v: 64 raw bytes, the subtree's content
+// hash followed by the options-slice suffix, built on the stack and
+// converted once.
 func (m *memoRun) key(v rctree.NodeID) string {
-	return hex.EncodeToString(m.hashes[v][:]) + "/" + m.suffix
+	var k [len(rctree.SubtreeHash{}) + sha256.Size]byte
+	n := copy(k[:], m.hashes[v][:])
+	copy(k[n:], m.suffix[:])
+	return string(k[:])
 }
 
 // memoKeySuffix hashes the solve-relevant option slice and the buffer
@@ -175,7 +178,8 @@ func (m *memoRun) key(v rctree.NodeID) string {
 // post-prune lists by the differential gates, and the path is a function
 // of noise and safePruning, both keyed). maxBuffers is included because
 // the iterative deepening ladder genuinely changes list contents per cap.
-func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
+// It returns the raw digest.
+func memoKeySuffix(o vgOptions, lib *buffers.Library) (sum [sha256.Size]byte) {
 	h := sha256.New()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -217,7 +221,8 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 		bol(b.Inverting)
 		u64(uint64(int64(b.Weight)))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Sum(sum[:0])
+	return sum
 }
 
 // store memoizes node v's finished candidate list: a private plain copy

@@ -60,6 +60,49 @@ func TestMemoTopoWindows(t *testing.T) {
 	}
 }
 
+// TestMemoKeys: a key is the 64 raw bytes of a subtree hash and an
+// options suffix, and two keys are equal exactly when both parts are. A
+// sizing-widths change moves the suffix, so no key crosses between the
+// two option sets; no two different subtrees share a key under one.
+func TestMemoKeys(t *testing.T) {
+	_, lib, _ := diffCorpus(t, 1)
+	tr := balancedTree(t, 4) // one subtree hash per level
+	hashes := tr.SubtreeHashes()
+	o := vgOptions{noise: true}
+	plain := memoKeySuffix(o, lib)
+	o.widths = []float64{1, 2}
+	sized := memoKeySuffix(o, lib)
+	if plain == sized {
+		t.Fatal("a widths change leaves the suffix unchanged")
+	}
+	type part struct {
+		hash   rctree.SubtreeHash
+		suffix [32]byte
+	}
+	seen := map[string]part{}
+	for _, suffix := range [][32]byte{plain, sized} {
+		run := &memoRun{hashes: hashes, suffix: suffix}
+		for v := range tr.Len() {
+			k := run.key(rctree.NodeID(v))
+			if len(k) != 64 {
+				t.Fatalf("node %d: key of %d bytes", v, len(k))
+			}
+			p := part{hashes[v], suffix}
+			if q, ok := seen[k]; ok && q != p {
+				t.Fatalf("node %d: key shared by (%x, %x) and (%x, %x)", v, p.hash, p.suffix, q.hash, q.suffix)
+			}
+			seen[k] = p
+		}
+	}
+	distinct := map[part]bool{}
+	for _, p := range seen {
+		distinct[p] = true
+	}
+	if len(distinct) != len(seen) || len(seen) != 2*5 {
+		t.Fatalf("%d keys for %d (hash, suffix) pairs", len(seen), len(distinct))
+	}
+}
+
 // TestMemoStoreLoadFlatAllocs pins the memo's O(1) ids: storing or
 // loading the root's entry of a 4,095-node tree allocates exactly what a
 // sink's entry does, so neither copies nor walks the subtree.
@@ -118,7 +161,7 @@ func TestDeltaRetiresPreorder(t *testing.T) {
 	for _, e := range s.memo.Entries() {
 		for i := range old {
 			if &old[i] == &e.Val.ids[0] {
-				t.Fatalf("entry %s still holds a window of the retired preorder", e.Key)
+				t.Fatalf("entry %x still holds a window of the retired preorder", e.Key)
 			}
 		}
 	}

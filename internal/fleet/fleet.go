@@ -768,6 +768,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, res *attem
 		if res.retryAfter != "" {
 			w.Header().Set("Retry-After", res.retryAfter)
 		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 		w.WriteHeader(res.status)
 		w.Write(res.body)
 	}
@@ -921,11 +922,7 @@ func (rt *Router) fetchReplicaTrace(ctx context.Context, rep *replica, id obs.Tr
 }
 
 func writeRouterJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	server.WriteJSON(w, status, body, "fleet")
 }
 
 func writeRouterError(w http.ResponseWriter, status int, class, msg string, retryAfterS int64) {

@@ -49,13 +49,13 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 // spanAllocsEnabled/Disabled are the pinned per-span allocation budgets:
-// the metrics-only fast path pays exactly the handle plus the three
-// metric-name concatenations in finish (no dotted path, no context
-// value), and the disabled path pays nothing at all. A regression here
+// the metrics-only fast path pays exactly the handle (no dotted path, no
+// context value, and finish finds its metrics under the bare name), and
+// the disabled path pays nothing at all. A regression here
 // is a regression on every instrumented call site in the hot path, so
 // both the benchmarks and TestSpanAllocBudget assert them.
 const (
-	spanAllocsEnabled  = 4
+	spanAllocsEnabled  = 1
 	spanAllocsDisabled = 0
 )
 

@@ -182,6 +182,9 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// spans caches each span name's three metrics (spanMetrics), so a
+	// span's end neither builds their names nor looks each one up.
+	spans map[string]*spanMetrics
 }
 
 // NewRegistry returns an empty live registry.
@@ -190,6 +193,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		spans:    map[string]*spanMetrics{},
 	}
 }
 
@@ -253,6 +257,36 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// spanMetrics is what a span named name records into: the
+// <name>.duration_ns and <name>.count counters and the span.<name>
+// histogram.
+type spanMetrics struct {
+	dur, count *Counter
+	hist       *Histogram
+}
+
+// spanMetrics returns name's span metrics, creating them on first use.
+func (r *Registry) spanMetrics(name string) *spanMetrics {
+	r.mu.RLock()
+	m := r.spans[name]
+	r.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	m = &spanMetrics{
+		dur:   r.Counter(name + ".duration_ns"),
+		count: r.Counter(name + ".count"),
+		hist:  r.Histogram("span."+name, DurationBuckets),
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev := r.spans[name]; prev != nil {
+		return prev
+	}
+	r.spans[name] = m
+	return m
 }
 
 // Snapshot is a point-in-time copy of a registry, shaped for JSON export.

@@ -202,9 +202,10 @@ func (s *SpanHandle) finish(err error) {
 	}
 	d := time.Since(s.start)
 	if r := Default(); r != nil {
-		r.Counter(s.name + ".duration_ns").Add(d.Nanoseconds())
-		r.Counter(s.name + ".count").Add(1)
-		r.Histogram("span."+s.name, DurationBuckets).Observe(d.Nanoseconds())
+		m := r.spanMetrics(s.name)
+		m.dur.Add(d.Nanoseconds())
+		m.count.Add(1)
+		m.hist.Observe(d.Nanoseconds())
 	}
 	if s.col != nil {
 		errStr := ""

@@ -418,12 +418,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default().WriteJSON(w)
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteJSON sends body as a compact JSON reply with a trailing newline.
+// The body is marshalled whole before the status goes out, then written
+// in one call under its Content-Length, never as a chunked stream. A body
+// encoding/json refuses (a non-finite number) is answered 500 class
+// internal instead of an empty 200, and counted as <ns>.encode.failed:
+// ns is the answering layer, "server" for a replica, "fleet" for the
+// router.
+func WriteJSON(w http.ResponseWriter, status int, body any, ns string) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		obs.Inc(ns + ".encode.failed")
+		status = http.StatusInternalServerError
+		// An ErrorResponse holds only strings and integers: it encodes.
+		b, _ = json.Marshal(ErrorResponse{Error: ns + ": encode reply: " + err.Error(), Class: "internal", Status: status})
+	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	w.Write(b)
+}
+
+func writeJSON(w http.ResponseWriter, status int, body any) {
+	WriteJSON(w, status, body, "server")
 }
 
 func writeError(w http.ResponseWriter, status int, class, msg string, retryAfterS int64) {
