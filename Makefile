@@ -43,13 +43,14 @@ difftest:
 # property tests the Li–Shi walk's soundness proof rests on, and buffer
 # insertion's slot-major path (the delay-mode hull filter, the sorted
 # emission in both modes, slot ranges and the counting sort) differenced
-# against the full scan, and the sorted sweep (the fused merge-prune, the
-# whole chain-node step) against the sort-and-scan prune and the
-# reference override. The tier-1 gate runs the same tests in its full
-# race pass; this re-runs just them.
+# against the full scan, a noise-mode branch node's insertion (each pair
+# scored as it is formed) against the stored pair sums and the full scan,
+# and the sorted sweep (the fused merge-prune, the whole chain-node step)
+# against the sort-and-scan prune and the reference override. The tier-1
+# gate runs the same tests in its full race pass; this re-runs just them.
 enginetest:
 	GOFLAGS=-count=1 go test -race ./internal/core/enginetest
-	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty|TestInsertWinnersMatchFullScan|TestInsertHullEmitsSortedRun|TestMergePruneMatchesSortScan|TestChainStepMatchesReference' ./internal/core
+	GOFLAGS=-count=1 go test -race -run 'TestPrunedListsAreStrictFrontiers|TestMergeDifferentialProperty|TestInsertWinnersMatchFullScan|TestInsertPairsMatchesPairScan|TestInsertHullEmitsSortedRun|TestMergePruneMatchesSortScan|TestChainStepMatchesReference' ./internal/core
 
 # Decoder and solve-path fuzzing: the netfmt reader, then every bufferd
 # decode path (/solve, /solve/batch items, /solve/delta) under the same

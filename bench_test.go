@@ -421,11 +421,11 @@ func BenchmarkAnalyzeECO(b *testing.B) {
 	}
 }
 
-// analyzeAllocBudget caps each analyzer's allocations. Both measured 9,
+// analyzeAllocBudget caps each analyzer's allocations. Both measured 7,
 // with and without the race detector, on every answer below: the result
-// and its per-node slices, the buffered-node table, the preorder, and the
-// obs timer's handle and its End closure.
-const analyzeAllocBudget = 9
+// and its per-node slices, the buffered-node table and the preorder. The
+// obs timer allocates nothing.
+const analyzeAllocBudget = 7
 
 // TestAnalyzeAllocBudget holds each analyzer to a fixed number of
 // allocations, whatever the tree's size or its buffer count: the bench

@@ -160,7 +160,7 @@ func Transient(n *Netlist, opts TranOptions) (*TranResult, error) {
 	if err := opts.Budget.CheckSimSteps(steps); err != nil {
 		return nil, err
 	}
-	defer obs.Timer("circuit.transient")()
+	defer obs.Timer("circuit.transient").End()
 	obs.Add("circuit.transient.steps", int64(steps))
 	obs.ObserveSize("circuit.transient.matrix_dim", int64(m))
 	res := &TranResult{

@@ -251,7 +251,7 @@ func sameSlots(src []vgCand, countIndexed bool) error {
 	}
 	rs, gs := &nodeScratch{}, &nodeScratch{}
 	ranges := slots(rs, rs.slotRanges(src, countIndexed))
-	groups := slots(gs, gs.slotGroups(src, len(gs.index(src, countIndexed))))
+	groups := slots(gs, gs.slotGroups(src, gs.index(src, countIndexed)))
 	if !slices.EqualFunc(ranges, groups, slices.Equal) {
 		return fmt.Errorf("slot ranges %v, counting sort %v", ranges, groups)
 	}
@@ -348,7 +348,7 @@ func TestInsertHullEmitsSortedRun(t *testing.T) {
 			if opts.noise {
 				noiseFields(rng, src, lib, iter%4 == 3)
 			}
-			tail := sc.insertHull(nil, src, opts, sc.slotGroups(src, len(sc.index(src, opts.countIndexed))), false)
+			tail := sc.insertHull(nil, src, opts, sc.slotGroups(src, sc.index(src, opts.countIndexed)), false)
 			sc.srcs = sc.srcs[:0]
 			if runs := countRuns(tail, opts.countIndexed); runs > 1 {
 				t.Fatalf("%+v, iteration %d: %d winners arrive as %d runs", opts, iter, len(tail), runs)
@@ -421,11 +421,13 @@ func FuzzInsertWinners(f *testing.F) {
 }
 
 // BenchmarkInsertBuffers times Step 5 on a chain node's list (a pruned
-// staircase charged with its wire) and on a branch node's sources (the
-// Li–Shi walk's pairs in delay mode, the whole pair space in noise mode),
-// with the Section V library. The noise-ci mode is the Section V ladder's
-// configuration, count-indexed under noise constraints, on lists whose
-// currents spread the sources over several admission levels.
+// staircase charged with its wire) and on a branch node's sources: the
+// Li–Shi walk's pairs in delay mode, and in noise mode the whole pair
+// space, each pair formed and scored as insertPairs does (n counts the
+// pairs). The library is the Section V one. The noise-ci mode is the
+// Section V ladder's configuration, count-indexed under noise
+// constraints, on lists whose currents spread the sources over several
+// admission levels.
 func BenchmarkInsertBuffers(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	lib := buffers.DefaultLibrary(0.8)
@@ -450,25 +452,33 @@ func BenchmarkInsertBuffers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		branch := walk
-		if opts.noise {
-			if err := opts.scratch.pairSources(left, right, opts); err != nil {
-				b.Fatal(err)
+		sc := opts.scratch
+		npairs := crossSize(sc.groups[0], sc.groups[1], opts)
+		b.Run(fmt.Sprintf("%s/chain/n=%d", mode.name, len(chain)), func(b *testing.B) {
+			list := make([]vgCand, 0, len(chain)+4*len(lib.Buffers))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				insertBuffers(7, list, chain, opts, false)
+				sc.srcs = sc.srcs[:0]
 			}
-			branch = slices.Clone(opts.scratch.pairs)
+		})
+		n := len(walk)
+		if opts.noise {
+			n = npairs
 		}
-		for _, sh := range []struct {
-			name string
-			src  []vgCand
-		}{{"chain", chain}, {"branch", branch}} {
-			b.Run(fmt.Sprintf("%s/%s/n=%d", mode.name, sh.name, len(sh.src)), func(b *testing.B) {
-				list := make([]vgCand, 0, len(walk)+4*len(lib.Buffers))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					insertBuffers(7, list, sh.src, opts, false)
-					opts.scratch.srcs = opts.scratch.srcs[:0]
+		b.Run(fmt.Sprintf("%s/branch/n=%d", mode.name, n), func(b *testing.B) {
+			list := make([]vgCand, 0, len(walk)+4*len(lib.Buffers))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if opts.noise {
+					if _, err := sc.insertPairs(7, list, left, right, opts, npairs); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					insertBuffers(7, list, walk, opts, false)
 				}
-			})
-		}
+				sc.joins, sc.srcs = sc.joins[:0], sc.srcs[:0]
+			}
+		})
 	}
 }

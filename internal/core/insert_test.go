@@ -362,11 +362,16 @@ const insertAllocSlack = 0
 // source row is written, into the segment's capacity. (In a run, the
 // link pass sees the list after the prune, so only the winners the prune
 // keeps get a row.) Both groupings are held to it: the counting sort on
-// the list as built, the slot ranges on its candCmp-sorted copy.
+// the list as built, the slot ranges on its candCmp-sorted copy. So is a
+// noise-mode branch node's insertion, pair forming and the link pass of
+// both sides included.
 func TestInsertBuffersAllocBudget(t *testing.T) {
 	lib := buffers.DefaultLibrary(0.8)
 	for _, pr := range insertProfiles() {
 		t.Run(pr.name, func(t *testing.T) {
+			if pr.opts.noise {
+				t.Run("branch", func(t *testing.T) { branchAllocs(t, lib, pr.opts) })
+			}
 			for _, sorted := range []bool{false, true} {
 				t.Run(fmt.Sprintf("sorted=%v", sorted), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(200))
@@ -404,5 +409,55 @@ func TestInsertBuffersAllocBudget(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// branchAllocs holds a noise-mode branch node's insertion (insertPairs),
+// on two 60-candidate child lists, and the node's link pass to
+// insertAllocSlack with warm scratch and a warm table segment.
+func branchAllocs(t *testing.T, lib *buffers.Library, opts vgOptions) {
+	rng := rand.New(rand.NewSource(201))
+	left := candCmpSorted(randCandList(rng, 60, "l"), opts.countIndexed)
+	right := candCmpSorted(randCandList(rng, 60, "r"), opts.countIndexed)
+	for _, l := range [][]vgCand{left, right} {
+		for i := range l {
+			l[i].down *= 1e-3
+		}
+	}
+	opts.scratch, opts.ins = &nodeScratch{}, newInsLib(lib)
+	sc := opts.scratch
+	walk, err := lishiMerge(left, right, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npairs := crossSize(sc.groups[0], sc.groups[1], opts)
+	joins := slices.Clone(sc.joins) // the walk's pairs' junctions
+	step := func(list []vgCand) []vgCand {
+		list, err := sc.insertPairs(7, list, left, right, opts, npairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return list
+	}
+	probe := step(slices.Clone(walk))
+	winners := len(probe) - len(walk)
+	if winners < len(lib.Buffers) {
+		t.Fatalf("only %d winners over %d pairs for %d buffer types", winners, npairs, len(lib.Buffers))
+	}
+	sc.link(probe, left, right, &linkSeg{})
+	list := slices.Grow(slices.Clone(walk), winners)
+	seg := (&linkTab{}).seg(0)
+	got := testing.AllocsPerRun(100, func() {
+		list = append(list[:0], walk...)
+		seg.n = 0
+		sc.joins = append(sc.joins[:0], joins...)
+		sc.link(step(list), left, right, &seg)
+	})
+	if seg.n == 0 {
+		t.Fatal("the link pass wrote no row")
+	}
+	if got > insertAllocSlack {
+		t.Fatalf("insertPairs and link allocate %v per call for %d winners over %d pairs, budget is %d",
+			got, winners, npairs, insertAllocSlack)
 	}
 }

@@ -1,5 +1,12 @@
 package core
 
+import (
+	"math"
+	"slices"
+
+	"buffopt/internal/rctree"
+)
+
 // This file implements the Li–Shi fast multi-type branch merge
 // (PAPERS.md, arXiv:0710.4691): the O(L1·L2) cross product at every
 // branch node is replaced by an O(L1+L2) two-pointer walk over the
@@ -63,9 +70,10 @@ package core
 // can be the only pair whose merged noise slack admits some buffer type,
 // R_b·(I_a+I_b) ≤ min(NS_a, NS_b) — the Section IV-C observation that
 // motivates safe pruning. At a noise-mode buffer site mergeBranch
-// therefore hands insertion the whole pair space as flat sums
-// (pairSources), in mergeVG's order, and insertBuffers — the same scan,
-// the same acceptance rule — picks exactly the cross product's winners.
+// therefore has insertion read the whole pair space (insertPairs): every
+// pair of mergeVG, in its order, formed and scored against every type as
+// it is formed, under insertBuffers' acceptance rule, so it picks exactly
+// the cross product's winners while storing no pair that does not win.
 // prune(walk ∪ winners) then equals prune(cross ∪ winners) with links:
 // every pair off the walk is strictly load-beaten within its own group,
 // so it survives neither prune, and a pair survivor of the cross prune is
@@ -79,8 +87,9 @@ package core
 // the test couples the sides through I_a + I_b against the smaller of
 // the two noise slacks — so no walk over per-side filtered frontiers
 // enumerates them. The scan costs O(b·L1·L2) comparisons, as insertion on
-// the cross product did, but makes no junction, arena list or sort per
-// pair.
+// the cross product did, but writes nothing per pair: no pair sum, no
+// junction, no arena list, no sort. A pair the count cap leaves no room
+// for any type is not scored at all.
 //
 // The walk beats the cross product even at b = 1 (BENCH_2026-08-08-1).
 // The classic merge stays as safe pruning's merge and as the reference
@@ -189,7 +198,7 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 // mergeable reports whether candidates of parities pa, pb and costs ca,
 // cb form a pair every merge keeps: the same parity, and within the
 // count bound when there is one.
-func (o vgOptions) mergeable(pa, pb uint8, ca, cb int) bool {
+func (o *vgOptions) mergeable(pa, pb uint8, ca, cb int) bool {
 	return pa == pb && !(o.countIndexed && o.maxBuffers > 0 && ca+cb > o.maxBuffers)
 }
 
@@ -207,30 +216,122 @@ func crossSize(lg, rg []candGroup, opts vgOptions) int {
 	return n
 }
 
-// pairSources fills the scratch's pair sums with the pairs of left and
-// right that mergeVG would emit, in its order — left outer, the right
-// list's mergeable groups inner — each summed by pairSum and recorded as
-// a pending junction. It reads the right list's groups that lishiMerge
-// left in the scratch, and consults the budget's context as the pairs
-// are written (the cap has been charged their number already).
-func (sc *nodeScratch) pairSources(left, right []vgCand, opts vgOptions) error {
-	sc.pairs = sc.pairs[:0]
+// insertPairs is buffer insertion at a noise-mode branch node: it
+// appends to list, as insertBuffers does, the winners over every pair of
+// left and right that mergeVG would emit. Each pair is formed as pairSum
+// forms it, in mergeVG's order — left outer, the right list's mergeable
+// groups inner — and scored against every buffer type at once
+// (insLib.offer), so each (slot, type) keeps the winner a scan of the
+// stored pair sums would pick; only winners become candidates, and the
+// winners of one pair share its pending junction. It reads both lists'
+// groups that lishiMerge left in the scratch; npairs is their cross
+// size, already charged to the candidate cap. The budget's context is
+// consulted as the pairs are formed.
+func (sc *nodeScratch) insertPairs(v rctree.NodeID, list, left, right []vgCand, opts vgOptions, npairs int) ([]vgCand, error) {
+	in := opts.ins
+	nt := len(in.types)
+	lg, rg := sc.groups[0], sc.groups[1]
+	nslot := sc.pairSlots(opts, npairs)
+	sc.winTable(nslot, nt)
+	for _, s := range sc.groupSlot {
+		if s >= 0 {
+			sc.fill(s, nt)
+		}
+	}
 	pacer := opts.budget.Pacer(4096)
-	for i := range left {
-		a := &left[i]
-		for _, gb := range sc.groups[1] {
-			if !opts.mergeable(a.pol, gb.pol, a.cost, gb.cost) {
-				continue
-			}
-			for j := gb.lo; j < gb.hi; j++ {
-				if err := pacer.Tick(); err != nil {
-					return err
+	for gi := range lg {
+		slots := sc.groupSlot[gi*len(rg) : (gi+1)*len(rg)]
+		for i := lg[gi].lo; i < lg[gi].hi; i++ {
+			a := &left[i]
+			for gj, s := range slots {
+				if s < 0 {
+					continue
 				}
-				p := pairSum(a, &right[j])
-				p.via = sc.join(i, j)
-				sc.pairs = append(sc.pairs, p)
+				gb := &rg[gj]
+				if opts.room(a.cost+gb.cost) < in.minCost {
+					// Count-indexed, the group pair's pairs share one cost,
+					// and the count cap leaves it room for no type.
+					for range gb.hi - gb.lo {
+						if err := pacer.Tick(); err != nil {
+							return list, err
+						}
+					}
+					continue
+				}
+				row := sc.wins[s*nt : (s+1)*nt]
+				for j := gb.lo; j < gb.hi; j++ {
+					if err := pacer.Tick(); err != nil {
+						return list, err
+					}
+					// The pair's values, as pairSum forms them.
+					b := &right[j]
+					cost := a.cost + b.cost
+					in.offer(row, a.load+b.load, minf(a.q, b.q), a.down+b.down, minf(a.ns, b.ns),
+						cost, a.nbuf+b.nbuf, int32(i), int32(j), true, opts.room(cost))
+				}
 			}
 		}
 	}
-	return nil
+	sc.at = v
+	n := len(list)
+	return sc.sortWins(sc.emitWins(list, nil, in, nslot, opts.byCin()), n, &opts), nil
+}
+
+// pairSlots numbers the slots of the pairs the lists' groups form, as
+// index numbers a list's: 2·(the rank of the pair's cost, 0 when the run
+// is not count-indexed) + parity. A group holds one parity, and one cost
+// when count-indexed, so every pair of a (left group, right group) pair
+// shares a slot: sc.groupSlot holds it, or -1 where the groups do not
+// merge. The rank is dense over the pair costs' range unless that spans
+// more than denseCostSpan(npairs), and then the rank among the distinct
+// pair costs. It returns the slot count.
+func (sc *nodeScratch) pairSlots(opts vgOptions, npairs int) int {
+	lg, rg := sc.groups[0], sc.groups[1]
+	sc.groupSlot = slices.Grow(sc.groupSlot[:0], len(lg)*len(rg))[:len(lg)*len(rg)]
+	lo, hi := math.MaxInt, math.MinInt
+	for gi := range lg {
+		for gj := range rg {
+			sc.groupSlot[gi*len(rg)+gj] = -1
+			if ga, gb := &lg[gi], &rg[gj]; opts.mergeable(ga.pol, gb.pol, ga.cost, gb.cost) {
+				sc.groupSlot[gi*len(rg)+gj] = 0
+				lo, hi = min(lo, ga.cost+gb.cost), max(hi, ga.cost+gb.cost)
+			}
+		}
+	}
+	ranks, dense := 1, true
+	switch {
+	case !opts.countIndexed || lo > hi:
+	case hi-lo >= 0 && hi-lo < denseCostSpan(npairs):
+		ranks = hi - lo + 1
+	default:
+		sc.costs = sc.costs[:0]
+		for gi := range lg {
+			for gj := range rg {
+				if sc.groupSlot[gi*len(rg)+gj] == 0 {
+					sc.costs = append(sc.costs, lg[gi].cost+rg[gj].cost)
+				}
+			}
+		}
+		slices.Sort(sc.costs)
+		sc.costs = slices.Compact(sc.costs)
+		ranks, dense = len(sc.costs), false
+	}
+	for gi := range lg {
+		for gj := range rg {
+			slot := &sc.groupSlot[gi*len(rg)+gj]
+			if *slot < 0 {
+				continue
+			}
+			r, c := 0, lg[gi].cost+rg[gj].cost
+			switch {
+			case !opts.countIndexed:
+			case dense:
+				r = c - lo
+			default:
+				r, _ = slices.BinarySearch(sc.costs, c)
+			}
+			*slot = 2*r + int(lg[gi].pol)
+		}
+	}
+	return 2 * ranks
 }

@@ -491,10 +491,11 @@ func BenchmarkPruneVG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := opts.scratch.pairSources(left, right, opts); err != nil {
+	pairs, err := pairSources(opts.scratch, left, right, opts)
+	if err != nil {
 		b.Fatal(err)
 	}
-	walk = insertBuffers(7, walk, opts.scratch.pairs, opts, false)
+	walk = insertBuffers(7, walk, pairs, opts, false)
 	cross, err := mergeVG(left, right, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -177,8 +177,8 @@ type vgOptions struct {
 // frontier walk (lishi.go) rather than the classic cross product: in
 // every configuration but 4-D safe pruning, whose dominance the 2-D walk
 // cannot preserve, and the reference override. Under noise constraints
-// the walk's pairs are what the node prunes, and buffer insertion reads
-// the whole pair space from flat pair sums instead (mergeBranch). The
+// the walk's pairs are what the node prunes, and buffer insertion scores
+// the whole pair space instead (mergeBranch, insertPairs). The
 // same runs take the node step's sorted sweep (insertAndPrune,
 // mergePrune).
 func (o vgOptions) walkOK() bool {
@@ -579,11 +579,12 @@ func insertAndPrune(v rctree.NodeID, list []vgCand, inserting bool, opts vgOptio
 // delay-only run inserts buffers on the walk's pairs as well. Under
 // noise constraints it cannot: a pair the walk skips can be the only one
 // whose merged noise slack admits some buffer type. There insertion
-// reads the whole pair space instead — flat pair sums in the scratch
-// (pairSources), scanned in mergeVG's order under insertBuffers' rule, so
-// the winners are the cross product's. Either way every pair is a
-// pending junction, made by the link pass only for a pair the prune keeps
-// or a kept winner builds on.
+// reads the whole pair space instead (insertPairs): each pair is formed
+// in mergeVG's order and scored against every buffer type as it is
+// formed, under insertBuffers' rule, so the winners are the cross
+// product's; no pair sum is stored. Either way a pair the prune keeps,
+// or a kept winner builds on, is a pending junction, which the link pass
+// makes.
 func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgOptions) ([]vgCand, error) {
 	if !opts.walkOK() {
 		list, err := mergeVG(left, right, opts)
@@ -602,33 +603,36 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgO
 	// The candidate cap is charged the cross product's size, as if it had
 	// been built, so the same nets trip the same caps on every merge path.
 	sc := opts.scratch
-	if err := opts.budget.CheckCandidates(crossSize(sc.groups[0], sc.groups[1], opts)); err != nil {
+	npairs := crossSize(sc.groups[0], sc.groups[1], opts)
+	if err := opts.budget.CheckCandidates(npairs); err != nil {
 		return list, err
 	}
 	if !inserting {
 		return pruneVG(list, opts)
 	}
-	if err := sc.pairSources(left, right, opts); err != nil {
+	if list, err = sc.insertPairs(v, list, left, right, opts, npairs); err != nil {
 		return list, err
 	}
-	list = insertBuffers(v, list, sc.pairs, opts, false)
 	return pruneVG(list, opts)
 }
 
 // insertBuffers appends to list the buffered candidates of Step 5 that
 // the sources src drive — a chain node's own list (src is list), or a
-// noise-mode branch node's pair sums (pairSources): for each buffer type
-// (and, in count-indexed mode, each resulting buffer count and each
-// parity) the source producing the largest post-buffer slack, subject to
-// the noise constraint R_b·I ≤ NS when noise is enforced — the boldface
-// modification of Fig. 11, Step 5. It is the DP's one winner rule.
+// delay-only branch node's walk pairs: for each buffer type (and, in
+// count-indexed mode, each resulting buffer count and each parity) the
+// source producing the largest post-buffer slack, subject to the noise
+// constraint R_b·I ≤ NS when noise is enforced — the boldface
+// modification of Fig. 11, Step 5. A noise-mode branch node scores its
+// pairs as it forms them instead (insertPairs), under the same rule, into
+// the same winner table, emitted the same way.
 //
-// A slot is one (cost rank, output parity); a slot's best holds the
-// winning source's index and its post-buffer slack, so the scan touches
-// no map and allocates nothing. Acceptance is value-canonical (displaces):
-// strictly greater slack wins, and on an exact tie the cheaper, then
-// smaller, solution; only a full-value tie keeps the source scanned
-// first, so a scan of the pair sums in mergeVG's order picks what the
+// A slot is one (cost rank, parity) of the sources; the winner table
+// holds one entry per (slot, buffer type): the winning source, its
+// post-buffer slack and its solution's cost and buffer count, so the scan
+// touches no map and allocates nothing. Acceptance is value-canonical
+// (insWin.beaten): strictly greater slack wins, and on an exact tie the
+// cheaper, then smaller, solution; only a full-value tie keeps the source
+// scanned first, so a scan of the pairs in mergeVG's order picks what the
 // cross product would. The appended tail is sorted by candCmp, stably —
 // the prune's own order and run merge — so it is one run, and a sorted
 // chain node's prune is the fused merge-prune of its list and that run
@@ -642,14 +646,15 @@ func mergeBranch(v rctree.NodeID, left, right []vgCand, inserting bool, opts vgO
 // to the link table here: most winners are dominated at once.
 //
 // Every run but the reference takes insertHull: the sources grouped by
-// slot, and the winners emitted already in candCmp order when they can
-// be, so the sort is one linear check. When sorted says src is in candCmp
-// order, with no NaN (twoRuns), each slot is a contiguous range of it
-// (slotRanges); otherwise a counting sort groups it (slotGroups). A
-// delay-only run first narrows each slot to the sources that can win for
-// some buffer type (hullKeep); a noise-mode run scans its slots whole.
-// The reference override scans every source type by type (insertScan),
-// so the enginetest differential compares the two.
+// slot, each slot's sources scored once against every type, and the
+// winners emitted already in candCmp order when they can be, so the sort
+// is one linear check. When sorted says src is in candCmp order, with no
+// NaN (twoRuns), each slot is a contiguous range of it (slotRanges);
+// otherwise a counting sort groups it (slotGroups). A delay-only run
+// first narrows each slot to the sources that can win for some buffer
+// type (hullKeep); a noise-mode run scans its slots whole. The reference
+// override scans every source type by type (insertScan), so the
+// enginetest differential compares the two.
 func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions, sorted bool) []vgCand {
 	sc := opts.scratch
 	n := len(list)
@@ -659,15 +664,21 @@ func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions, sorted b
 	aliased := n > 0 && len(src) == n && &src[0] == &list[0]
 	switch {
 	case opts.dp.classicMerge:
-		list = sc.insertScan(list, src, opts.ins.lib, opts, sc.index(src, opts.countIndexed))
+		list = sc.insertScan(list, src, opts, sc.index(src, opts.countIndexed))
 	case sorted:
 		list = sc.insertHull(list, src, opts, sc.slotRanges(src, opts.countIndexed), true)
 	default:
-		list = sc.insertHull(list, src, opts, sc.slotGroups(src, len(sc.index(src, opts.countIndexed))), false)
+		list = sc.insertHull(list, src, opts, sc.slotGroups(src, sc.index(src, opts.countIndexed)), false)
 	}
 	if aliased && &list[0] != &src[0] {
 		copy(list, src)
 	}
+	return sc.sortWins(list, n, &opts)
+}
+
+// sortWins sorts the winners insertion appended to list past n into one
+// candCmp run and counts them as generated.
+func (sc *nodeScratch) sortWins(list []vgCand, n int, opts *vgOptions) []vgCand {
 	sc.sortCands(list[n:], opts.countIndexed)
 	if opts.stats != nil {
 		opts.stats.generated += int64(len(list) - n)
@@ -676,15 +687,18 @@ func insertBuffers(v rctree.NodeID, list, src []vgCand, opts vgOptions, sorted b
 }
 
 // insertScan is the reference override's insertion: every source against
-// every buffer type, the slot table reset for each type, the winners
-// appended in (buffer index, slot) order.
-func (sc *nodeScratch) insertScan(list, src []vgCand, lib *buffers.Library, opts vgOptions, slots []insSlot) []vgCand {
-	for bi, b := range lib.Buffers {
+// every buffer type, type by type, with the type's arithmetic taken from
+// the library itself, and the winners appended in (buffer index, slot)
+// order.
+func (sc *nodeScratch) insertScan(list, src []vgCand, opts vgOptions, nslot int) []vgCand {
+	in := opts.ins
+	nt := len(in.types)
+	sc.winTable(nslot, nt)
+	for i := range src {
+		sc.fill(sc.slotOf[i], nt)
+	}
+	for bi, b := range in.lib.Buffers {
 		bc := b.Cost()
-		inv := inversion(&b)
-		for i := range slots {
-			slots[i].src = -1
-		}
 		for i := range src {
 			c := &src[i]
 			if opts.noise && b.R*c.down > c.ns {
@@ -694,105 +708,194 @@ func (sc *nodeScratch) insertScan(list, src []vgCand, lib *buffers.Library, opts
 				continue
 			}
 			q := c.q - b.Delay(c.load)
-			s := &slots[sc.slotOf[i]^int(inv)]
-			if s.src < 0 || displaces(c, &src[s.src], q, s.q) {
-				s.src, s.q = i, q
-			}
-		}
-		for _, s := range slots {
-			if s.src >= 0 {
-				list = sc.appendWin(list, src, bi, &b, s)
-			}
+			sc.wins[sc.slotOf[i]*nt+bi].offer(q, c.cost, c.nbuf, int32(i), 0)
 		}
 	}
-	return list
+	return sc.emitWins(list, src, in, nslot, false)
 }
 
-// displaces is the winner rule: source c, whose post-buffer slack is q,
-// takes the slot from its current winner w, at slack wq, on strictly
+// insWin is one entry of insertion's winner table, for one (source slot,
+// buffer type): the winning source, its post-buffer slack q, and the cost
+// and buffer count of the source's solution, which the winner rule
+// compares on a slack tie. src is the source's index in its list — for a
+// branch pair, the left candidate's, with r the right's — or -1 while the
+// entry is empty; via is a pair's pending junction once it is made.
+type insWin struct {
+	q          float64
+	cost, nbuf int
+	src, r     int32
+	via        int32
+}
+
+// beaten is the winner rule: a source at post-buffer slack q, whose
+// solution has cost and nbuf, takes entry w when w is empty, on strictly
 // greater slack, and on an exact tie when cheaper, then smaller. A
 // full-value tie keeps w, the source scanned first.
-func displaces(c, w *vgCand, q, wq float64) bool {
-	if q != wq {
-		return q > wq
+func (w *insWin) beaten(q float64, cost, nbuf int) bool {
+	if w.src < 0 {
+		return true
 	}
-	return c.cost < w.cost || (c.cost == w.cost && c.nbuf < w.nbuf)
+	if q != w.q {
+		return q > w.q
+	}
+	return cost < w.cost || cost == w.cost && nbuf < w.nbuf
 }
 
-// appendWin appends the winner s of buffer type b (library index bi) to
-// list, with b at the insertion's node as its pending row.
-func (sc *nodeScratch) appendWin(list, src []vgCand, bi int, b *buffers.Buffer, s insSlot) []vgCand {
-	c := &src[s.src]
-	sc.share(c)
-	w := vgCand{
-		load: b.Cin,
-		q:    s.q,
-		down: 0,
-		ns:   b.NoiseMargin,
-		nbuf: c.nbuf + 1,
-		cost: c.cost + b.Cost(),
-		pol:  c.pol ^ inversion(b),
-		kind: bufKind(bi),
-		node: sc.at,
-		sol:  c.sol,
-		via:  c.via,
-	}
-	return append(list, w)
+// winTable sizes the winner table for nslot rows of nt entries, one row
+// per slot, and clears the slots' filled flags. A row is reset (fill)
+// only when its slot is first offered a source, and emission reads only
+// the rows of filled slots.
+func (sc *nodeScratch) winTable(nslot, nt int) {
+	sc.nt = nt
+	sc.wins = slices.Grow(sc.wins[:0], nslot*nt)[:nslot*nt]
+	sc.filled = slices.Grow(sc.filled[:0], nslot)[:nslot]
+	clear(sc.filled)
 }
 
-// insertHull is insertBuffers' path in every run but the reference. It
-// takes the sources grouped by slot — nslot slots, slot s's sources
-// sc.bySlot[sc.slotAt[s-1]:sc.slotAt[s]] in src order, from slotRanges
-// when src is sorted and slotGroups otherwise — and in a delay-only run
-// first narrows each slot to the sources hullKeep cannot rule out; then it
-// scans each slot's remaining sources under the same winner rule (bestIn).
-// Every source the filter drops has, for every buffer type, another source
-// in its slot with strictly greater post-buffer slack as computed, so the
-// dropped sources hold none of a type's maxima and the winners are the
-// full scan's. A noise-mode run scans its slots whole, testing each
-// source against each type's R·I ≤ NS: every type admits its own subset,
-// and no exact filter for that case measured cheaper than the scan it
-// saves (DESIGN §16).
-//
-// When the run is not count-indexed, or every buffer costs the same, the
-// winners are emitted slot by slot — each slot's output (cost,) parity
-// ascending — and within a slot by ascending Cin, then library index: the
-// candCmp order of the tail whenever the Cin are distinct. Candidates
-// equal under candCmp still arrive in library order, as from the full
-// scan, so the stable sort after this leaves the same list. Otherwise —
-// and when a winner's slack is NaN — the emission is the full scan's
-// (buffer index, slot) order.
-func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int, sorted bool) []vgCand {
-	in := opts.ins
-	at, by := sc.slotAt, sc.bySlot
-	filter := in.filter && !opts.noise
-	if filter {
-		sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
-		clear(sc.gone)
-		sc.keep = slices.Grow(sc.keep[:0], len(src))
-	}
-	sc.kept = slices.Grow(sc.kept[:0], nslot)[:nslot]
-	lo := 0
-	for s := range nslot {
-		group := by[lo:at[s]]
-		if filter {
-			group = sc.hullKeep(src, group, in.hb, sorted)
+// fill marks slot s filled and returns its row of the winner table, every
+// entry empty the first time. An empty entry's slack is −∞, so any
+// greater slack takes it at once.
+func (sc *nodeScratch) fill(s, nt int) []insWin {
+	row := sc.wins[s*nt : (s+1)*nt]
+	if !sc.filled[s] {
+		sc.filled[s] = true
+		for i := range row {
+			row[i] = insWin{q: math.Inf(-1), src: -1}
 		}
-		sc.kept[s] = group
-		lo = at[s]
 	}
+	return row
+}
 
-	// A count-indexed slot holds one cost, so the count cap skips all of
-	// it or none.
-	capped := opts.countIndexed && opts.maxBuffers > 0
-	if !opts.countIndexed || in.sameCost {
+// offer scores a source, named src (and r, for a branch pair), with load
+// C, slack q, current I and noise slack NS, whose solution has cost and
+// nbuf, against every buffer type: row is the winner table's row of the
+// source's slot, one entry per type in library order. A type is skipped
+// where inserting it would violate downstream noise, R·I > NS, when noise
+// is enforced, and where its cost exceeds room, what the count cap leaves
+// the source.
+func (in *insLib) offer(row []insWin, load, q, down, ns float64, cost, nbuf int, src, r int32, noise bool, room int) {
+	row = row[:len(in.types)]
+	capped := room < in.maxCost
+	if !noise {
+		for i := range in.byR {
+			if t := &in.byR[i]; !capped || t.cost <= room {
+				row[t.k].offer(q-(t.t+t.r*load), cost, nbuf, src, r)
+			}
+		}
+		return
+	}
+	// The types go by ascending R. With I ≥ 0, R·I rounds monotonically
+	// in R, so once a type fails the noise test every later one does.
+	stop := down >= 0
+	for i := range in.byR {
+		t := &in.byR[i]
+		if t.r*down > ns {
+			if stop {
+				return
+			}
+			continue
+		}
+		if !capped || t.cost <= room {
+			row[t.k].offer(q-(t.t+t.r*load), cost, nbuf, src, r)
+		}
+	}
+}
+
+// offer gives entry w to a source at post-buffer slack q if the winner
+// rule says it takes it (beaten); an empty entry's −∞ slack lets the
+// common case decide on one comparison.
+func (w *insWin) offer(q float64, cost, nbuf int, src, r int32) {
+	if q > w.q || !(q < w.q) && w.beaten(q, cost, nbuf) {
+		w.q, w.cost, w.nbuf, w.src, w.r = q, cost, nbuf, src, r
+	}
+}
+
+// room is what the count cap leaves a buffer's cost over a source of
+// the given cost: without a cap, any cost.
+func (o *vgOptions) room(cost int) int {
+	if o.countIndexed && o.maxBuffers > 0 {
+		return o.maxBuffers - cost
+	}
+	return math.MaxInt
+}
+
+// winner returns type t's winner for output slot o, or nil: the entry in
+// row o, or o^1 for an inverting type, when that slot is filled.
+func (sc *nodeScratch) winner(o int, t *insType) *insWin {
+	s := o ^ int(t.inv)
+	if !sc.filled[s] {
+		return nil
+	}
+	if w := &sc.wins[s*sc.nt+t.k]; w.src >= 0 {
+		return w
+	}
+	return nil
+}
+
+// appendWin appends w, type t's winner for output slot o, with the
+// buffer at the insertion's node as its pending row, built on its source
+// in src or, when src is nil, on its branch pair's pending junction.
+func (sc *nodeScratch) appendWin(list, src []vgCand, o int, t *insType, w *insWin) []vgCand {
+	nc := vgCand{
+		load: t.cin,
+		q:    w.q,
+		down: 0,
+		ns:   t.nm,
+		nbuf: w.nbuf + 1,
+		cost: w.cost + t.cost,
+		pol:  uint8(o & 1),
+		kind: bufKind(t.k),
+		node: sc.at,
+	}
+	if src != nil {
+		c := &src[w.src]
+		sc.share(c)
+		nc.sol, nc.via = c.sol, c.via
+	} else {
+		s := o ^ int(t.inv)
+		nc.via = sc.pairVia(sc.wins[s*sc.nt:(s+1)*sc.nt], w)
+	}
+	return append(list, nc)
+}
+
+// pairVia returns the pending junction of the branch pair entry w names:
+// made once, at the pair's first winner, and shared by every winner the
+// pair leaves in its slot's row — as all of them built on the pair's sum
+// when every pair was one.
+func (sc *nodeScratch) pairVia(row []insWin, w *insWin) int32 {
+	if w.via != 0 {
+		return w.via
+	}
+	for k := range row {
+		if p := &row[k]; p.via != 0 && p.src == w.src && p.r == w.r {
+			w.via = p.via
+			return w.via
+		}
+	}
+	w.via = sc.join(int(w.src), int(w.r))
+	return w.via
+}
+
+// emitWins appends the winner table's candidates for nslot slots. With
+// byCin — insertHull's order when the run is not count-indexed or every
+// buffer costs the same — the winners are emitted slot by slot, each
+// slot's output (cost,) parity ascending, and within a slot by ascending
+// Cin, then library index: the candCmp order of the tail whenever the Cin
+// are distinct. Candidates equal under candCmp still arrive in library
+// order, as from the full scan, so the stable sort after this leaves the
+// same list. Otherwise — and when a winner's slack is NaN — the emission
+// is the full scan's (buffer index, slot) order.
+func (sc *nodeScratch) emitWins(list, src []vgCand, in *insLib, nslot int, byCin bool) []vgCand {
+	if byCin {
 		n := len(list)
 		for o := range nslot {
-			if len(sc.kept[o]) == 0 && len(sc.kept[o^1]) == 0 {
+			if !sc.filled[o] && !sc.filled[o^1] {
 				continue // no type has a source for this slot
 			}
-			for _, bi := range in.byCin {
-				list = sc.bestIn(list, src, in, bi, o, opts.noise, capped, opts.maxBuffers)
+			for i := range in.byCin {
+				if w := sc.winner(o, &in.byCin[i]); w != nil {
+					list = sc.appendWin(list, src, o, &in.byCin[i], w)
+				}
 			}
 		}
 		if !hasNaNSlack(list[n:]) {
@@ -803,12 +906,64 @@ func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int,
 		// emit in the full scan's order instead.
 		list = list[:n]
 	}
-	for bi := range in.lib.Buffers {
+	for k := range in.types {
 		for o := range nslot {
-			list = sc.bestIn(list, src, in, bi, o, opts.noise, capped, opts.maxBuffers)
+			if w := sc.winner(o, &in.types[k]); w != nil {
+				list = sc.appendWin(list, src, o, &in.types[k], w)
+			}
 		}
 	}
 	return list
+}
+
+// byCin reports whether the winners of a run under opts are emitted in
+// Cin order (emitWins).
+func (o *vgOptions) byCin() bool { return !o.countIndexed || o.ins.sameCost }
+
+// insertHull is insertBuffers' path in every run but the reference. It
+// takes the sources grouped by slot — nslot slots, slot s's sources
+// sc.bySlot[sc.slotAt[s-1]:sc.slotAt[s]] in src order, from slotRanges
+// when src is sorted and slotGroups otherwise — and in a delay-only run
+// first narrows each slot to the sources hullKeep cannot rule out; then it
+// scores each slot's remaining sources once, each against every type, in
+// src order under the winner rule (insLib.offer), and emits the winner
+// table (emitWins). Every source the filter drops has, for every buffer
+// type, another source in its slot with strictly greater post-buffer
+// slack as computed, so the dropped sources hold none of a type's maxima
+// and the winners are the full scan's. A noise-mode run scans its slots
+// whole, testing each source against each type's R·I ≤ NS: every type
+// admits its own subset, and no exact filter for that case measured
+// cheaper than the scan it saves (DESIGN §16).
+func (sc *nodeScratch) insertHull(list, src []vgCand, opts vgOptions, nslot int, sorted bool) []vgCand {
+	in := opts.ins
+	at, by := sc.slotAt, sc.bySlot
+	filter := in.filter && !opts.noise
+	if filter {
+		sc.gone = slices.Grow(sc.gone[:0], len(src))[:len(src)]
+		clear(sc.gone)
+		sc.keep = slices.Grow(sc.keep[:0], len(src))
+	}
+	nt := len(in.types)
+	sc.winTable(nslot, nt)
+	lo := 0
+	for s := range nslot {
+		group := by[lo:at[s]]
+		lo = at[s]
+		if filter {
+			group = sc.hullKeep(src, group, in.hb, sorted)
+		}
+		if len(group) == 0 {
+			continue
+		}
+		row := sc.fill(s, nt)
+		for _, i := range group {
+			c := &src[i]
+			if room := opts.room(c.cost); room >= in.minCost {
+				in.offer(row, c.load, c.q, c.down, c.ns, c.cost, c.nbuf, int32(i), 0, opts.noise, room)
+			}
+		}
+	}
+	return sc.emitWins(list, src, in, nslot, opts.byCin())
 }
 
 // slotGroups groups the sources by slot, in src order, by a counting sort
@@ -885,32 +1040,6 @@ func hasNaNSlack(list []vgCand) bool {
 	return false
 }
 
-// bestIn appends buffer type bi's winner for output slot o, if any: the
-// best of the kept sources of the slot the type maps onto o — of those it
-// admits, under noise constraints.
-func (sc *nodeScratch) bestIn(list, src []vgCand, in *insLib, bi, o int, noise, capped bool, maxBuffers int) []vgCand {
-	b := &in.lib.Buffers[bi]
-	kept := sc.kept[o^int(inversion(b))]
-	if len(kept) == 0 || capped && src[kept[0]].cost+b.Cost() > maxBuffers {
-		return list
-	}
-	s := insSlot{src: -1}
-	for _, i := range kept {
-		c := &src[i]
-		if noise && b.R*c.down > c.ns {
-			continue // inserting here would violate downstream noise
-		}
-		q := c.q - b.Delay(c.load)
-		if s.src < 0 || displaces(c, &src[s.src], q, s.q) {
-			s.src, s.q = i, q
-		}
-	}
-	if s.src < 0 {
-		return list
-	}
-	return sc.appendWin(list, src, bi, b, s)
-}
-
 // inversion is the parity buffer b adds: 1 for an inverter.
 func inversion(b *buffers.Buffer) uint8 {
 	if b.Inverting {
@@ -930,25 +1059,42 @@ type insLib struct {
 	// sameCost: every type costs the same, so the sorted emission applies
 	// to count-indexed runs too.
 	sameCost bool
-	// byCin is the library's indices in ascending Cin, then index order:
-	// the sorted emission's type order.
-	byCin []int
+	// minCost and maxCost bound the types' costs: a source the count cap
+	// leaves less room than minCost wins no type.
+	minCost, maxCost int
+	// types is each type as insertion reads it, in library order; byR the
+	// same in ascending R, then library order, the scan's order; and
+	// byCin in ascending Cin, then library order, the sorted emission's.
+	types, byR, byCin []insType
+}
+
+// insType is one buffer type as insertion reads it: its delay T + R·C,
+// its cost, the parity it adds, its library index k, and the input
+// capacitance and noise margin a candidate it drives starts from.
+type insType struct {
+	r, t    float64
+	cost    int
+	inv     uint8
+	k       int
+	cin, nm float64
 }
 
 // newInsLib returns lib's insLib. Library.Validate already makes every
 // R > 0 and T ≥ 0 finite; the filter also needs them within hullMag.
 func newInsLib(lib *buffers.Library) *insLib {
-	in := &insLib{lib: lib, sameCost: true, hb: hullBounds{rmin: math.Inf(1)}}
+	in := &insLib{lib: lib, sameCost: true, hb: hullBounds{rmin: math.Inf(1)}, minCost: math.MaxInt, types: make([]insType, len(lib.Buffers))}
 	for bi := range lib.Buffers {
 		b := &lib.Buffers[bi]
+		in.minCost, in.maxCost = min(in.minCost, b.Cost()), max(in.maxCost, b.Cost())
 		in.hb.rmin, in.hb.rmax, in.hb.tmax = min(in.hb.rmin, b.R), max(in.hb.rmax, b.R), max(in.hb.tmax, b.T)
 		in.sameCost = in.sameCost && b.Cost() == lib.Buffers[0].Cost()
-		in.byCin = append(in.byCin, bi)
+		in.types[bi] = insType{r: b.R, t: b.T, cost: b.Cost(), inv: inversion(b), k: bi, cin: b.Cin, nm: b.NoiseMargin}
 	}
 	in.filter = in.hb.rmin > 0 && in.hb.rmax <= hullMag && in.hb.tmax <= hullMag
-	slices.SortStableFunc(in.byCin, func(i, k int) int {
-		return cmp.Compare(lib.Buffers[i].Cin, lib.Buffers[k].Cin)
-	})
+	in.byR = slices.Clone(in.types)
+	slices.SortStableFunc(in.byR, func(a, b insType) int { return cmp.Compare(a.r, b.r) })
+	in.byCin = slices.Clone(in.types)
+	slices.SortStableFunc(in.byCin, func(a, b insType) int { return cmp.Compare(a.cin, b.cin) })
 	return in
 }
 
@@ -1227,34 +1373,35 @@ func (sc *nodeScratch) sideRef(k int, list []vgCand, i int32, seg *linkSeg) int3
 }
 
 // nodeScratch is the reusable working memory of the node step: for
-// buffer insertion the pair sums, slot table and the hull filter's index
-// lists, for the link pass the node's pending junctions and sources, for
-// sortCands the run boundaries and the merge buffer (mergePrune's too),
+// buffer insertion the slots, the winner table — one entry per (slot,
+// buffer type), the only per-source state insertion keeps, so a branch
+// node's pairs need no storage of their own — and the hull filter's index
+// lists; for the link pass the node's pending junctions and sources; for
+// sortCands the run boundaries and the merge buffer (mergePrune's too);
 // for lishiMerge the two lists' groups and frontier indices. runVG gives
-// the serial walk one
-// and runVGParallel one per pool worker, next to its vgStats, both from
-// scratchPool; it is never shared between goroutines.
+// the serial walk one and runVGParallel one per pool worker, next to its
+// vgStats, both from scratchPool; it is never shared between goroutines.
 type nodeScratch struct {
 	// The pads keep each worker's scratch off the cache lines of whatever
 	// the allocator puts beside it — another worker's scratch, for one:
 	// the node step rewrites these slice headers at every node.
 	_ [64]byte
 
-	slotOf []int     // per source: its slot, 2·(cost rank) + parity
-	costs  []int     // the distinct costs, when too spread for a dense rank
-	slots  []insSlot // one per (cost rank, output parity)
+	slotOf    []int    // per source: its slot, 2·(cost rank) + parity
+	costs     []int    // the distinct costs, when too spread for a dense rank
+	wins      []insWin // the winner table, one entry per (slot, buffer type)
+	filled    []bool   // per slot: offered a source
+	nt        int      // the winner table's row length, the library's size
+	groupSlot []int    // insertPairs: per (left group, right group), the pairs' slot or -1
 
-	slotAt  []int   // insertHull: each slot's end in bySlot
-	bySlot  []int   // insertHull: the source indices grouped by slot, groupBy or iota
-	groupBy []int   // slotGroups: the counting sort's output
-	iota    []int   // slotRanges: 0, 1, 2, …, never written but to grow
-	keep    []int   // hullKeep: every slot's kept sources, slot after slot
-	kept    [][]int // insertHull: per slot, the sources bestIn scans
-	gone    []bool  // hullKeep: per source, certified a loser
-	hullOrd []int   // hullKeep: a slot's sources in (load, −slack) order
-	hull    []int   // hullKeep: the monotone chain
-
-	pairs []vgCand // pairSources: the pair sums, each a pending junction
+	slotAt  []int  // insertHull: each slot's end in bySlot
+	bySlot  []int  // insertHull: the source indices grouped by slot, groupBy or iota
+	groupBy []int  // slotGroups: the counting sort's output
+	iota    []int  // slotRanges: 0, 1, 2, …, never written but to grow
+	keep    []int  // hullKeep: every slot's kept sources, slot after slot
+	gone    []bool // hullKeep: per source, certified a loser
+	hullOrd []int  // hullKeep: a slot's sources in (load, −slack) order
+	hull    []int  // hullKeep: the monotone chain
 
 	at    rctree.NodeID // insertBuffers: the node the winners are inserted at
 	joins []pendJoin    // the node's pending junctions, via > 0
@@ -1278,13 +1425,6 @@ var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 func getScratch() *nodeScratch   { return scratchPool.Get().(*nodeScratch) }
 func putScratch(sc *nodeScratch) { scratchPool.Put(sc) }
 
-// insSlot is one slot of the table: the index of the winning source (-1
-// while empty) and its post-buffer slack.
-type insSlot struct {
-	src int
-	q   float64
-}
-
 // denseCostSpan bounds the slot table for n sources: costs spread wider
 // than this (large Problem 3 weights) are ranked through the sorted
 // distinct costs instead of by cost − minCost, so the table stays O(n)
@@ -1292,9 +1432,8 @@ type insSlot struct {
 func denseCostSpan(n int) int { return 4*n + 64 }
 
 // index assigns every source its slot — the cost rank is 0 when the run
-// is not count-indexed — and returns the table, sized for the sources and
-// ready to be reset per buffer type.
-func (sc *nodeScratch) index(src []vgCand, countIndexed bool) []insSlot {
+// is not count-indexed — and returns the number of slots.
+func (sc *nodeScratch) index(src []vgCand, countIndexed bool) int {
 	sc.slotOf = slices.Grow(sc.slotOf[:0], len(src))[:len(src)]
 	ranks := 1
 	switch {
@@ -1326,8 +1465,7 @@ func (sc *nodeScratch) index(src []vgCand, countIndexed bool) []insSlot {
 			sc.slotOf[i] = 2*r + int(src[i].pol)
 		}
 	}
-	sc.slots = slices.Grow(sc.slots[:0], 2*ranks)[:2*ranks]
-	return sc.slots
+	return 2 * ranks
 }
 
 // candCmp is the DP's one candidate order, shared by every prune and by
@@ -1521,22 +1659,44 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 // pairSum is the values of the pair (a, b) — a from the left child, b
 // from the right: loads and currents add, slacks take the minimum
 // (Steps 3–4 of Fig. 11). It is the single shared construction for every
-// merge (classic cross product and Li–Shi frontier walk) and for buffer
-// insertion's pair sums (pairSources), so none can drift from another in
-// arithmetic; each caller records the pair as a pending junction
-// (nodeScratch.join), which the link pass writes as one row joining the
-// two sides' solutions.
+// merge (classic cross product and Li–Shi frontier walk), so neither can
+// drift from the other in arithmetic; each caller records the pair as a
+// pending junction (nodeScratch.join), which the link pass writes as one
+// row joining the two sides' solutions. A noise-mode branch node's
+// insertion forms the same values in place, pair by pair (insertPairs),
+// and TestInsertPairsMatchesPairScan holds them to pairSum's.
 func pairSum(a, b *vgCand) vgCand {
 	return vgCand{
 		load: a.load + b.load,
-		q:    math.Min(a.q, b.q),
+		q:    minf(a.q, b.q),
 		down: a.down + b.down,
-		ns:   math.Min(a.ns, b.ns),
+		ns:   minf(a.ns, b.ns),
 		nbuf: a.nbuf + b.nbuf,
 		cost: a.cost + b.cost,
 		pol:  a.pol,
 	}
 }
+
+// minf is math.Min — −∞ if either is, else NaN (math.NaN's bits) if
+// either is, else the smaller, and −0 over +0 — in a form the compiler
+// inlines, where math.Min is an assembly call on amd64 and arm64.
+func minf(x, y float64) float64 {
+	if x < y || x == y && math.Signbit(x) {
+		return x
+	}
+	if y <= x {
+		return y
+	}
+	if x == negInf || y == negInf {
+		return negInf
+	}
+	return math.Float64frombits(nanBits)
+}
+
+// negInf is −∞, and nanBits math.NaN's bits.
+var negInf = math.Inf(-1)
+
+const nanBits = 0x7FF8000000000001
 
 // pruneVG removes inferior candidates (Step 7 of Fig. 11): within each
 // (parity[, buffer count]) group, candidate α1 is inferior to α2 iff

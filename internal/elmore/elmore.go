@@ -56,7 +56,7 @@ type Result struct {
 // order, as in any postorder), then forward for the arrival times. The
 // assignment is read only at buffered nodes, through a per-node table.
 func Analyze(t *rctree.Tree, assign Assignment) *Result {
-	defer obs.Timer("elmore.analyze")()
+	defer obs.Timer("elmore.analyze").End()
 	n := t.Len()
 	r := &Result{
 		Cap:        make([]float64, n),

@@ -53,7 +53,7 @@ func routerReply[T any](t *testing.T, what string, resp *http.Response) T {
 
 // TestRouterRepliesAreCompact covers the router's own replies (the
 // merged batch, its errors, readyz) and the replica replies it forwards,
-// including a replica's 500 for an answer JSON cannot carry.
+// including a replica's 400 for an answer JSON cannot carry.
 func TestRouterRepliesAreCompact(t *testing.T) {
 	freshObs(t)
 	lab := startTestLab(t, LabConfig{
@@ -83,10 +83,10 @@ func TestRouterRepliesAreCompact(t *testing.T) {
 
 	overflow := strings.ReplaceAll(labNet(1), "rat=1.5e-9", "rat=1e300")
 	resp := post("/solve", "text/plain", overflow)
-	if resp.StatusCode != http.StatusInternalServerError {
+	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("overflowing answer through the router: status %d", resp.StatusCode)
 	}
-	if er := routerReply[server.ErrorResponse](t, "unencodable solve", resp); er.Class != "internal" {
+	if er := routerReply[server.ErrorResponse](t, "unencodable solve", resp); er.Class != "invalid" {
 		t.Fatalf("overflowing answer: %+v", er)
 	}
 
@@ -120,17 +120,58 @@ func TestRouterRepliesAreCompact(t *testing.T) {
 	routerReply[readyz](t, "readyz", resp)
 }
 
-// TestRouterUnencodableReply: a router body JSON cannot carry is a 500
-// class internal, counted once, never an empty 200.
+// TestRouterUnencodableReply: an answer JSON cannot carry reaches the
+// router's client as the replica's 400 class invalid, again on a repeat,
+// which stores nothing in the replicas' caches, and in a batch only that
+// item fails. A router body JSON cannot carry is still a 500 class
+// internal, counted once, never an empty 200.
 func TestRouterUnencodableReply(t *testing.T) {
 	freshObs(t)
+	lab := startTestLab(t, LabConfig{
+		Replicas: 2,
+		Server:   server.Config{Workers: 2, QueueDepth: 8, CacheEntries: 64},
+		Router:   Config{ProbeInterval: 50 * time.Millisecond},
+	})
+	base := routerURL(lab)
+	overflow := strings.ReplaceAll(labNet(1), "rat=1.5e-9", "rat=1e300")
+	var stored int64
+	for i := range 2 {
+		resp, err := http.Post(base+"/solve", "text/plain", strings.NewReader(overflow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if er := routerReply[server.ErrorResponse](t, "overflowing solve", resp); resp.StatusCode != http.StatusBadRequest || er.Class != "invalid" {
+			t.Fatalf("overflowing solve %d: status %d, %+v", i, resp.StatusCode, er)
+		}
+		got := obs.Default().Snapshot().Counters["server.cache.stored"]
+		if i > 0 && got != stored {
+			t.Fatalf("a repeated refusal stored an answer: server.cache.stored %d → %d", stored, got)
+		}
+		stored = got
+	}
+	var items []string
+	for _, n := range []string{labNet(2), overflow} {
+		j, _ := json.Marshal(n)
+		items = append(items, `{"net": `+string(j)+`}`)
+	}
+	resp, err := http.Post(base+"/solve/batch", "application/json", strings.NewReader(`{"nets": [`+strings.Join(items, ", ")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := routerReply[server.BatchResponse](t, "batch", resp)
+	if resp.StatusCode != http.StatusOK || br.Succeeded != 1 || br.Failed != 1 ||
+		br.Results[1].Error == nil || br.Results[1].Error.Class != "invalid" {
+		t.Fatalf("batch of a good net and an overflowing one: status %d, %+v", resp.StatusCode, br)
+	}
+
 	rec := httptest.NewRecorder()
 	writeRouterJSON(rec, http.StatusOK, map[string]float64{"slack_ps": math.Inf(1)})
 	var er server.ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusInternalServerError || er.Class != "internal" {
 		t.Fatalf("status %d, body %q", rec.Code, rec.Body)
 	}
-	if got := obs.Default().Snapshot().Counters["fleet.encode.failed"]; got != 1 {
-		t.Fatalf("fleet.encode.failed = %d, want 1", got)
+	c := obs.Default().Snapshot().Counters
+	if c["fleet.encode.failed"] != 1 || c["server.encode.failed"] != 0 {
+		t.Fatalf("fleet.encode.failed = %d, server.encode.failed = %d, want 1 and 0", c["fleet.encode.failed"], c["server.encode.failed"])
 	}
 }

@@ -122,7 +122,7 @@ func (r *Result) Clean() bool { return len(r.Violations) == 0 }
 // for the noise. The assignment is read only at buffered nodes, through a
 // per-node table.
 func Analyze(t *rctree.Tree, assign Assignment, p Params) *Result {
-	defer obs.Timer("noise.analyze")()
+	defer obs.Timer("noise.analyze").End()
 	n := t.Len()
 	r := &Result{
 		WireCurrent: make([]float64, n),

@@ -251,7 +251,7 @@ func timeScales(t *rctree.Tree, b *built) (maxRise, tau float64) {
 // Simulate builds and runs the coupled noise circuit for tree t under the
 // given buffer assignment, using full transient simulation.
 func Simulate(t *rctree.Tree, assign Assignment, opts Options) (*Result, error) {
-	defer obs.Timer("sim.transient")()
+	defer obs.Timer("sim.transient").End()
 	o := opts.withDefaults()
 	b, err := buildCircuit(t, assign, o)
 	if err != nil {
@@ -283,7 +283,7 @@ func Simulate(t *rctree.Tree, assign Assignment, opts Options) (*Result, error) 
 // combined waveform's peak is scanned on a time grid. Orders of magnitude
 // faster than Simulate on large nets, at a few percent of accuracy.
 func SimulateAWE(t *rctree.Tree, assign Assignment, opts Options) (*Result, error) {
-	defer obs.Timer("sim.awe")()
+	defer obs.Timer("sim.awe").End()
 	o := opts.withDefaults()
 	b, err := buildCircuit(t, assign, o)
 	if err != nil {

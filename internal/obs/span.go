@@ -201,12 +201,7 @@ func (s *SpanHandle) finish(err error) {
 		return
 	}
 	d := time.Since(s.start)
-	if r := Default(); r != nil {
-		m := r.spanMetrics(s.name)
-		m.dur.Add(d.Nanoseconds())
-		m.count.Add(1)
-		m.hist.Observe(d.Nanoseconds())
-	}
+	observe(s.name, d)
 	if s.col != nil {
 		errStr := ""
 		if err != nil {
@@ -265,15 +260,47 @@ func Verbose(w io.Writer, on bool) {
 	SetTraceLogger(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})))
 }
 
-// Timer is the span shorthand for call sites without a context: it starts
-// timing name and returns the function that records it. Timer spans carry
-// no trace identity (no context, no collector).
-//
-//	defer obs.Timer("elmore.analyze")()
-func Timer(name string) func() {
-	if Default() == nil && tracer.Load() == nil {
-		return func() {}
+// observe records one run of the span named name, d long, into the
+// default registry, if there is one.
+func observe(name string, d time.Duration) {
+	if r := Default(); r != nil {
+		m := r.spanMetrics(name)
+		m.dur.Add(d.Nanoseconds())
+		m.count.Add(1)
+		m.hist.Observe(d.Nanoseconds())
 	}
-	s := &SpanHandle{name: name, path: name, start: time.Now()}
-	return s.End
+}
+
+// Timer is the span shorthand for call sites without a context: it starts
+// timing name and returns the running span, which End records. Timer
+// spans carry no trace identity (no context, no collector), and a Timer
+// allocates nothing: its span is a value, and End records it into the
+// registry's cached metrics.
+//
+//	defer obs.Timer("elmore.analyze").End()
+func Timer(name string) TimerSpan {
+	if Default() == nil && tracer.Load() == nil {
+		return TimerSpan{}
+	}
+	return TimerSpan{name: name, start: time.Now()}
+}
+
+// TimerSpan is a running Timer span. The zero value, what Timer returns
+// with metrics and tracing both off, records nothing.
+type TimerSpan struct {
+	name  string
+	start time.Time
+}
+
+// End records the span's duration, as SpanHandle.End does for a span
+// without a trace. Call it once: each call records a run.
+func (t TimerSpan) End() {
+	if t.start.IsZero() {
+		return
+	}
+	d := time.Since(t.start)
+	observe(t.name, d)
+	if l := tracer.Load(); l != nil {
+		l.Debug("span", "span", t.name, "dur", d)
+	}
 }

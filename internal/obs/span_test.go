@@ -98,8 +98,7 @@ func TestSpanDisabledIsNil(t *testing.T) {
 // TestTimer: the context-free shorthand records the same metrics.
 func TestTimer(t *testing.T) {
 	r := fresh(t)
-	done := Timer("timed.phase")
-	done()
+	Timer("timed.phase").End()
 	if got := r.Counter("timed.phase.count").Value(); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}

@@ -599,7 +599,7 @@ func TestCachedAnswerReadOnly(t *testing.T) {
 	checkStored(t, "snapshot save", key, stored, want)
 }
 
-// TestBuildResponseSharedAnswer runs buildResponse on one cached answer
+// TestBuildResponseSharedAnswer runs answerReply on one cached answer
 // from 8 goroutines at once: under -race this proves the response path
 // only reads the shared answer, and every response is the same.
 func TestBuildResponseSharedAnswer(t *testing.T) {
@@ -618,7 +618,12 @@ func TestBuildResponseSharedAnswer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, err := json.Marshal(buildResponse(req, stored, 0))
+			resp, err := answerReply(req, stored)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, err := json.Marshal(resp)
 			if err != nil {
 				t.Error(err)
 				return
@@ -632,5 +637,5 @@ func TestBuildResponseSharedAnswer(t *testing.T) {
 			t.Fatalf("worker %d built a different response:\n%s\n%s", i, b, out[0])
 		}
 	}
-	checkStored(t, "buildResponse", key, stored, want)
+	checkStored(t, "answerReply", key, stored, want)
 }

@@ -154,6 +154,13 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 		return e
 	})
 	elapsed := time.Since(start)
+	// The answer is shaped for the wire before the outcome is counted and
+	// before a fresh session is registered: one whose reply JSON cannot
+	// carry is refused as invalid input.
+	var reply SolveResponse
+	if runErr == nil {
+		reply, runErr = answerReply(sess.req, &core.SolveResult{Result: res.Result, Tier: core.TierExact})
+	}
 	obs.ObserveDurationExemplar("server.delta.duration", elapsed.Nanoseconds(), obs.TraceIDFrom(ctx))
 	obs.Inc("server.delta.outcome." + guard.Class(runErr))
 	obs.Annotate(ctx, "outcome", guard.Class(runErr))
@@ -177,9 +184,9 @@ func (s *Server) deltaAdmitted(ctx context.Context, req *deltaRequest) (DeltaRes
 	obs.Add("server.delta.edits.applied", int64(len(req.edits)))
 	obs.Annotate(ctx, "session", sess.id)
 
-	sr := &core.SolveResult{Result: res.Result, Tier: core.TierExact}
+	reply.ElapsedMS = elapsedMS(elapsed)
 	return DeltaResponse{
-		SolveResponse: buildResponse(sess.req, sr, elapsed),
+		SolveResponse: reply,
 		SessionID:     sess.id,
 		Created:       created,
 		EditsApplied:  len(req.edits),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -150,10 +151,13 @@ func (s *Server) solveAdmitted(ctx context.Context, req *solveRequest, ns string
 	defer cancel()
 
 	start := time.Now()
-	var res *core.SolveResult
+	var (
+		res   *core.SolveResult
+		reply *SolveResponse
+	)
 	solveErr := guard.Safe("server.solve", func() error {
 		var e error
-		res, e = s.solveCached(ctx, req)
+		res, reply, e = s.solveCached(ctx, req)
 		return e
 	})
 	elapsed := time.Since(start)
@@ -175,17 +179,45 @@ func (s *Server) solveAdmitted(ctx context.Context, req *solveRequest, ns string
 			obs.Inc(ns + ".tiererr." + guard.Class(te.Err))
 		}
 	}
-	return buildResponse(req, res, elapsed), nil
+	if reply == nil {
+		// A hit or a coalesced waiter: the stored answer's reply passed
+		// answerReply when it was filled.
+		r, err := answerReply(req, res)
+		if err != nil {
+			return SolveResponse{}, err
+		}
+		reply = &r
+	}
+	resp := *reply
+	resp.Cached, resp.Coalesced, resp.ElapsedMS = res.Cached, res.Coalesced, elapsedMS(elapsed)
+	return resp, nil
 }
 
 // solveCached runs one request through the result cache when one is
 // configured, or straight through the solver stack when not. The chaos
 // plan (if an injector is configured) is drawn inside the fill — where a
 // solve actually runs — so cache hits and coalesced waiters consume no
-// plan and the injector's assigned==consumed books stay exact.
-func (s *Server) solveCached(ctx context.Context, req *solveRequest) (*core.SolveResult, error) {
+// plan and the injector's assigned==consumed books stay exact. An answer
+// this call solves or peer-fills is shaped for the wire (answerReply)
+// before it is cached: one whose reply JSON cannot carry is refused as
+// invalid input and never stored. That reply is returned with the
+// answer; a hit or a coalesced waiter gets nil.
+func (s *Server) solveCached(ctx context.Context, req *solveRequest) (*core.SolveResult, *SolveResponse, error) {
+	var reply *SolveResponse
+	check := func(r *core.SolveResult) error {
+		rp, err := answerReply(req, r)
+		reply = &rp
+		return err
+	}
 	if s.cache == nil {
-		return s.solveOne(faultinject.WithPlan(ctx, s.cfg.Injector.Assign()), req)
+		r, err := s.solveOne(faultinject.WithPlan(ctx, s.cfg.Injector.Assign()), req)
+		if err == nil {
+			err = check(r)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return r, reply, nil
 	}
 	key := s.cacheKey(req)
 	res, out, err := s.cache.Do(ctx, key, func() (*core.SolveResult, bool, error) {
@@ -194,22 +226,28 @@ func (s *Server) solveCached(ctx context.Context, req *solveRequest) (*core.Solv
 		// codec construction, so it is cacheable here verbatim; a fault
 		// plan is still assigned only when a solve actually runs.
 		if pr := s.peerFill(ctx, key); pr != nil {
+			if e := check(pr); e != nil {
+				return nil, false, e
+			}
 			return pr, true, nil
 		}
 		r, e := s.solveOne(faultinject.WithPlan(ctx, s.cfg.Injector.Assign()), req)
+		if e == nil {
+			e = check(r)
+		}
 		if e != nil {
 			return nil, false, e
 		}
 		return r, core.Cacheable(r), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The cache hands every caller the one stored answer, read-only: the
 	// per-request flags go on a copy of its header.
 	r := *res
 	r.Cached, r.Coalesced = out.Hit, out.Coalesced
-	return &r, nil
+	return &r, reply, nil
 }
 
 // cacheKey derives the request's content-addressed cache key. It hashes
@@ -296,8 +334,16 @@ func (s *Server) workTree(req *solveRequest) (*rctree.Tree, error) {
 	return work, nil
 }
 
-// buildResponse shapes a SolveResult for the wire.
-func buildResponse(req *solveRequest, res *core.SolveResult, elapsed time.Duration) SolveResponse {
+// errUnencodable is the class of an answer whose reply holds a number
+// JSON cannot carry.
+var errUnencodable = fmt.Errorf("server: the answer's reply is out of range: %w", guard.ErrInvalidInput)
+
+// answerReply shapes a SolveResult for the wire: every field but the
+// per-request ones (Cached, Coalesced, ElapsedMS). It refuses, as invalid input, an answer
+// whose reply would hold a non-finite number, which JSON cannot carry:
+// finite inputs can still overflow once scaled, as a required arrival
+// time past ~1.8e296 s does in slack_ps.
+func answerReply(req *solveRequest, res *core.SolveResult) (SolveResponse, error) {
 	after := noise.Analyze(res.Tree, res.Buffers, req.params)
 	timing := elmore.Analyze(res.Tree, res.Buffers)
 
@@ -311,15 +357,12 @@ func buildResponse(req *solveRequest, res *core.SolveResult, elapsed time.Durati
 		MaxDelayPS:      timing.MaxDelay * 1e12,
 		NoiseViolations: len(after.Violations),
 		MaxNoiseV:       after.MaxNoise,
-		Cached:          res.Cached,
-		Coalesced:       res.Coalesced,
-		ElapsedMS:       float64(elapsed.Nanoseconds()) / 1e6,
 	}
 	for _, te := range res.TierErrors {
 		resp.TierErrors = append(resp.TierErrors, TierFailure{
 			Tier:      te.Tier.String(),
 			Class:     guard.Class(te.Err),
-			ElapsedMS: float64(te.Elapsed.Nanoseconds()) / 1e6,
+			ElapsedMS: elapsedMS(te.Elapsed),
 			Detail:    te.Error(),
 		})
 	}
@@ -328,17 +371,29 @@ func buildResponse(req *solveRequest, res *core.SolveResult, elapsed time.Durati
 		ids = append(ids, v)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ok := finite(resp.SlackPS) && finite(resp.MaxDelayPS) && finite(resp.MaxNoiseV)
 	for _, v := range ids {
 		n := res.Tree.Node(v)
-		resp.Buffers = append(resp.Buffers, BufferPlacement{
+		p := BufferPlacement{
 			Node: int(v),
 			Name: res.Buffers[v].Name,
 			XMM:  n.X * 1e3,
 			YMM:  n.Y * 1e3,
-		})
+		}
+		ok = ok && finite(p.XMM) && finite(p.YMM)
+		resp.Buffers = append(resp.Buffers, p)
 	}
-	return resp
+	if !ok {
+		return resp, fmt.Errorf("%w: slack %g ps, delay %g ps, noise %g V", errUnencodable, resp.SlackPS, resp.MaxDelayPS, resp.MaxNoiseV)
+	}
+	return resp, nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
+// elapsedMS is d in the replies' milliseconds.
+func elapsedMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // shedResponse maps an admission rejection to its wire shape: 429 for a
 // full queue, 503 for drain, 503 for a client that vanished while queued

@@ -108,26 +108,50 @@ func TestRepliesAreCompact(t *testing.T) {
 // carry.
 var overflowNet = strings.ReplaceAll(sampleNet, "rat=1.5e-9", "rat=1e300")
 
-// TestUnencodableReplyIsTypedError: an answer encoding/json refuses is a
-// 500 class internal, never a 200 with an empty body, on every door that
-// writes an answer, and each one is counted.
+// TestUnencodableReplyIsTypedError: an answer whose reply JSON cannot
+// carry is refused before it is cached or its session registered, as a
+// 400 class invalid on every door that writes an answer, and in a batch
+// only that item fails. A repeat refuses it again without storing it,
+// and no reply reaches the encoder's 500 fallback.
 func TestUnencodableReplyIsTypedError(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, c := range []struct{ name, path, ct, body string }{
-		{"solve", "/solve", "text/plain", overflowNet},
-		{"batch item", "/solve/batch", "application/json", batchBody(t, sampleNet, overflowNet)},
-		{"delta create", "/solve/delta", "application/json", createBody(t, overflowNet, "")},
-	} {
-		resp, body := postNet(t, ts, c.path, c.ct, c.body)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("%s: status %d, body %q", c.name, resp.StatusCode, body)
+	s, ts := newTestServer(t, Config{CacheEntries: 16})
+	refused := func(what string, resp *http.Response, body []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %q", what, resp.StatusCode, body)
 		}
-		if er := compactReply[ErrorResponse](t, c.name, resp, body); er.Class != "internal" || er.Status != http.StatusInternalServerError {
-			t.Fatalf("%s: error reply %s", c.name, body)
+		if er := compactReply[ErrorResponse](t, what, resp, body); er.Class != "invalid" || er.Status != http.StatusBadRequest {
+			t.Fatalf("%s: error reply %s", what, body)
 		}
 	}
-	if got := obs.Default().Snapshot().Counters["server.encode.failed"]; got != 3 {
-		t.Fatalf("server.encode.failed = %d, want 3", got)
+	resp, body := postNet(t, ts, "/solve", "text/plain", overflowNet)
+	refused("solve", resp, body)
+	stored := s.cache.Stats().Stored
+	resp, body = postNet(t, ts, "/solve", "text/plain", overflowNet)
+	refused("repeated solve", resp, body)
+	if st := s.cache.Stats(); st.Stored != stored || st.Hits != 0 {
+		t.Fatalf("a refused answer was cached: stored %d → %d, %d hits", stored, st.Stored, st.Hits)
+	}
+
+	resp, body = postNet(t, ts, "/solve/batch", "application/json", batchBody(t, sampleNet, overflowNet))
+	br := compactReply[BatchResponse](t, "batch", resp, body)
+	if resp.StatusCode != http.StatusOK || br.Succeeded != 1 || br.Failed != 1 ||
+		br.Results[0].Result == nil || br.Results[1].Error == nil || br.Results[1].Error.Class != "invalid" {
+		t.Fatalf("batch of a good net and an overflowing one: status %d, %s", resp.StatusCode, body)
+	}
+
+	resp, body = postDelta(t, ts, createBody(t, overflowNet, ""))
+	refused("delta create", resp, body)
+	if n := s.sessions.len(); n != 0 {
+		t.Fatalf("a refused create registered %d sessions", n)
+	}
+
+	c := obs.Default().Snapshot().Counters
+	if c["server.encode.failed"] != 0 || c["server.request.outcome.invalid"] != 2 ||
+		c["server.batch.item.outcome.invalid"] != 1 || c["server.delta.outcome.invalid"] != 1 {
+		t.Fatalf("counters: encode.failed %d, outcome.invalid solve %d, batch item %d, delta %d",
+			c["server.encode.failed"], c["server.request.outcome.invalid"],
+			c["server.batch.item.outcome.invalid"], c["server.delta.outcome.invalid"])
 	}
 }
 

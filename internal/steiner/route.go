@@ -60,7 +60,7 @@ func Route(net Net, tech Tech, alg Algorithm) (*rctree.Tree, error) {
 // checked against the terminal count up front, and the 1-Steiner search is
 // polled for cancellation. A nil budget imposes no limits.
 func RouteBudget(net Net, tech Tech, alg Algorithm, b *guard.Budget) (*rctree.Tree, error) {
-	defer obs.Timer("steiner.route")()
+	defer obs.Timer("steiner.route").End()
 	if len(net.Sinks) == 0 {
 		return nil, fmt.Errorf("steiner: net %q has no sinks: %w", net.Name, guard.ErrInvalidInput)
 	}
