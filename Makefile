@@ -29,11 +29,14 @@ loc:
 # analyzers against their reference forms, bit for bit
 # (TestAnalyzeMatchesReference), and every reply of a replica and of the
 # router byte for byte the compacted form of the indented encoding it
-# replaced, sent with its length (*RepliesAreCompact). The tier-1 gate
+# replaced, sent with its length (*RepliesAreCompact), and every canonical
+# hash and binary encoding — problem hashes, cache keys, subtree hashes,
+# memo-key suffixes, rct1, bsr1 and snapshot bytes — against digests
+# pinned over the netgen seed-1 nets (TestEncodingsPinned). The tier-1 gate
 # (scripts/check.sh) runs these tests once in its full race pass; this
 # target re-runs just them, uncached.
 difftest:
-	go test -race -count=1 -run 'TestDifferential|TestDeltaDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache|ReadOnly|TestDeltaEditNotRetained|TestAnalyzeMatchesReference|RepliesAreCompact' ./internal/core ./internal/server ./internal/fleet ./internal/elmore ./internal/noise
+	go test -race -count=1 -run 'TestDifferential|TestDeltaDifferential|TestDeterminism|TestBatch|TestConcurrentParallelSolves|TestSolveCache|ReadOnly|TestDeltaEditNotRetained|TestAnalyzeMatchesReference|RepliesAreCompact|TestEncodingsPinned' ./internal/core ./internal/server ./internal/fleet ./internal/elmore ./internal/noise
 
 # Cross-engine equivalence gate: every core.EngineTable row (the default
 # configuration, serial and forced-parallel) against the reference row

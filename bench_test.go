@@ -776,6 +776,48 @@ func TestOptimizeAllocBudget(t *testing.T) {
 	}
 }
 
+// deltaAllocBudget pins a warm value-only core.Delta on deltaBenchNet:
+// one set-cap edit on a sink, its ancestor path re-solved and every other
+// subtree replayed from the memo (MaxSlack, serial, since AllocsPerRun
+// runs at GOMAXPROCS 1). It measured 110–115 allocations, 142–150 under
+// the race detector; each budget is its peak plus about a tenth. The
+// edit rehashes the sink's nine-node root path and the run hashes its
+// memo-key suffix once: a heap-allocated digest and escaping per-field
+// closures per hash measured 141–146 (175–180 with -race) and fail both.
+func deltaAllocBudget() float64 {
+	if raceEnabled {
+		return 165
+	}
+	return 125
+}
+
+// TestDeltaAllocBudget holds a warm value-only Delta to a fixed number of
+// allocations, so per-node work on the replayed subtrees — a rehash, a
+// key or a copy per memo lookup — cannot quietly return.
+func TestDeltaAllocBudget(t *testing.T) {
+	tr := deltaBenchNet(t)
+	s, err := core.NewSession(core.Problem{Tree: tr, Library: buffers.DefaultLibrary(0.8), Objective: core.MaxSlack}, core.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the memo: the first solve resolves every subtree.
+	if _, err := core.Delta(context.Background(), s, nil, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sink := tr.Sinks()[0]
+	base, k := tr.Node(sink).Cap, 0
+	got := testing.AllocsPerRun(100, func() {
+		k++
+		if _, err := core.Delta(context.Background(), s,
+			[]core.Edit{{Op: core.EditSetCap, Node: sink, Value: base * (1 + 2e-6*float64(k))}}, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := deltaAllocBudget(); got > budget {
+		t.Fatalf("a warm value-only Delta on deltaBenchNet allocates %v, budget is %v", got, budget)
+	}
+}
+
 // BenchmarkDeltaResolve prices the incremental (ECO) re-solve engine
 // against the full dynamic program it replaces: "full" re-runs Optimize
 // from scratch after a single-leaf cap change; "delta" pushes the same

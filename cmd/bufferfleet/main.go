@@ -5,7 +5,7 @@
 // cache while distinct problems spread evenly. Replica health is tracked
 // by /readyz probes plus passive signals; connection failures fail over
 // down the key's preference order with bounded backoff, and slow
-// attempts are hedged to the next replica past a latency quantile.
+// attempts are hedged to the next replica past the primary's p90 latency.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	            [-addr :8081] [-probe-interval 1s] [-probe-timeout 500ms]
 //	            [-health-dwell 500ms]
 //	            [-attempt-timeout 30s] [-max-attempts 3]
-//	            [-hedge-quantile 0.9] [-hedge-min 20ms]
+//	            [-hedge-min 20ms]
 //	            [-fail-threshold 3] [-retry-backoff 25ms]
 //	            [-retry-after 1s] [-max-bytes 8388608]
 //	            [-drain-timeout 15s]
@@ -79,7 +79,6 @@ func run(args []string, stderr *os.File) int {
 	fs.DurationVar(&cfg.HealthDwell, "health-dwell", 0, "minimum hold time before a replica flips healthy<->suspect (flap damping; 0 = default 500ms)")
 	fs.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", 30*time.Second, "deadline for one forwarded attempt (must exceed the replicas' solve timeout)")
 	fs.IntVar(&cfg.MaxAttempts, "max-attempts", 3, "max distinct replicas tried per request (clamped to the fleet size)")
-	fs.Float64Var(&cfg.HedgeQuantile, "hedge-quantile", 0.9, "primary-latency quantile past which a hedge launches")
 	fs.DurationVar(&cfg.HedgeMin, "hedge-min", 20*time.Millisecond, "floor (and cold-start value) of the hedge delay")
 	fs.IntVar(&cfg.FailThreshold, "fail-threshold", 3, "consecutive connection failures that mark a replica down")
 	fs.DurationVar(&cfg.RetryBackoff, "retry-backoff", 25*time.Millisecond, "base delay before the second failover (doubles, capped at 1s)")

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"buffopt/internal/enc"
 )
 
 // Buffer is one repeater type. Delay through the buffer driving load C is
@@ -82,6 +84,25 @@ func (l *Library) Validate() error {
 		}
 	}
 	return nil
+}
+
+// AppendKey appends the library's identity bytes: the buffer count, then
+// every buffer in library order — name, Cin, R, T, noise margin,
+// inversion and weight. It is the one copy of the library field list
+// both hashes that key on a library write: core.Problem.CanonicalHash
+// and the subtree memo's key suffix.
+func (l *Library) AppendKey(b []byte) []byte {
+	b = enc.U64(b, uint64(len(l.Buffers)))
+	for _, bb := range l.Buffers {
+		b = enc.Str64(b, bb.Name)
+		b = enc.F64(b, bb.Cin)
+		b = enc.F64(b, bb.R)
+		b = enc.F64(b, bb.T)
+		b = enc.F64(b, bb.NoiseMargin)
+		b = enc.Bool(b, bb.Inverting)
+		b = enc.U64(b, uint64(int64(bb.Weight)))
+	}
+	return b
 }
 
 // MinResistance returns the buffer with the smallest output resistance.

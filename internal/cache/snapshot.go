@@ -23,13 +23,13 @@ package cache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 
+	"buffopt/internal/enc"
 	"buffopt/internal/obs"
 )
 
@@ -50,29 +50,20 @@ var ErrSnapshotInvalid = errors.New("cache: invalid snapshot")
 // counted in the second return — snapshotting is best-effort per entry
 // but exact per file.
 func EncodeSnapshot[V any](entries []Entry[V], encode func(key string, v V) ([]byte, error)) (data []byte, skipped int) {
-	type raw struct {
-		key string
-		val []byte
-	}
-	raws := make([]raw, 0, len(entries))
+	var body []byte
 	for _, e := range entries {
 		b, err := encode(e.Key, e.Val)
 		if err != nil {
 			skipped++
 			continue
 		}
-		raws = append(raws, raw{key: e.Key, val: b})
+		body = enc.Field(enc.Field(body, e.Key), b)
 	}
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 0, snapshotOverhead+len(body))
 	buf = append(buf, snapshotMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raws)))
-	for _, r := range raws {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.key)))
-		buf = append(buf, r.key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
-		buf = append(buf, r.val...)
-	}
+	buf = enc.U32(buf, snapshotVersion)
+	buf = enc.U32(buf, uint32(len(entries)-skipped))
+	buf = append(buf, body...)
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...), skipped
 }
@@ -96,51 +87,35 @@ func DecodeSnapshot[V any](data []byte, decode func(key string, val []byte) (V, 
 	if sum := sha256.Sum256(body); string(sum[:]) != string(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotInvalid)
 	}
-	body = body[len(snapshotMagic):]
-	version := binary.LittleEndian.Uint32(body)
-	if version != snapshotVersion {
+	r := enc.NewReader(body[len(snapshotMagic):])
+	if version := r.U32(); version != snapshotVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotInvalid, version, snapshotVersion)
 	}
-	count := int(binary.LittleEndian.Uint32(body[4:]))
-	body = body[8:]
+	count := int(r.U32())
 	// Each entry costs at least its two length prefixes.
-	if count > len(body)/8 {
+	if count > r.Len()/8 {
 		return nil, fmt.Errorf("%w: entry count %d exceeds input size", ErrSnapshotInvalid, count)
 	}
 	entries := make([]Entry[V], 0, count)
 	for i := 0; i < count; i++ {
-		key, rest, err := snapshotField(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d key: %w", ErrSnapshotInvalid, i, err)
+		key := string(r.Field())
+		if r.Err() != nil {
+			return nil, fmt.Errorf("%w: entry %d key: %w", ErrSnapshotInvalid, i, r.Err())
 		}
-		val, rest, err := snapshotField(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d value: %w", ErrSnapshotInvalid, i, err)
+		val := r.Field()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("%w: entry %d value: %w", ErrSnapshotInvalid, i, r.Err())
 		}
-		body = rest
-		v, err := decode(string(key), val)
+		v, err := decode(key, val)
 		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d (%q): %w", ErrSnapshotInvalid, i, string(key), err)
+			return nil, fmt.Errorf("%w: entry %d (%q): %w", ErrSnapshotInvalid, i, key, err)
 		}
-		entries = append(entries, Entry[V]{Key: string(key), Val: v})
+		entries = append(entries, Entry[V]{Key: key, Val: v})
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d entries", ErrSnapshotInvalid, len(body), count)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d entries", ErrSnapshotInvalid, r.Len(), count)
 	}
 	return entries, nil
-}
-
-// snapshotField reads one length-prefixed field.
-func snapshotField(b []byte) (field, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("truncated length prefix")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b) {
-		return nil, nil, fmt.Errorf("length %d exceeds remaining %d bytes", n, len(b))
-	}
-	return b[:n], b[n:], nil
 }
 
 // SaveSnapshot writes the cache's resident entries to path atomically:

@@ -2,14 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"io"
-	"math"
 	"slices"
 	"sync/atomic"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/cache"
+	"buffopt/internal/enc"
 	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
 )
@@ -171,58 +169,32 @@ func (m *memoRun) key(v rctree.NodeID) string {
 }
 
 // memoKeySuffix hashes the solve-relevant option slice and the buffer
-// library: everything besides the subtree content that determines a
-// node's candidate list. Budget caps are excluded (they can only abort a
-// run, never change a successful list), as are the merge path and the
-// worker count (either merge, serial or parallel, yields bit-identical
-// post-prune lists by the differential gates, and the path is a function
-// of noise and safePruning, both keyed). maxBuffers is included because
-// the iterative deepening ladder genuinely changes list contents per cap.
-// It returns the raw digest.
-func memoKeySuffix(o vgOptions, lib *buffers.Library) (sum [sha256.Size]byte) {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	b1 := func(v byte) { buf[0] = v; h.Write(buf[:1]) }
-	bol := func(v bool) {
-		if v {
-			b1(1)
-		} else {
-			b1(0)
-		}
-	}
-	str := func(s string) { u64(uint64(len(s))); io.WriteString(h, s) }
-
-	str("buffopt.subtreememo.v1")
-	bol(o.noise)
+// library (its buffers.Library.AppendKey bytes): everything besides the
+// subtree content that determines a node's candidate list. Budget caps
+// are excluded (they can only abort a run, never change a successful
+// list), as are the merge path and the worker count (either merge,
+// serial or parallel, yields bit-identical post-prune lists by the
+// differential gates, and the path is a function of noise and
+// safePruning, both keyed). maxBuffers is included because the iterative
+// deepening ladder genuinely changes list contents per cap. It returns
+// the raw digest.
+func memoKeySuffix(o vgOptions, lib *buffers.Library) [sha256.Size]byte {
+	var a [1024]byte
+	b := enc.Str64(a[:0], "buffopt.subtreememo.v1")
+	b = enc.Bool(b, o.noise)
 	if o.noise {
-		f64(o.params.CouplingRatio)
-		f64(o.params.Slope)
+		b = enc.F64(b, o.params.CouplingRatio)
+		b = enc.F64(b, o.params.Slope)
 	}
-	bol(o.countIndexed)
-	u64(uint64(int64(o.maxBuffers)))
-	bol(o.safePruning)
-	u64(uint64(len(o.widths)))
+	b = enc.Bool(b, o.countIndexed)
+	b = enc.U64(b, uint64(int64(o.maxBuffers)))
+	b = enc.Bool(b, o.safePruning)
+	b = enc.U64(b, uint64(len(o.widths)))
 	for _, w := range o.widths {
-		f64(w)
+		b = enc.F64(b, w)
 	}
-	f64(o.fringe)
-	u64(uint64(len(lib.Buffers)))
-	for _, b := range lib.Buffers {
-		str(b.Name)
-		f64(b.Cin)
-		f64(b.R)
-		f64(b.T)
-		f64(b.NoiseMargin)
-		bol(b.Inverting)
-		u64(uint64(int64(b.Weight)))
-	}
-	h.Sum(sum[:0])
-	return sum
+	b = enc.F64(b, o.fringe)
+	return sha256.Sum256(lib.AppendKey(b))
 }
 
 // store memoizes node v's finished candidate list: a private plain copy

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"math"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/enc"
 	"buffopt/internal/guard"
 	"buffopt/internal/noise"
 	"buffopt/internal/rctree"
@@ -178,17 +176,24 @@ func withCaps(ctx context.Context, caps *guard.Budget) *guard.Budget {
 // binary can never alias a new request.
 const hashVersion = "buffopt.problem.v1"
 
+// hashChunk bounds CanonicalHash's buffer: the preorder's node keys are
+// flushed into the digest each time they pass three quarters of it, so a
+// huge tree hashes in 4 KiB pieces instead of one tree-sized buffer.
+const hashChunk = 4 << 10
+
 // CanonicalHash returns the content-addressed identity of the request as
 // a hex SHA-256: two Problems hash equal iff the solver computes the same
 // answer for both, byte for byte.
 //
-// Included: the driver model; a preorder walk of the tree covering each
-// node's kind, buffer feasibility, wire parasitics (R, C, length, and the
-// explicit aggressor list — nil and empty are distinct, because nil
-// selects the estimation mode), and sink properties (cap, RAT, noise
-// margin); the buffer library in order, every electrical field plus name
-// and weight; the noise parameters (skipped for MaxSlack, which never
-// reads them); the objective; and the count bound.
+// Included: the driver model; a preorder walk of the tree writing each
+// node's rctree.Tree.AppendNodeKey bytes — kind, buffer feasibility, wire
+// parasitics (R, C, length, and the explicit aggressor list — nil and
+// empty are distinct, because nil selects the estimation mode), sink
+// properties (cap, RAT, noise margin) and child count; the buffer
+// library's buffers.Library.AppendKey bytes, every buffer in order with
+// every electrical field plus name and weight; the noise parameters
+// (skipped for MaxSlack, which never reads them); the objective; and the
+// count bound.
 //
 // Excluded, deliberately: node names, IDs, and X/Y coordinates (reports
 // only — two nets differing only in labels are the same problem);
@@ -200,79 +205,46 @@ const hashVersion = "buffopt.problem.v1"
 // nodes are not.
 func (p Problem) CanonicalHash() string {
 	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	b1 := func(v byte) { buf[0] = v; h.Write(buf[:1]) }
-	bol := func(v bool) {
-		if v {
-			b1(1)
-		} else {
-			b1(0)
-		}
-	}
-	str := func(s string) { u64(uint64(len(s))); io.WriteString(h, s) }
-
-	str(hashVersion)
+	b := make([]byte, 0, hashChunk)
+	b = enc.Str64(b, hashVersion)
 	if p.Tree == nil {
-		b1(0xff)
+		b = append(b, 0xff)
 	} else {
-		b1(1)
-		f64(p.Tree.DriverResistance)
-		f64(p.Tree.DriverDelay)
-		stack := []rctree.NodeID{p.Tree.Root()}
+		b = append(b, 1)
+		b = enc.F64(b, p.Tree.DriverResistance)
+		b = enc.F64(b, p.Tree.DriverDelay)
+		var st [64]rctree.NodeID
+		stack := append(st[:0], p.Tree.Root())
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			n := p.Tree.Node(id)
-			b1(byte(n.Kind))
-			bol(n.BufferOK)
-			f64(n.Wire.R)
-			f64(n.Wire.C)
-			f64(n.Wire.Length)
-			bol(n.Wire.Aggressors != nil)
-			u64(uint64(len(n.Wire.Aggressors)))
-			for _, a := range n.Wire.Aggressors {
-				f64(a.Ratio)
-				f64(a.Slope)
+			b = p.Tree.AppendNodeKey(b, id)
+			if len(b) >= hashChunk-hashChunk/4 {
+				h.Write(b)
+				b = b[:0]
 			}
-			f64(n.Cap)
-			f64(n.RAT)
-			f64(n.NoiseMargin)
-			u64(uint64(len(n.Children)))
-			for i := len(n.Children) - 1; i >= 0; i-- {
-				stack = append(stack, n.Children[i])
+			ch := p.Tree.Node(id).Children
+			for i := len(ch) - 1; i >= 0; i-- {
+				stack = append(stack, ch[i])
 			}
 		}
 	}
 	if p.Library == nil {
-		b1(0xff)
+		b = append(b, 0xff)
 	} else {
-		b1(1)
-		u64(uint64(len(p.Library.Buffers)))
-		for _, bb := range p.Library.Buffers {
-			str(bb.Name)
-			f64(bb.Cin)
-			f64(bb.R)
-			f64(bb.T)
-			f64(bb.NoiseMargin)
-			bol(bb.Inverting)
-			u64(uint64(int64(bb.Weight)))
-		}
+		b = p.Library.AppendKey(append(b, 1))
 	}
-	b1(byte(p.Objective))
+	b = append(b, byte(p.Objective))
 	if p.Objective != MaxSlack {
-		f64(p.Params.CouplingRatio)
-		f64(p.Params.Slope)
+		b = enc.F64(b, p.Params.CouplingRatio)
+		b = enc.F64(b, p.Params.Slope)
 	}
 	if p.MaxBuffers == nil {
-		b1(0)
+		b = append(b, 0)
 	} else {
-		b1(1)
-		u64(uint64(int64(*p.MaxBuffers)))
+		b = enc.U64(append(b, 1), uint64(int64(*p.MaxBuffers)))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/enc"
 	"buffopt/internal/rctree"
 )
 
@@ -47,67 +46,59 @@ func EncodeSolveResult(key string, r *SolveResult) ([]byte, error) {
 	}
 	buf := make([]byte, 0, 256)
 	buf = append(buf, resultMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
+	buf = enc.Field(buf, key)
 	buf = append(buf, byte(r.Tier))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Slack))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.Cost)))
-
-	tree := r.Solution.Tree.AppendBinary(nil)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tree)))
-	buf = append(buf, tree...)
+	buf = enc.F64(buf, r.Slack)
+	buf = enc.U64(buf, uint64(int64(r.Cost)))
+	buf = enc.Field(buf, r.Solution.Tree.AppendBinary(nil))
 
 	// Map iteration order is random; sort by node ID so identical results
 	// encode to identical bytes (snapshots of the same cache state are
 	// reproducible).
 	bufIDs := sortedIDs(r.Solution.Buffers)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bufIDs)))
+	buf = enc.U32(buf, uint32(len(bufIDs)))
 	for _, id := range bufIDs {
 		b := r.Solution.Buffers[id]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(id)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Name)))
-		buf = append(buf, b.Name...)
+		buf = enc.U32(buf, uint32(int32(id)))
+		buf = enc.Field(buf, b.Name)
 		for _, f := range [...]float64{b.Cin, b.R, b.T, b.NoiseMargin} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+			buf = enc.F64(buf, f)
 		}
-		inv := byte(0)
-		if b.Inverting {
-			inv = 1
-		}
-		buf = append(buf, inv)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(b.Weight)))
+		buf = enc.Bool(buf, b.Inverting)
+		buf = enc.U64(buf, uint64(int64(b.Weight)))
 	}
 
 	widthIDs := sortedIDs(r.Solution.Widths)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(widthIDs)))
+	buf = enc.U32(buf, uint32(len(widthIDs)))
 	for _, id := range widthIDs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(id)))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Solution.Widths[id]))
+		buf = enc.U32(buf, uint32(int32(id)))
+		buf = enc.F64(buf, r.Solution.Widths[id])
 	}
 	return buf, nil
 }
 
 // DecodeSolveResult parses data encoded by EncodeSolveResult and verifies
 // it against the cache key it is stored under: the embedded key must
-// match, the tree must validate, and every buffer/width node ID must name
-// a tree node. Any mismatch is an error — a snapshot or peek that fails
-// here is dropped whole rather than served. The decoded result carries
-// fresh provenance (Cached/Coalesced cleared; the caller sets them).
+// match, the tree must validate, every buffer/width node ID must name a
+// tree node, and every flag byte must be 0 or 1. Any mismatch is an
+// error — a snapshot or peek that fails here is dropped whole rather
+// than served. The decoded result carries fresh provenance
+// (Cached/Coalesced cleared; the caller sets them).
 func DecodeSolveResult(key string, data []byte) (*SolveResult, error) {
-	c := rcursor{buf: data}
-	if string(c.take(len(resultMagic))) != resultMagic {
+	c := enc.NewReader(data)
+	if string(c.Bytes(len(resultMagic))) != resultMagic {
 		return nil, fmt.Errorf("core: decode result: bad magic")
 	}
-	gotKey := string(c.field())
-	if c.err == nil && gotKey != key {
+	gotKey := string(c.Field())
+	if c.Err() == nil && gotKey != key {
 		return nil, fmt.Errorf("core: decode result: stored under key %q but encodes key %q", key, gotKey)
 	}
-	tier := Tier(c.byte())
-	slack := math.Float64frombits(c.uint64())
-	cost := int(int64(c.uint64()))
-	treeBytes := c.field()
-	if c.err != nil {
-		return nil, fmt.Errorf("core: decode result: %w", c.err)
+	tier := Tier(c.Byte())
+	slack := c.F64()
+	cost := int(int64(c.U64()))
+	treeBytes := c.Field()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: decode result: %w", c.Err())
 	}
 	if tier != TierExact {
 		return nil, fmt.Errorf("core: decode result: tier %d, only exact results are persisted", tier)
@@ -117,25 +108,22 @@ func DecodeSolveResult(key string, data []byte) (*SolveResult, error) {
 		return nil, fmt.Errorf("core: decode result: %w", err)
 	}
 
-	nbuf := int(c.uint32())
-	if c.err == nil && nbuf > len(c.buf)/45 {
+	nbuf := int(c.U32())
+	if c.Err() == nil && nbuf > c.Len()/45 {
 		return nil, fmt.Errorf("core: decode result: buffer count %d exceeds input size", nbuf)
 	}
 	var bufs map[rctree.NodeID]buffers.Buffer
-	if nbuf > 0 && c.err == nil {
+	if nbuf > 0 && c.Err() == nil {
 		bufs = make(map[rctree.NodeID]buffers.Buffer, nbuf)
 	}
-	for i := 0; i < nbuf && c.err == nil; i++ {
-		id := rctree.NodeID(int32(c.uint32()))
+	for i := 0; i < nbuf && c.Err() == nil; i++ {
+		id := rctree.NodeID(int32(c.U32()))
 		var b buffers.Buffer
-		b.Name = string(c.field())
-		b.Cin = math.Float64frombits(c.uint64())
-		b.R = math.Float64frombits(c.uint64())
-		b.T = math.Float64frombits(c.uint64())
-		b.NoiseMargin = math.Float64frombits(c.uint64())
-		b.Inverting = c.byte() == 1
-		b.Weight = int(int64(c.uint64()))
-		if c.err != nil {
+		b.Name = string(c.Field())
+		b.Cin, b.R, b.T, b.NoiseMargin = c.F64(), c.F64(), c.F64(), c.F64()
+		b.Inverting = c.Bool()
+		b.Weight = int(int64(c.U64()))
+		if c.Err() != nil {
 			break
 		}
 		if id < 0 || int(id) >= tree.Len() {
@@ -144,18 +132,18 @@ func DecodeSolveResult(key string, data []byte) (*SolveResult, error) {
 		bufs[id] = b
 	}
 
-	nwid := int(c.uint32())
-	if c.err == nil && nwid > len(c.buf)/12 {
+	nwid := int(c.U32())
+	if c.Err() == nil && nwid > c.Len()/12 {
 		return nil, fmt.Errorf("core: decode result: width count %d exceeds input size", nwid)
 	}
 	var widths map[rctree.NodeID]float64
-	if nwid > 0 && c.err == nil {
+	if nwid > 0 && c.Err() == nil {
 		widths = make(map[rctree.NodeID]float64, nwid)
 	}
-	for i := 0; i < nwid && c.err == nil; i++ {
-		id := rctree.NodeID(int32(c.uint32()))
-		w := math.Float64frombits(c.uint64())
-		if c.err != nil {
+	for i := 0; i < nwid && c.Err() == nil; i++ {
+		id := rctree.NodeID(int32(c.U32()))
+		w := c.F64()
+		if c.Err() != nil {
 			break
 		}
 		if id < 0 || int(id) >= tree.Len() {
@@ -163,11 +151,11 @@ func DecodeSolveResult(key string, data []byte) (*SolveResult, error) {
 		}
 		widths[id] = w
 	}
-	if c.err != nil {
-		return nil, fmt.Errorf("core: decode result: %w", c.err)
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: decode result: %w", c.Err())
 	}
-	if len(c.buf) != 0 {
-		return nil, fmt.Errorf("core: decode result: %d trailing bytes", len(c.buf))
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("core: decode result: %d trailing bytes", c.Len())
 	}
 	return &SolveResult{
 		Result: &Result{
@@ -187,55 +175,4 @@ func sortedIDs[V any](m map[rctree.NodeID]V) []rctree.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// rcursor mirrors the rctree decoder: a byte cursor with a sticky error.
-type rcursor struct {
-	buf []byte
-	err error
-}
-
-func (c *rcursor) take(n int) []byte {
-	if c.err != nil || n < 0 || n > len(c.buf) {
-		if c.err == nil {
-			c.err = fmt.Errorf("truncated input (want %d bytes, have %d)", n, len(c.buf))
-		}
-		return nil
-	}
-	b := c.buf[:n]
-	c.buf = c.buf[n:]
-	return b
-}
-
-func (c *rcursor) byte() byte {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *rcursor) uint32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *rcursor) uint64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *rcursor) field() []byte {
-	n := int(c.uint32())
-	if c.err == nil && n > len(c.buf) {
-		c.err = fmt.Errorf("field length %d exceeds remaining %d bytes", n, len(c.buf))
-		return nil
-	}
-	return c.take(n)
 }

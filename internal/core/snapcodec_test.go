@@ -112,4 +112,41 @@ func TestSolveResultCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodeSolveResult(keys[0], append(append([]byte(nil), enc...), 1)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
+
+	// A buffer's inverting flag is one byte, 0 or 1. Any other value is
+	// corruption — a peer-fill payload carries no checksum — and must
+	// fail the decode rather than come back as a non-inverting buffer.
+	keys, results = solvedExact(t, 5)
+	for i, res := range results {
+		if len(res.Buffers) == 0 {
+			continue
+		}
+		enc, err := EncodeSolveResult(keys[i], res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first buffer record (lowest node ID) follows the header,
+		// the tree and the buffer count: its ID, name and four floats,
+		// then the flag.
+		first := res.Buffers[sortedIDs(res.Buffers)[0]]
+		at := len(resultMagic) + 4 + len(keys[i]) + 1 + 8 + 8 +
+			4 + len(res.Tree.AppendBinary(nil)) + 4 +
+			4 + 4 + len(first.Name) + 4*8
+		want := byte(0)
+		if first.Inverting {
+			want = 1
+		}
+		if enc[at] != want {
+			t.Fatalf("net %d: byte %d is %d, not the inverting flag %d", i, at, enc[at], want)
+		}
+		for _, bad := range []byte{2, 0xff} {
+			corrupt := append([]byte(nil), enc...)
+			corrupt[at] = bad
+			if _, err := DecodeSolveResult(keys[i], corrupt); err == nil {
+				t.Fatalf("net %d: inverting flag %#x accepted", i, bad)
+			}
+		}
+		return
+	}
+	t.Fatal("no corpus result places a buffer")
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"io"
-	"math"
 
 	"buffopt/internal/cache"
+	"buffopt/internal/enc"
 	"buffopt/internal/guard"
 )
 
@@ -81,15 +79,20 @@ func Cacheable(r *SolveResult) bool {
 	return true
 }
 
-// SolveCacheKey is the cache key for Solve(tree, lib, params, opts): the
-// problem's canonical hash extended with the Options fields that steer
-// Solve's output. Resource caps are included — a budget-starved ladder
-// deterministically lands on a different (degraded) answer than an
-// uncapped one, so each budget class caches under its own key and a
-// starved answer never masks an exact one. Deadlines are excluded:
-// deadline-shaped results are refused by Cacheable.
-func SolveCacheKey(tree treeHasher, opts Options) string {
-	return optionsKey("solve", tree, opts, true)
+// SolveCacheKey is the cache key for Solve(ctx, p.Tree, p.Library,
+// p.Params, opts): the canonical hash of the problem Solve answers —
+// p under Solve's own objective, MinBuffersNoise with no count bound,
+// whatever p's objective and bound say, so the noise parameters Solve
+// reads are always keyed — extended with the Options fields that steer
+// Solve's output. Resource caps are included — a
+// budget-starved ladder deterministically lands on a different
+// (degraded) answer than an uncapped one, so each budget class caches
+// under its own key and a starved answer never masks an exact one.
+// Deadlines are excluded: deadline-shaped results are refused by
+// Cacheable.
+func SolveCacheKey(p Problem, opts Options) string {
+	p.Objective, p.MaxBuffers = MinBuffersNoise, nil
+	return optionsKey("solve", p, opts, true)
 }
 
 // OptimizeCacheKey is the cache key for Optimize(ctx, p, opts). Unlike
@@ -100,48 +103,31 @@ func OptimizeCacheKey(p Problem, opts Options) string {
 	return optionsKey("optimize", p, opts, false)
 }
 
-// treeHasher lets SolveCacheKey accept a Problem (or anything exposing a
-// canonical hash) without re-deriving one here.
-type treeHasher interface{ CanonicalHash() string }
-
-func optionsKey(mode string, p treeHasher, opts Options, includeCaps bool) string {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	bol := func(v bool) {
-		buf[0] = 0
-		if v {
-			buf[0] = 1
-		}
-		h.Write(buf[:1])
-	}
-	io.WriteString(h, "buffopt.options.v1/")
-	io.WriteString(h, mode)
-	io.WriteString(h, "/")
-	io.WriteString(h, p.CanonicalHash())
-
-	bol(opts.SafePruning)
-	bol(opts.Sizing != nil)
+func optionsKey(mode string, p Problem, opts Options, includeCaps bool) string {
+	var a [256]byte
+	b := append(a[:0], "buffopt.options.v1/"...)
+	b = append(b, mode...)
+	b = append(b, '/')
+	b = append(b, p.CanonicalHash()...)
+	b = enc.Bool(b, opts.SafePruning)
+	b = enc.Bool(b, opts.Sizing != nil)
 	if opts.Sizing != nil {
-		u64(uint64(len(opts.Sizing.Widths)))
+		b = enc.U64(b, uint64(len(opts.Sizing.Widths)))
 		for _, w := range opts.Sizing.Widths {
-			f64(w)
+			b = enc.F64(b, w)
 		}
-		f64(opts.Sizing.Fringe)
+		b = enc.F64(b, opts.Sizing.Fringe)
 	}
-	bol(includeCaps)
+	b = enc.Bool(b, includeCaps)
 	if includeCaps {
 		var mc, mt, ms int
 		if opts.Budget != nil {
 			mc, mt, ms = opts.Budget.MaxCandidates, opts.Budget.MaxTreeNodes, opts.Budget.MaxSimSteps
 		}
-		u64(uint64(int64(mc)))
-		u64(uint64(int64(mt)))
-		u64(uint64(int64(ms)))
+		b = enc.U64(b, uint64(int64(mc)))
+		b = enc.U64(b, uint64(int64(mt)))
+		b = enc.U64(b, uint64(int64(ms)))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

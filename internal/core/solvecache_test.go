@@ -248,6 +248,30 @@ func TestSolveCacheBudgetClassKeying(t *testing.T) {
 	}
 }
 
+// TestSolveCacheKeyIsSolvesProblem: Solve answers MinBuffersNoise with
+// no count bound whatever Problem it is keyed from, so its key must not
+// follow the caller's objective or bound — under MaxSlack the noise
+// parameters Solve reads would drop out of the hash — while the noise
+// parameters still move it.
+func TestSolveCacheKeyIsSolvesProblem(t *testing.T) {
+	nets, lib, p := diffCorpus(t, 1)
+	k := 2
+	want := SolveCacheKey(Problem{Tree: nets[0], Library: lib, Params: p, Objective: MinBuffersNoise}, Options{})
+	for _, q := range []Problem{
+		{Tree: nets[0], Library: lib, Params: p},
+		{Tree: nets[0], Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k},
+	} {
+		if got := SolveCacheKey(q, Options{}); got != want {
+			t.Fatalf("objective %v: Solve key %s, want %s", q.Objective, got, want)
+		}
+	}
+	q := Problem{Tree: nets[0], Library: lib, Params: p}
+	q.Params.Slope *= 2
+	if SolveCacheKey(q, Options{}) == want {
+		t.Fatal("the noise parameters do not move the Solve key")
+	}
+}
+
 // TestSolveCacheDeadlineDegradedNotStored: a result degraded by
 // wall-clock luck is served to its requester but never stored — the next
 // identical request must get a fresh chance at the exact answer.

@@ -88,9 +88,6 @@ type Config struct {
 	// (first attempt + retries/hedges). Default 3, clamped to the
 	// replica count.
 	MaxAttempts int
-	// HedgeQuantile is the latency quantile of the primary's recent
-	// window past which a hedge launches. Default 0.9.
-	HedgeQuantile float64
 	// HedgeMin floors the hedge delay and is the cold-start delay while
 	// a replica has too little latency history. Default 20 ms.
 	HedgeMin time.Duration
@@ -142,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts > len(c.Replicas) {
 		c.MaxAttempts = len(c.Replicas)
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.9
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 20 * time.Millisecond
@@ -575,12 +569,17 @@ func (rt *Router) backoffDelay(connFails int) time.Duration {
 	return d
 }
 
+// hedgeQuantile is the latency quantile of the primary's recent window
+// past which a hedge launches; /fleet/status reports the same quantile
+// (p90_ms).
+const hedgeQuantile = 0.9
+
 // hedgeDelay prices the hedge timer from the primary's recent latency
-// window: its HedgeQuantile latency, floored at HedgeMin (also the
+// window: its hedgeQuantile latency, floored at HedgeMin (also the
 // cold-start value) and capped at half the attempt timeout so a hedge
 // still has time to finish.
 func (rt *Router) hedgeDelay(primary *replica) time.Duration {
-	d := time.Duration(primary.lat.quantile(rt.cfg.HedgeQuantile))
+	d := time.Duration(primary.lat.quantile(hedgeQuantile))
 	if d < rt.cfg.HedgeMin {
 		d = rt.cfg.HedgeMin
 	}
@@ -835,7 +834,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 		if until := rep.backoffUntil.Load(); until > now.UnixNano() {
 			st.Backoff = time.Duration(until - now.UnixNano()).Round(time.Millisecond).String()
 		}
-		if q := rep.lat.quantile(0.9); q > 0 {
+		if q := rep.lat.quantile(hedgeQuantile); q > 0 {
 			st.P90MS = float64(q) / 1e6
 		}
 		out.Replicas = append(out.Replicas, st)

@@ -2,9 +2,8 @@ package rctree
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"io"
-	"math"
+
+	"buffopt/internal/enc"
 )
 
 // SubtreeHash is the canonical content identity of one subtree: two nodes
@@ -32,48 +31,41 @@ type SubtreeHash [32]byte
 // never alias a new subtree.
 const subtreeHashVersion = "buffopt.subtree.v1"
 
-// hashNode computes node v's subtree hash from its own fields and its
+// AppendNodeKey appends node v's identity bytes: everything of v the
+// dynamic program reads besides its children's content — kind, buffer
+// feasibility, parent-wire R, C and length, the aggressor list behind a
+// nil-vs-empty bit, sink cap, RAT and noise margin, and the child count.
+// It is the one copy of the node field list both content identities
+// hash: SubtreeHash (hashNode) and core.Problem.CanonicalHash, which
+// writes it per node of a preorder walk.
+func (t *Tree) AppendNodeKey(b []byte, v NodeID) []byte {
+	n := &t.nodes[v]
+	b = append(b, byte(n.Kind))
+	b = enc.Bool(b, n.BufferOK)
+	b = enc.F64(b, n.Wire.R)
+	b = enc.F64(b, n.Wire.C)
+	b = enc.F64(b, n.Wire.Length)
+	b = enc.Bool(b, n.Wire.Aggressors != nil)
+	b = enc.U64(b, uint64(len(n.Wire.Aggressors)))
+	for _, a := range n.Wire.Aggressors {
+		b = enc.F64(b, a.Ratio)
+		b = enc.F64(b, a.Slope)
+	}
+	b = enc.F64(b, n.Cap)
+	b = enc.F64(b, n.RAT)
+	b = enc.F64(b, n.NoiseMargin)
+	return enc.U64(b, uint64(len(n.Children)))
+}
+
+// hashNode computes node v's subtree hash from its own key and its
 // children's already-current hashes in h.
 func (t *Tree) hashNode(h []SubtreeHash, v NodeID) SubtreeHash {
-	n := &t.nodes[v]
-	hs := sha256.New()
-	var buf [8]byte
-	u64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		hs.Write(buf[:])
+	var a [256]byte
+	b := t.AppendNodeKey(append(a[:0], subtreeHashVersion...), v)
+	for _, c := range t.nodes[v].Children {
+		b = append(b, h[c][:]...)
 	}
-	f64 := func(x float64) { u64(math.Float64bits(x)) }
-	b1 := func(x byte) { buf[0] = x; hs.Write(buf[:1]) }
-	bol := func(x bool) {
-		if x {
-			b1(1)
-		} else {
-			b1(0)
-		}
-	}
-
-	io.WriteString(hs, subtreeHashVersion)
-	b1(byte(n.Kind))
-	bol(n.BufferOK)
-	f64(n.Wire.R)
-	f64(n.Wire.C)
-	f64(n.Wire.Length)
-	bol(n.Wire.Aggressors != nil)
-	u64(uint64(len(n.Wire.Aggressors)))
-	for _, a := range n.Wire.Aggressors {
-		f64(a.Ratio)
-		f64(a.Slope)
-	}
-	f64(n.Cap)
-	f64(n.RAT)
-	f64(n.NoiseMargin)
-	u64(uint64(len(n.Children)))
-	for _, c := range n.Children {
-		hs.Write(h[c][:])
-	}
-	var out SubtreeHash
-	hs.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
 }
 
 // SubtreeHashes computes the hash of every subtree in one bottom-up pass:
